@@ -137,24 +137,30 @@ class UartLink:
 
     def __init__(self, scheduler: Scheduler) -> None:
         self.scheduler = scheduler
-        self.a = UartEnd(self, "a")
-        self.b = UartEnd(self, "b")
+        self.a = UartEnd(scheduler, "a")
+        self.b = UartEnd(scheduler, "b")
         self.a._peer = self.b
         self.b._peer = self.a
 
+    def close(self) -> None:
+        """Cut the wire: each end forgets its peer, so bytes sent from now on
+        go nowhere and the two ends no longer keep each other alive."""
+        self.a._peer = None
+        self.b._peer = None
+
 
 class UartEnd:
-    def __init__(self, link: UartLink, name: str) -> None:
-        self._link = link
+    def __init__(self, scheduler: Scheduler, name: str) -> None:
+        self._scheduler = scheduler
         self._name = name
         self._peer: UartEnd | None = None
         self._rx = bytearray()
         self._line_listener: Callable[[bytes], None] | None = None
 
     def send(self, data: bytes) -> None:
-        """Transmit bytes toward the other end."""
-        assert self._peer is not None
-        self._peer._deliver(bytes(data))
+        """Transmit bytes toward the other end (dropped once the link is closed)."""
+        if self._peer is not None:
+            self._peer._deliver(bytes(data))
 
     def recv_line(self, timeout_ms: int) -> bytes:
         """Return buffered bytes up to and including the next LF.
@@ -163,7 +169,7 @@ class UartEnd:
         until a full line exists or the deadline passes, in which case the
         clock rests at the deadline and UartTimeoutError is raised.
         """
-        sched = self._link.scheduler
+        sched = self._scheduler
         deadline = sched.now + timeout_ms
         while True:
             line = self._take_line()
@@ -237,7 +243,10 @@ class SpiBus:
         self._slave = handler
 
     def clear_slave(self, handler: SpiSlaveHandler | None = None) -> None:
-        if handler is None or self._slave is handler:
+        # Equality, not identity: each access to obj.method makes a new bound
+        # method object, and two of them are equal when they bind the same
+        # function to the same instance.
+        if handler is None or self._slave == handler:
             self._slave = None
 
     def assert_cs(self) -> None:

@@ -217,10 +217,12 @@ class Session:
     log: TransportLog = field(default_factory=TransportLog)
 
     def __post_init__(self) -> None:
+        # The loggers close over the log, not the session: the session holds
+        # the endpoints, so capturing it would make a reference cycle.
+        log = self.log
         for link in (self.dut, self.double):
-            label = link.label
             link.endpoint.set_logger(
-                lambda direction, line, sim_ms, label=label: self.log.record(
+                lambda direction, line, sim_ms, label=link.label: log.record(
                     label, direction, line, sim_ms
                 )
             )

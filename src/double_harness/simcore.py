@@ -21,9 +21,13 @@ class ScheduleError(ValueError):
 
 
 class _Event:
+    """One queued action. A cancelled event drops its action: it may wait in
+    the heap until its due time, and must not keep the object that
+    scheduled it alive meanwhile."""
+
     __slots__ = ("due", "seq", "action", "period", "cancelled", "done")
 
-    def __init__(self, due: int, seq: int, action: Action, period: int | None):
+    def __init__(self, due: int, seq: int, action: Action | None, period: int | None):
         self.due = due
         self.seq = seq
         self.action = action
@@ -87,6 +91,7 @@ class Scheduler:
         if event.cancelled or event.done:
             return False
         event.cancelled = True
+        event.action = None
         return True
 
     def advance_to(self, to: SimTime) -> int:

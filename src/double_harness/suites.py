@@ -13,6 +13,7 @@ rig is bit-identical to a production build.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import doubles as _doubles
@@ -166,8 +167,17 @@ class VirtualRig:
     faults: _dut.FaultConfig
 
     def close(self) -> None:
-        self.session.dut.endpoint.close()
-        self.session.double.endpoint.close()
+        """Decommission everything both devices host, then close the channels
+        and the UART link.
+
+        Afterwards no reference cycle is left inside the rig, so it is freed
+        by reference counting once the last reference to it drops. The
+        session's log, the line's edges and the SPI transfers stay readable.
+        """
+        for link in (self.session.dut, self.session.double):
+            link.registry.decommission_all()
+            link.endpoint.close()
+        self.uart.close()
 
 
 def build_virtual_rig(fault: str | None = None, timeout_ms: int = 5000) -> VirtualRig:
@@ -199,7 +209,7 @@ def build_virtual_rig(fault: str | None = None, timeout_ms: int = 5000) -> Virtu
         lambda init_delay_ms=None: _dut.BleTempSensor(air, scheduler, faults, init_delay_ms),
     )
 
-    central_ids = iter(f"central{i}" for i in range(1, 1_000_000))
+    central_ids = itertools.count(1)
     double_registry = ObjectRegistry()
     double_registry.register_class(
         "Led",
@@ -213,7 +223,7 @@ def build_virtual_rig(fault: str | None = None, timeout_ms: int = 5000) -> Virtu
     double_registry.register_class("Gps", lambda: _doubles.GpsDouble(uart.b, scheduler))
     double_registry.register_class("SpiSlave", lambda: _doubles.SpiSlaveDouble(spi))
     double_registry.register_class(
-        "BleCentral", lambda: _doubles.BleCentralDouble(air, next(central_ids))
+        "BleCentral", lambda: _doubles.BleCentralDouble(air, f"central{next(central_ids)}")
     )
 
     dut_ctl, dut_dev = open_virtual_pair(scheduler, timeout_ms)

@@ -295,7 +295,17 @@ class VirtualEndpoint(Endpoint):
         raise TransportTimeout(f"no frame within {timeout_ms} ms (simulated)")
 
     def close(self) -> None:
+        """Close the channel for both ends and unlink them from each other.
+
+        Frames already buffered stay readable; everything written later is
+        dropped. Unlinking leaves no reference cycle between the two ends.
+        """
         self._channel.closed = True
+        if self._peer is not None:
+            self._peer._peer = None
+            self._peer._server = None
+        self._peer = None
+        self._server = None
 
     def attach_server(self, server: "CommandServer") -> None:
         self._server = server
@@ -441,6 +451,12 @@ class ObjectRegistry:
     def has_class(self, name: str) -> bool:
         return name in self.classes
 
+    def decommission_all(self) -> None:
+        """Close and forget every hosted instance, as RESET does."""
+        for obj in self.objects.values():
+            _close_quietly(obj)
+        self.objects.clear()
+
     def execute(self, cmd: Command) -> Response:
         try:
             return self._execute(cmd)
@@ -451,9 +467,7 @@ class ObjectRegistry:
         if cmd.verb == "PING":
             return ok(None)
         if cmd.verb == "RESET":
-            for obj in self.objects.values():
-                _close_quietly(obj)
-            self.objects.clear()
+            self.decommission_all()
             return ok(None)
         if cmd.verb == "NEW":
             factory = self.classes.get(cmd.method or "")

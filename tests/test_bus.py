@@ -153,6 +153,15 @@ class TestUartLink:
             link.a.send(pending[take:])  # requeue what we did not consume
         assert bytes(sent).startswith(bytes(got))
 
+    def test_closed_link_drops_bytes_in_both_directions(self, sched):
+        link = UartLink(sched)
+        link.a.send(b"kept\n")
+        link.close()
+        link.a.send(b"lost\n")
+        link.b.send(b"lost\n")
+        assert link.b.pending() == b"kept\n"
+        assert link.a.pending() == b""
+
 
 class TestSpiBus:
     def test_transfer_requires_cs(self, sched):
@@ -166,6 +175,22 @@ class TestSpiBus:
         bus.set_slave(lambda mosi: bytes(fifo.pop(0) if fifo else 0 for _ in mosi))
         bus.assert_cs()
         assert bus.transfer(b"\x00\x00") == b"\xaa\xbb"
+
+    def test_clear_slave_matches_a_fresh_bound_method(self, sched):
+        """obj.method is a new object on each access; clearing must still match."""
+
+        class Slave:
+            def handle(self, mosi):
+                return b"\xff" * len(mosi)
+
+        bus = SpiBus(sched)
+        slave = Slave()
+        bus.set_slave(slave.handle)
+        bus.clear_slave(Slave().handle)  # another instance's handler: kept
+        bus.assert_cs()
+        assert bus.transfer(b"\x00") == b"\xff"
+        bus.clear_slave(slave.handle)
+        assert bus.transfer(b"\x00") == b"\x00"
 
     def test_zero_length_transfer(self, sched):
         bus = SpiBus(sched)

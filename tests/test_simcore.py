@@ -118,6 +118,18 @@ class TestCancel:
         assert fired == [10, 20, 30]
 
 
+    def test_cancel_drops_the_action(self, sched):
+        """A cancelled event left in the heap must not pin its action."""
+        oneshot = sched.schedule(5, lambda: None)
+        periodic = sched.schedule(1, lambda: None, periodic=1)
+        sched.advance_to(2)
+        sched.cancel(oneshot)
+        assert oneshot._event.action is None
+        assert periodic._event.action is not None
+        sched.cancel(periodic)
+        assert periodic._event.action is None
+
+
 class TestProperties:
     def test_determinism_identical_call_sequences(self):
         """Two schedulers fed the same script fire identical sequences."""

@@ -131,6 +131,16 @@ class TestVirtualChannel:
         received = [b.read_frame(10)[0] for _ in range(100)]
         assert received == [f"DEL obj{i}" for i in range(100)]
 
+    def test_close_unlinks_both_ends_and_keeps_buffered_frames(self, sched):
+        a, b = open_virtual_pair(sched)
+        serve(b, ObjectRegistry())
+        a.write_line("PING")
+        b.close()
+        assert (a._peer, a._server, b._peer, b._server) == (None, None, None, None)
+        assert a.read_frame(100)[0] == "OK null"
+        with pytest.raises(ChannelClosedError):
+            a.read_frame(100)
+
     def test_read_after_close_raises(self, sched):
         a, b = open_virtual_pair(sched)
         a.close()
