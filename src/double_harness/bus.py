@@ -52,18 +52,22 @@ class GpioLine:
     def __init__(self) -> None:
         self.level: int = 0
         self.edges: list[tuple[SimTime, int]] = []
-        self._listeners: list[Callable[[SimTime, int], None]] = []
+        self._last_at: float = float("-inf")
+        # Replaced, never mutated, by (un)subscribe: an edge is delivered to
+        # the listeners subscribed when it was written.
+        self._listeners: tuple[Callable[[SimTime, int], None], ...] = ()
 
     def write(self, level: int, at: SimTime) -> None:
         if level not in (0, 1):
             raise ValueError(f"level must be 0 or 1, got {level!r}")
-        if self.edges and at < self.edges[-1][0]:
-            raise ValueError(f"edge time regression: {at} < {self.edges[-1][0]}")
+        if at < self._last_at:
+            raise ValueError(f"edge time regression: {at} < {self._last_at}")
         if level == self.level:
             return
         self.level = level
+        self._last_at = at
         self.edges.append((at, level))
-        for listener in list(self._listeners):
+        for listener in self._listeners:
             listener(at, level)
 
     def toggle(self, at: SimTime) -> None:
@@ -71,11 +75,10 @@ class GpioLine:
 
     def subscribe(self, listener: Callable[[SimTime, int], None]) -> None:
         if listener not in self._listeners:
-            self._listeners.append(listener)
+            self._listeners += (listener,)
 
     def unsubscribe(self, listener: Callable[[SimTime, int], None]) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
+        self._listeners = tuple(known for known in self._listeners if known != listener)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import harness
 from .suites import SHIPPED_FAULTS, SUITE_ORDER, SUITES, build_virtual_rig
-
-SEED_ENV_VAR = "DOUBLE_HARNESS_SEED"  # reserved; the simulation is already deterministic
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,8 +57,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    _ = os.environ.get(SEED_ENV_VAR)  # reserved for future stochastic doubles
 
     selected = args.suite or ["all"]
     names: list[str] = []

@@ -62,9 +62,13 @@ class LedDouble:
         self.line.unsubscribe(self._on_edge)
 
     def _on_edge(self, at: int, _level: int) -> None:
-        if self.acquiring and len(self.captured) < self.expected_toggles:
-            self.captured.append(at)
-            if len(self.captured) == self.expected_toggles:
+        if not self.acquiring:
+            return
+        captured = self.captured
+        missing = self.expected_toggles - len(captured)
+        if missing > 0:
+            captured.append(at)
+            if missing == 1:
                 self.acquiring = False
 
 

@@ -45,8 +45,8 @@ class Blinker:
     period_ms is the toggle interval (time spent at each level), so a
     listener measuring toggle-to-toggle spacing reads back period_ms
     directly. Blocking mode burns simulated time inside the call; isr mode
-    arms a periodic timer event and returns immediately. Both produce the
-    same edge times.
+    arms a periodic timer event and returns immediately, and arming it
+    again restarts the pattern. Both produce the same edge times.
     """
 
     def __init__(
@@ -80,6 +80,8 @@ class Blinker:
                 self._scheduler.advance_by(period)
                 self.line.toggle(self._scheduler.now)
         else:
+            if self._isr_handle is not None:
+                self._scheduler.cancel(self._isr_handle)
             self._isr_remaining = 2 * self.count
             self._isr_handle = self._scheduler.schedule(period, self._isr_toggle, periodic=period)
 
@@ -89,9 +91,10 @@ class Blinker:
             self._isr_handle = None
 
     def _isr_toggle(self) -> None:
-        self.line.toggle(self._scheduler.now)
-        self._isr_remaining -= 1
-        if self._isr_remaining <= 0 and self._isr_handle is not None:
+        line = self.line  # toggle() inlined: this runs on every edge
+        line.write(1 - line.level, self._scheduler.now)
+        remaining = self._isr_remaining = self._isr_remaining - 1
+        if remaining <= 0 and self._isr_handle is not None:
             self._scheduler.cancel(self._isr_handle)
             self._isr_handle = None
 

@@ -21,15 +21,13 @@ class ScheduleError(ValueError):
 
 
 class _Event:
-    """One queued action. A cancelled event drops its action: it may wait in
-    the heap until its due time, and must not keep the object that
-    scheduled it alive meanwhile."""
+    """One queued action; its (due, seq) key lives in the heap entry. A
+    cancelled event drops its action: it may wait in the heap until its due
+    time, and must not keep the object that scheduled it alive meanwhile."""
 
-    __slots__ = ("due", "seq", "action", "period", "cancelled", "done")
+    __slots__ = ("action", "period", "cancelled", "done")
 
-    def __init__(self, due: int, seq: int, action: Action | None, period: int | None):
-        self.due = due
-        self.seq = seq
+    def __init__(self, action: Action | None, period: int | None):
         self.action = action
         self.period = period
         self.cancelled = False
@@ -77,8 +75,9 @@ class Scheduler:
             raise ScheduleError(f"delay must be >= 0, got {delay_ms}")
         if periodic is not None and periodic < 1:
             raise ScheduleError(f"period must be >= 1 ms, got {periodic}")
-        event = _Event(self._now + delay_ms, self._next_seq(), action, periodic)
-        heapq.heappush(self._heap, (event.due, event.seq, event))
+        self._seq += 1
+        event = _Event(action, periodic)
+        heapq.heappush(self._heap, (self._now + delay_ms, self._seq, event))
         return EventHandle(event)
 
     def cancel(self, handle: EventHandle) -> bool:
@@ -100,23 +99,36 @@ class Scheduler:
         Events scheduled by fired actions also fire in the same pass when
         their due time is <= `to`. Returns the number of actions fired.
         Time cannot reverse: `to` must be >= now.
+
+        Head-run rule: a periodic event re-armed after firing takes a fresh
+        seq, so it goes after every event already queued for the same ms.
+        When its new due time is <= `to` and strictly before the head of
+        the heap, it is still the earliest pending event, and it fires
+        again without the push and pop that would return it to the same
+        place. Fire order, fire times and seq numbers are those of the
+        plain heap loop.
         """
         if to < self._now:
             raise ScheduleError(f"cannot advance backwards: now={self._now}, to={to}")
+        heap = self._heap
         fired = 0
-        while self._heap and self._heap[0][0] <= to:
-            due, _seq, event = heapq.heappop(self._heap)
+        while heap and heap[0][0] <= to:
+            due, _seq, event = heapq.heappop(heap)
             if event.cancelled:
                 continue
-            self._now = due
-            event.action()
-            fired += 1
-            if event.period is not None and not event.cancelled:
-                event.due = due + event.period
-                event.seq = self._next_seq()
-                heapq.heappush(self._heap, (event.due, event.seq, event))
-            else:
-                event.done = True
+            action, period = event.action, event.period
+            while True:
+                self._now = due
+                action()
+                fired += 1
+                if period is None or event.cancelled:
+                    event.done = True
+                    break
+                due += period
+                self._seq += 1
+                if due > to or (heap and heap[0][0] <= due):
+                    heapq.heappush(heap, (due, self._seq, event))
+                    break
         self._now = to
         return fired
 
@@ -133,7 +145,3 @@ class Scheduler:
         if not self._heap:
             return None
         return self._heap[0][0]
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq

@@ -431,6 +431,8 @@ def reset(ep: Endpoint, timeout_ms: int | None = None) -> Response:
 
 Factory = Callable[..., Any]
 
+_UNCACHED = object()
+
 
 @dataclass
 class ObjectRegistry:
@@ -442,11 +444,18 @@ class ObjectRegistry:
 
     classes: dict[str, Factory] = field(default_factory=dict)
     objects: dict[str, Any] = field(default_factory=dict)
+    # Signatures for argument binding: a NEW factory's under its class name,
+    # a class-level method's under (class, method name). None marks a
+    # callable without an introspectable signature. Never holds an instance.
+    _signatures: dict[Any, inspect.Signature | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def register_class(self, name: str, factory: Factory) -> None:
         if not IDENT_RE.match(name):
             raise ValueError(f"bad class name {name!r}")
         self.classes[name] = factory
+        self._signatures.pop(name, None)
 
     def has_class(self, name: str) -> bool:
         return name in self.classes
@@ -473,7 +482,7 @@ class ObjectRegistry:
             factory = self.classes.get(cmd.method or "")
             if factory is None:
                 return err("NO_CLASS", f"unknown class '{cmd.method}'")
-            if not _args_bind(factory, cmd.args):
+            if not self._args_bind(cmd.method, factory, cmd.args):
                 return err("BAD_ARGS", f"arguments {list(cmd.args)!r} do not fit {cmd.method}")
             try:
                 instance = factory(*cmd.args)
@@ -499,7 +508,12 @@ class ObjectRegistry:
             method = getattr(obj, cmd.method, None)
             if not callable(method):
                 return err("NO_METHOD", f"no method '{cmd.method}' on '{cmd.obj}'")
-            if not _args_bind(method, cmd.args):
+            cls = type(obj)
+            on_class = inspect.isfunction(getattr(cls, cmd.method, None)) and (
+                cmd.method not in getattr(obj, "__dict__", ())
+            )
+            key = (cls, cmd.method) if on_class else None
+            if not self._args_bind(key, method, cmd.args):
                 return err("BAD_ARGS", f"arguments {list(cmd.args)!r} do not fit {cmd.method}")
             try:
                 result = method(*cmd.args)
@@ -508,15 +522,25 @@ class ObjectRegistry:
             return ok(_jsonable(result))
         return err("BAD_ARGS", f"unhandled verb {cmd.verb!r}")
 
-
-def _args_bind(fn: Callable, args: tuple) -> bool:
-    try:
-        inspect.signature(fn).bind(*args)
+    def _args_bind(self, key: Any, fn: Callable, args: tuple) -> bool:
+        """Whether args bind to fn's signature, cached under key unless it is None."""
+        sig = self._signatures.get(key, _UNCACHED)
+        if sig is _UNCACHED:
+            try:
+                sig = inspect.signature(fn)
+            except TypeError:
+                return False
+            except ValueError:
+                sig = None
+            if key is not None:
+                self._signatures[key] = sig
+        if sig is None:
+            return True  # no introspectable signature; let the call decide
+        try:
+            sig.bind(*args)
+        except TypeError:
+            return False
         return True
-    except TypeError:
-        return False
-    except ValueError:
-        return True  # no introspectable signature; let the call decide
 
 
 def _close_quietly(obj: Any) -> None:

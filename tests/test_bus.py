@@ -38,10 +38,15 @@ class TestGpioLine:
         assert deltas == [100] * 9
 
     def test_time_regression_rejected(self):
+        """Also for a same-level write, which would otherwise be a no-op."""
         line = GpioLine()
         line.write(1, 100)
         with pytest.raises(ValueError):
             line.write(0, 99)
+        with pytest.raises(ValueError, match="edge time regression: 99 < 100"):
+            line.write(1, 99)
+        line.write(1, 100)  # the same ms is not a regression
+        assert line.edges == [(100, 1)]
 
     def test_listeners_see_each_edge(self):
         line = GpioLine()
@@ -51,6 +56,43 @@ class TestGpioLine:
         line.toggle(20)
         line.unsubscribe(seen.append)  # unknown listener: ignored
         assert seen == [(10, 1), (20, 0)]
+
+    def test_listener_set_is_fixed_when_the_edge_is_written(self):
+        """Unsubscribed during an edge: still gets it. Subscribed during it: does not."""
+        line = GpioLine()
+        seen = []
+
+        def late(t, level):
+            seen.append(("late", t))
+
+        def first(t, level):
+            seen.append(("first", t))
+            line.unsubscribe(second)
+            line.subscribe(late)
+
+        def second(t, level):
+            seen.append(("second", t))
+
+        line.subscribe(first)
+        line.subscribe(second)
+        line.toggle(10)
+        assert seen == [("first", 10), ("second", 10)]
+        line.unsubscribe(first)
+        line.toggle(20)
+        assert seen[2:] == [("late", 20)]
+
+    def test_toggle_goes_through_write(self):
+        writes = []
+
+        class WatchedLine(GpioLine):
+            def write(self, level, at):
+                writes.append((at, level))
+                super().write(level, at)
+
+        line = WatchedLine()
+        for at in (1, 2, 3):
+            line.toggle(at)
+        assert writes == line.edges == [(1, 1), (2, 0), (3, 1)]
 
     def test_alternation_and_monotonicity_hold_for_random_sequences(self):
         """Property: any mix of writes keeps the edge log alternating."""

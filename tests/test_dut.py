@@ -87,6 +87,17 @@ class TestBlinker:
         sched.advance_by(10_000)
         assert line.edges == []
 
+    def test_second_isr_blink_restarts_the_pattern(self, sched):
+        """Re-arming cancels the first timer: 2*count edges at the period from the restart."""
+        line = GpioLine()
+        blinker = Blinker(line, 100, 3, sched)
+        blinker.blink("isr")
+        sched.advance_by(250)
+        blinker.blink("isr")
+        sched.advance_by(10_000)
+        assert [t for t, _ in line.edges] == [100, 200] + [250 + 100 * k for k in range(1, 7)]
+        assert sched.next_due() is None
+
     def test_bad_mode_rejected(self, sched):
         with pytest.raises(ValueError):
             Blinker(GpioLine(), 100, 1, sched).blink("turbo")

@@ -114,6 +114,26 @@ def test_deleted_spi_slave_no_longer_answers_on_the_bus(rig):
     assert resp.ok and resp.payload == [0, 0, 0]
 
 
+def test_deleted_blinker_armed_twice_leaves_no_timer(rig):
+    _wire(
+        rig,
+        [
+            ("dut", "NEW", "b", "Blinker", [DUT_LED_PIN, 10, 100]),
+            ("dut", "CALL", "b", "blink", ["isr"]),
+            ("dut", "CALL", "b", "blink", ["isr"]),
+        ],
+    )
+    blinker = rig.session.dut.registry.objects["b"]
+    _wire(rig, [("dut", "DEL", "b", None, [])])
+    edges_before = len(rig.led_line.edges)
+    rig.scheduler.advance_by(1000)
+    assert len(rig.led_line.edges) == edges_before
+    assert [
+        event for _due, _seq, event in rig.scheduler._heap
+        if getattr(event.action, "__self__", None) is blinker
+    ] == []
+
+
 def test_closed_rig_is_freed_by_reference_counting():
     was_enabled = gc.isenabled()
     gc.disable()

@@ -1,8 +1,11 @@
 """Scheduler semantics: ordering, periodic events, cancellation, determinism."""
 
+import heapq
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from double_harness.simcore import ScheduleError, Scheduler
 
@@ -165,3 +168,103 @@ class TestProperties:
         for point in checkpoints:
             fired += sched.advance_to(point)
         assert fired == expected
+
+
+class _HeapLoopScheduler(Scheduler):
+    """Reference model: every re-armed periodic event goes back through the
+    heap before it can fire again."""
+
+    def advance_to(self, to):
+        if to < self._now:
+            raise ScheduleError(f"cannot advance backwards: now={self._now}, to={to}")
+        fired = 0
+        while self._heap and self._heap[0][0] <= to:
+            due, _seq, event = heapq.heappop(self._heap)
+            if event.cancelled:
+                continue
+            self._now = due
+            event.action()
+            fired += 1
+            if event.period is not None and not event.cancelled:
+                self._seq += 1
+                heapq.heappush(self._heap, (due + event.period, self._seq, event))
+            else:
+                event.done = True
+        self._now = to
+        return fired
+
+
+# (firing number, what the action does on that firing, argument)
+_OP = st.tuples(
+    st.integers(0, 3),
+    st.sampled_from(
+        ["cancel_self", "cancel_other", "at_now", "at_next_due", "before_next_due", "periodic_child", "nest"]
+    ),
+    st.integers(0, 7),
+)
+# (delay, period or None, ops)
+_EVENT = st.tuples(st.integers(0, 12), st.none() | st.integers(1, 4), st.lists(_OP, max_size=3))
+_SCENARIO = st.tuples(
+    st.lists(_EVENT, min_size=1, max_size=6), st.lists(st.integers(0, 15), min_size=1, max_size=4)
+)
+
+
+def _play(sched, scenario):
+    """Run a scenario; return everything observable about the run."""
+    events, steps = scenario
+    log, handles, fires, depth = [], [], {}, [0]
+
+    def spawn(label, delay, period, ops=()):
+        def action():
+            n = fires[label] = fires.get(label, -1) + 1
+            log.append((label, n, sched.now))
+            for j, (on, op, arg) in enumerate(ops):
+                if on != n:
+                    continue
+                child = f"{label}.{n}.{j}"
+                if op == "cancel_self":
+                    log.append((child, sched.cancel(handle)))
+                elif op == "cancel_other":
+                    log.append((child, sched.cancel(handles[arg % len(handles)])))
+                elif op == "at_now":
+                    spawn(child, 0, None)
+                elif op == "at_next_due":
+                    spawn(child, period or arg, None)
+                elif op == "before_next_due":
+                    spawn(child, arg % (period or 1), None)
+                elif op == "periodic_child":
+                    spawn(child, arg % 3, 1)
+                elif depth[0] < 2:  # nest
+                    depth[0] += 1
+                    log.append((child, sched.advance_to(sched.now + arg % 5), sched.now))
+                    depth[0] -= 1
+
+        handle = sched.schedule(delay, action, periodic=period)
+        handles.append(handle)
+
+    for i, (delay, period, ops) in enumerate(events):
+        spawn(f"e{i}", delay, period, ops)
+    counts = [sched.advance_by(step) for step in steps]
+    return (
+        log,
+        counts,
+        sched.now,
+        [h.pending for h in handles],
+        sched.next_due(),
+        sorted((due, seq) for due, seq, _ in sched._heap),
+    )
+
+
+class TestHeadRunMatchesHeapLoop:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_SCENARIO)
+    def test_same_run_as_the_plain_heap_loop(self, scenario):
+        assert _play(Scheduler(), scenario) == _play(_HeapLoopScheduler(), scenario)
+
+    def test_rearmed_event_yields_to_an_older_event_at_the_same_ms(self, sched):
+        """The tick re-armed for 3 ms takes a newer seq than `once`, queued at 0."""
+        order = []
+        sched.schedule(1, lambda: order.append(("tick", sched.now)), periodic=1)
+        sched.schedule(3, lambda: order.append(("once", sched.now)))
+        assert sched.advance_to(4) == 5
+        assert order == [("tick", 1), ("tick", 2), ("once", 3), ("tick", 3), ("tick", 4)]

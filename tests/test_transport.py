@@ -3,6 +3,7 @@
 import json
 import random
 import string
+import weakref
 
 import pytest
 
@@ -281,6 +282,54 @@ class TestDispatch:
         responses = [send_command(controller, cmd) for cmd in script]
         assert len(responses) == len(script)
         assert [r.ok for r in responses] == [True, True, True, False, True]
+
+
+class TestSignatureCache:
+    """Argument binding stays exact once signatures are cached per registry."""
+
+    @staticmethod
+    def _run(registry, verb, obj=None, method=None, args=()):
+        return registry.execute(Command(verb, obj=obj, method=method, args=tuple(args)))
+
+    @pytest.fixture
+    def registry(self):
+        registry = ObjectRegistry()
+        registry.register_class("Thing", _Thing)
+        return registry
+
+    def test_wrong_arity_is_bad_args_after_caching(self, registry):
+        for _ in range(2):
+            assert self._run(registry, "NEW", "t", "Thing", [1]).ok
+            assert self._run(registry, "NEW", "u", "Thing", [1, 2]).code == "BAD_ARGS"
+            assert self._run(registry, "CALL", "t", "add", [1, 2]).payload == 4
+            assert self._run(registry, "CALL", "t", "add", [1]).code == "BAD_ARGS"
+
+    def test_reregistered_class_binds_against_its_new_signature(self, registry):
+        assert self._run(registry, "NEW", "t", "Thing", [1]).ok
+        registry.register_class("Thing", lambda a, b: _Thing(a + b))
+        assert self._run(registry, "NEW", "t", "Thing", [1]).code == "BAD_ARGS"
+        assert self._run(registry, "NEW", "t", "Thing", [1, 2]).ok
+        assert registry.objects["t"].base == 3
+
+    def test_instance_callable_binds_against_its_own_signature(self, registry):
+        self._run(registry, "NEW", "a", "Thing", [])
+        self._run(registry, "NEW", "b", "Thing", [])
+        assert self._run(registry, "CALL", "a", "add", [1, 2]).payload == 3
+        registry.objects["b"].add = lambda x: x * 10
+        assert self._run(registry, "CALL", "b", "add", [4]).payload == 40
+        assert self._run(registry, "CALL", "b", "add", [1, 2]).code == "BAD_ARGS"
+        registry.objects["b"].add = lambda x, y, z: x + y + z
+        assert self._run(registry, "CALL", "b", "add", [1, 2, 3]).payload == 6
+        assert self._run(registry, "CALL", "a", "add", [1]).code == "BAD_ARGS"
+        assert self._run(registry, "CALL", "a", "add", [1, 2]).payload == 3
+
+    def test_decommissioned_instances_are_not_kept_by_the_registry(self, registry):
+        self._run(registry, "NEW", "t", "Thing", [])
+        assert self._run(registry, "CALL", "t", "add", [1, 2]).ok
+        assert self._run(registry, "CALL", "t", "add", [1]).code == "BAD_ARGS"
+        thing = weakref.ref(registry.objects["t"])
+        registry.decommission_all()
+        assert thing() is None
 
 
 class _SlowRegistry:
