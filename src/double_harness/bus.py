@@ -173,20 +173,9 @@ class UartEnd:
         clock rests at the deadline and UartTimeoutError is raised.
         """
         sched = self._scheduler
-        deadline = sched.now + timeout_ms
-        while True:
-            line = self._take_line()
-            if line is not None:
-                return line
-            nxt = sched.next_due()
-            if nxt is None or nxt > deadline:
-                if sched.now < deadline:
-                    sched.advance_to(deadline)
-                line = self._take_line()
-                if line is not None:
-                    return line
-                raise UartTimeoutError(f"no line within {timeout_ms} ms")
-            sched.advance_to(nxt)
+        if not sched.run_until(lambda: b"\n" in self._rx, sched.now + timeout_ms):
+            raise UartTimeoutError(f"no line within {timeout_ms} ms")
+        return self._take_line()
 
     def pending(self) -> bytes:
         """Snapshot of bytes received and not yet consumed."""
@@ -332,17 +321,8 @@ class BleAir:
         going live exactly at the deadline is still found.
         """
         deadline = self.scheduler.now + window_ms
-        while True:
-            if name in self._advertisers:
-                return
-            nxt = self.scheduler.next_due()
-            if nxt is None or nxt > deadline:
-                if self.scheduler.now < deadline:
-                    self.scheduler.advance_to(deadline)
-                if name in self._advertisers:
-                    return
-                raise ScanTimeoutError(f"'{name}' not advertising within {window_ms} ms")
-            self.scheduler.advance_to(nxt)
+        if not self.scheduler.run_until(lambda: name in self._advertisers, deadline):
+            raise ScanTimeoutError(f"'{name}' not advertising within {window_ms} ms")
 
     def connect(self, central_id: str, name: str) -> None:
         if name not in self._advertisers:

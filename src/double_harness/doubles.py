@@ -431,15 +431,8 @@ class BleCentralDouble:
         """Next notified value, waiting in simulated time up to the deadline."""
         self._require_connected()
         inbox = self._air.inbox(self.central_id)
-        deadline = self._air.scheduler.now + timeout_ms
-        while not inbox:
-            nxt = self._air.scheduler.next_due()
-            if nxt is None or nxt > deadline:
-                if self._air.scheduler.now < deadline:
-                    self._air.scheduler.advance_to(deadline)
-                break
-            self._air.scheduler.advance_to(nxt)
-        if not inbox:
+        sched = self._air.scheduler
+        if not sched.run_until(lambda: inbox, sched.now + timeout_ms):
             raise NotifyTimeoutError(f"no notification within {timeout_ms} ms")
         return inbox.popleft()
 

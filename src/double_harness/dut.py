@@ -11,7 +11,7 @@ an off-by-one in the SPI receive path, and a slow BLE bring-up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bus as _bus
 from .simcore import EventHandle, Scheduler
@@ -21,8 +21,7 @@ class NotStartedError(Exception):
     """Operation needs start() first."""
 
 
-@dataclass(frozen=True)
-class FaultConfig:
+class FaultConfig(NamedTuple):
     """Config-level fault switches; all off means a correct build."""
 
     period_skew_ms: int = 0

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from collections import namedtuple
+from typing import Any, Callable, NamedTuple
 
 from . import transport as _transport
 from .simcore import Scheduler
@@ -45,8 +45,7 @@ class _StopCase(Exception):
 # Matchers
 
 
-@dataclass(frozen=True)
-class Matcher:
+class Matcher(NamedTuple):
     """Assertion predicate richer than equality.
 
     close_to uses an inclusive absolute tolerance: |actual - expected| <= tol.
@@ -119,22 +118,19 @@ def is_true() -> Matcher:
 CaseBody = Callable[["CaseContext"], None]
 
 
-@dataclass(frozen=True)
-class TestCase:
+class TestCase(namedtuple("TestCase", "name body")):
     """One named case; names must start with test_."""
 
+    __slots__ = ()
     __test__ = False  # the name is domain vocabulary, not a pytest class
 
-    name: str
-    body: CaseBody
-
-    def __post_init__(self) -> None:
-        if not self.name.startswith("test_"):
-            raise SuiteDefinitionError(f"case name must start with 'test_': {self.name!r}")
+    def __new__(cls, name: str, body: CaseBody) -> TestCase:
+        if not name.startswith("test_"):
+            raise SuiteDefinitionError(f"case name must start with 'test_': {name!r}")
+        return super().__new__(cls, name, body)
 
 
-@dataclass(frozen=True)
-class CodeManifest:
+class CodeManifest(NamedTuple):
     """A named code bundle plus the wire classes it provides.
 
     Production bundles are named dut_*, double bundles Double_*, mirroring
@@ -151,25 +147,27 @@ class CodeManifest:
             )
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(namedtuple("Suite", "name cases dut_code double_code")):
     """Ordered cases plus the code manifests both devices must host."""
 
-    name: str
-    cases: tuple[TestCase, ...]
-    dut_code: CodeManifest
-    double_code: CodeManifest
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        names = [case.name for case in self.cases]
+    def __new__(
+        cls,
+        name: str,
+        cases: tuple[TestCase, ...],
+        dut_code: CodeManifest,
+        double_code: CodeManifest,
+    ) -> Suite:
+        names = [case.name for case in cases]
         if len(set(names)) != len(names):
-            raise SuiteDefinitionError(f"duplicate case names in suite {self.name!r}")
-        self.dut_code.require_prefix("dut_")
-        self.double_code.require_prefix("Double_")
+            raise SuiteDefinitionError(f"duplicate case names in suite {name!r}")
+        dut_code.require_prefix("dut_")
+        double_code.require_prefix("Double_")
+        return super().__new__(cls, name, cases, dut_code, double_code)
 
 
-@dataclass
-class RunOptions:
+class RunOptions(NamedTuple):
     timeout_ms: int = _transport.DEFAULT_TIMEOUT_MS
     fail_fast: bool = False
 
@@ -198,8 +196,7 @@ class TransportLog:
         return "\n".join(rows)
 
 
-@dataclass
-class DeviceLink:
+class DeviceLink(NamedTuple):
     """Controller endpoint for one device, plus its registry when local."""
 
     label: str
@@ -207,20 +204,23 @@ class DeviceLink:
     registry: ObjectRegistry | None = None
 
 
-@dataclass
 class Session:
     """Everything a suite run needs: both device links and the shared clock."""
 
-    dut: DeviceLink
-    double: DeviceLink
-    scheduler: Scheduler | None = None
-    log: TransportLog = field(default_factory=TransportLog)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        dut: DeviceLink,
+        double: DeviceLink,
+        scheduler: Scheduler | None = None,
+        log: TransportLog | None = None,
+    ) -> None:
+        self.dut = dut
+        self.double = double
+        self.scheduler = scheduler
+        self.log = log = TransportLog() if log is None else log
         # The loggers close over the log, not the session: the session holds
         # the endpoints, so capturing it would make a reference cycle.
-        log = self.log
-        for link in (self.dut, self.double):
+        for link in (dut, double):
             link.endpoint.set_logger(
                 lambda direction, line, sim_ms, label=link.label: log.record(
                     label, direction, line, sim_ms
@@ -242,34 +242,38 @@ class Session:
 # Results
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     matcher: Matcher
     actual: Any
     passed: bool
 
 
-@dataclass
 class TestResult:
-    name: str
-    verdict: str
-    inputs: dict[str, Any] = field(default_factory=dict)
-    outputs: dict[str, Any] = field(default_factory=dict)
-    message: str = ""
-    sim_ms: int | None = None
-    wall_ms: float = 0.0
-    checks: list[CheckRecord] = field(default_factory=list)
+    def __init__(
+        self,
+        name: str,
+        verdict: str,
+        inputs: dict[str, Any] | None = None,
+        outputs: dict[str, Any] | None = None,
+        message: str = "",
+        sim_ms: int | None = None,
+        wall_ms: float = 0.0,
+        checks: list[CheckRecord] | None = None,
+    ) -> None:
+        self.name = name
+        self.verdict = verdict
+        self.inputs = {} if inputs is None else inputs
+        self.outputs = {} if outputs is None else outputs
+        self.message = message
+        self.sim_ms = sim_ms
+        self.wall_ms = wall_ms
+        self.checks = [] if checks is None else checks
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "verdict": self.verdict,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "message": self.message,
-            "sim_ms": self.sim_ms,
-            "wall_ms": self.wall_ms,
-        }
+        return {key: getattr(self, key) for key in _REPORT_KEYS}
+
+
+_REPORT_KEYS = ("name", "verdict", "inputs", "outputs", "message", "sim_ms", "wall_ms")
 
 
 def summarize(results: list[TestResult]) -> dict[str, int]:
@@ -512,16 +516,10 @@ def _setup_phase(suite: Suite, session: Session, options: RunOptions) -> None:
 # Reporting
 
 
-def report(
-    results: list[TestResult],
-    format: str = "human",
-    debug: bool = False,
-    suite_name: str = "",
-    transport_log: TransportLog | None = None,
-) -> str:
+def report(results: list[TestResult], format: str = "human", suite_name: str = "") -> str:
     """Render results. Human format is one line per case plus a summary;
-    debug adds the interleaved transport traffic of both devices. JSON
-    format emits the machine schema."""
+    JSON format emits the machine schema. TransportLog.render() gives the
+    interleaved traffic of both devices."""
     if format == "json":
         return json.dumps(suite_report_dict(suite_name, results), indent=2)
     if format != "human":
@@ -542,11 +540,6 @@ def report(
     lines.append(
         f"{counts['passed']} passed, {counts['failed']} failed, {counts['errors']} errors"
     )
-    if debug and transport_log is not None:
-        lines.append("--- transport log ---")
-        rendered = transport_log.render()
-        if rendered:
-            lines.append(rendered)
     return "\n".join(lines)
 
 

@@ -34,6 +34,13 @@ class _Event:
         self.done = False
 
 
+# Left in the heap by a nested advance_to for the loop that called it (see
+# advance_to). It sorts first; at most one is ever in the heap.
+_RESYNC = _Event(None, None)
+_RESYNC.cancelled = True
+_RESYNC_ENTRY = (-1, 0, _RESYNC)
+
+
 class EventHandle:
     """Opaque ticket for a scheduled event; pass it to Scheduler.cancel()."""
 
@@ -59,6 +66,7 @@ class Scheduler:
         self._now: int = 0
         self._seq: int = 0
         self._heap: list[tuple[int, int, _Event]] = []
+        self._advancing = False
 
     @property
     def now(self) -> SimTime:
@@ -107,29 +115,45 @@ class Scheduler:
         again without the push and pop that would return it to the same
         place. Fire order, fire times and seq numbers are those of the
         plain heap loop.
+
+        Nesting: an action may call advance_to itself; time still never
+        runs backwards. Now stays where a nested call left it, and a
+        periodic event whose next due time it passed is due at now: the
+        nested call leaves _RESYNC, which ends any head run here, and
+        popping it re-keys the passed entries to now, keeping their seq.
         """
         if to < self._now:
             raise ScheduleError(f"cannot advance backwards: now={self._now}, to={to}")
         heap = self._heap
         fired = 0
-        while heap and heap[0][0] <= to:
-            due, _seq, event = heapq.heappop(heap)
-            if event.cancelled:
-                continue
-            action, period = event.action, event.period
-            while True:
-                self._now = due
-                action()
-                fired += 1
-                if period is None or event.cancelled:
-                    event.done = True
-                    break
-                due += period
-                self._seq += 1
-                if due > to or (heap and heap[0][0] <= due):
-                    heapq.heappush(heap, (due, self._seq, event))
-                    break
-        self._now = to
+        nested, self._advancing = self._advancing, True
+        try:
+            while heap and heap[0][0] <= to:
+                due, _seq, event = heapq.heappop(heap)
+                if event.cancelled:
+                    while event is _RESYNC and heap and heap[0][0] < self._now:
+                        _due, seq, late = heap[0]
+                        heapq.heapreplace(heap, (self._now, seq, late))
+                    continue
+                action, period = event.action, event.period
+                while True:
+                    self._now = due
+                    action()
+                    fired += 1
+                    if period is None or event.cancelled:
+                        event.done = True
+                        break
+                    due += period
+                    self._seq += 1
+                    if due > to or (heap and heap[0][0] <= due):
+                        heapq.heappush(heap, (due, self._seq, event))
+                        break
+        finally:
+            self._advancing = nested
+        if nested:  # the loop above popped any earlier marker
+            heapq.heappush(heap, _RESYNC_ENTRY)
+        if self._now < to:
+            self._now = to
         return fired
 
     def advance_by(self, delta_ms: int) -> int:
@@ -138,10 +162,26 @@ class Scheduler:
             raise ScheduleError(f"delta must be >= 0, got {delta_ms}")
         return self.advance_to(self._now + delta_ms)
 
+    def run_until(self, ready: Callable[[], object], deadline: SimTime) -> bool:
+        """Fire events due time by due time until ready() holds, and return
+        whether it did by the deadline. ready() tests what events do; events
+        due at the deadline still count. After a miss the clock rests at it."""
+        while not ready():
+            due = self.next_due()
+            if due is None or due > deadline:
+                if self._now < deadline:
+                    self.advance_to(deadline)
+                return False
+            self.advance_to(due)
+        return True
+
     def next_due(self) -> SimTime | None:
         """Due time of the earliest pending event, or None when idle."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
-            return None
-        return self._heap[0][0]
+        heap = self._heap
+        resync = heap[0] if heap and heap[0][2] is _RESYNC else None
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        due = heap[0][0] if heap else None
+        if resync:  # still owed to the advance_to loop that is running
+            heapq.heappush(heap, resync)
+        return due

@@ -14,7 +14,7 @@ rig is bit-identical to a production build.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import doubles as _doubles
 from . import dut as _dut
@@ -85,8 +85,7 @@ BLE_NOTIFY_VALUE = 24.0
 # Shipped faults
 
 
-@dataclass(frozen=True)
-class ShippedFault:
+class ShippedFault(NamedTuple):
     """One armable driver bug and the cases designed to catch it."""
 
     name: str
@@ -153,8 +152,7 @@ def fault_config(name: str | None) -> _dut.FaultConfig:
 # Virtual rig
 
 
-@dataclass
-class VirtualRig:
+class VirtualRig(NamedTuple):
     """A fully wired desk: clock, buses, both devices, and the session."""
 
     scheduler: Scheduler
@@ -237,16 +235,7 @@ def build_virtual_rig(fault: str | None = None, timeout_ms: int = 5000) -> Virtu
         scheduler=scheduler,
         log=TransportLog(),
     )
-    return VirtualRig(
-        scheduler=scheduler,
-        session=session,
-        led_line=led_line,
-        i2c=i2c,
-        uart=uart,
-        spi=spi,
-        air=air,
-        faults=faults,
-    )
+    return VirtualRig(scheduler, session, led_line, i2c, uart, spi, air, faults)
 
 
 def _pin(pins: dict[int, GpioLine], number: int) -> GpioLine:

@@ -25,13 +25,12 @@ hardware-free.
 
 from __future__ import annotations
 
-import inspect
 import json
 import re
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol
+from types import FunctionType, MethodType
+from typing import Any, Callable, NamedTuple, Protocol
 
 from .simcore import Scheduler
 
@@ -76,8 +75,7 @@ def check_frame(line: str) -> str:
     return line
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One parsed command. For NEW, `method` holds the class name."""
 
     verb: str
@@ -86,8 +84,7 @@ class Command:
     args: tuple = ()
 
 
-@dataclass(frozen=True)
-class Response:
+class Response(NamedTuple):
     status: str  # "OK" | "ERR"
     payload: Any = None
     code: str | None = None
@@ -170,11 +167,18 @@ def _parse_args(text: str) -> tuple:
 
 
 def format_response(resp: Response) -> str:
+    """Render one response as one valid frame, whatever it holds: an OK line
+    longer than a frame becomes ERR EXEC, and an ERR line is cut to the frame
+    limit with every character outside printable ASCII made a space."""
     if resp.ok:
         line = f"OK {json.dumps(resp.payload, separators=(',', ':'))}"
-    else:
-        line = f"ERR {resp.code} {resp.message}".rstrip()
-    return check_frame(line)
+        if len(line) <= MAX_FRAME_LEN:
+            return check_frame(line)
+        resp = err("EXEC", f"result too long for one frame: {len(line)} > {MAX_FRAME_LEN}")
+    line = f"ERR {resp.code} {resp.message}"
+    if not (line.isascii() and line.isprintable()):
+        line = "".join(ch if " " <= ch <= "~" else " " for ch in line)
+    return check_frame(line[:MAX_FRAME_LEN].rstrip())
 
 
 def parse_response(line: str) -> Response:
@@ -275,24 +279,15 @@ class VirtualEndpoint(Endpoint):
             peer._drain()
 
     def read_frame(self, timeout_ms: int) -> tuple[str, int]:
-        if self._rx:
-            return self._rx.popleft()
-        if self._channel.closed:
-            raise ChannelClosedError("channel closed")
-        # Nothing buffered: let scheduled work run up to the deadline in case
-        # it produces frames, then give up.
-        sched = self._channel.scheduler
-        deadline = sched.now + timeout_ms
-        while not self._rx:
-            nxt = sched.next_due()
-            if nxt is None or nxt > deadline:
-                if sched.now < deadline:
-                    sched.advance_to(deadline)
-                break
-            sched.advance_to(nxt)
-        if self._rx:
-            return self._rx.popleft()
-        raise TransportTimeout(f"no frame within {timeout_ms} ms (simulated)")
+        if not self._rx:
+            if self._channel.closed:
+                raise ChannelClosedError("channel closed")
+            # Nothing buffered: let scheduled work run up to the deadline in
+            # case it produces frames, then give up.
+            sched = self._channel.scheduler
+            if not sched.run_until(lambda: self._rx, sched.now + timeout_ms):
+                raise TransportTimeout(f"no frame within {timeout_ms} ms (simulated)")
+        return self._rx.popleft()
 
     def close(self) -> None:
         """Close the channel for both ends and unlink them from each other.
@@ -335,8 +330,7 @@ def open_virtual_pair(
 # Serial interface slot (no bundled implementation)
 
 
-@dataclass(frozen=True)
-class SerialSettings:
+class SerialSettings(NamedTuple):
     """Classic 115200-8N1 defaults for a physical port."""
 
     baudrate: int = 115200
@@ -431,10 +425,7 @@ def reset(ep: Endpoint, timeout_ms: int | None = None) -> Response:
 
 Factory = Callable[..., Any]
 
-_UNCACHED = object()
 
-
-@dataclass
 class ObjectRegistry:
     """Named classes plus the live instances a device is hosting.
 
@@ -442,20 +433,16 @@ class ObjectRegistry:
     code is provisioned once per rig, not per command.
     """
 
-    classes: dict[str, Factory] = field(default_factory=dict)
-    objects: dict[str, Any] = field(default_factory=dict)
-    # Signatures for argument binding: a NEW factory's under its class name,
-    # a class-level method's under (class, method name). None marks a
-    # callable without an introspectable signature. Never holds an instance.
-    _signatures: dict[Any, inspect.Signature | None] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(
+        self, classes: dict[str, Factory] | None = None, objects: dict[str, Any] | None = None
+    ) -> None:
+        self.classes = {} if classes is None else classes
+        self.objects = {} if objects is None else objects
 
     def register_class(self, name: str, factory: Factory) -> None:
         if not IDENT_RE.match(name):
             raise ValueError(f"bad class name {name!r}")
         self.classes[name] = factory
-        self._signatures.pop(name, None)
 
     def has_class(self, name: str) -> bool:
         return name in self.classes
@@ -482,7 +469,7 @@ class ObjectRegistry:
             factory = self.classes.get(cmd.method or "")
             if factory is None:
                 return err("NO_CLASS", f"unknown class '{cmd.method}'")
-            if not self._args_bind(cmd.method, factory, cmd.args):
+            if not _args_fit(factory, cmd.args):
                 return err("BAD_ARGS", f"arguments {list(cmd.args)!r} do not fit {cmd.method}")
             try:
                 instance = factory(*cmd.args)
@@ -508,12 +495,7 @@ class ObjectRegistry:
             method = getattr(obj, cmd.method, None)
             if not callable(method):
                 return err("NO_METHOD", f"no method '{cmd.method}' on '{cmd.obj}'")
-            cls = type(obj)
-            on_class = inspect.isfunction(getattr(cls, cmd.method, None)) and (
-                cmd.method not in getattr(obj, "__dict__", ())
-            )
-            key = (cls, cmd.method) if on_class else None
-            if not self._args_bind(key, method, cmd.args):
+            if not _args_fit(method, cmd.args):
                 return err("BAD_ARGS", f"arguments {list(cmd.args)!r} do not fit {cmd.method}")
             try:
                 result = method(*cmd.args)
@@ -522,25 +504,43 @@ class ObjectRegistry:
             return ok(_jsonable(result))
         return err("BAD_ARGS", f"unhandled verb {cmd.verb!r}")
 
-    def _args_bind(self, key: Any, fn: Callable, args: tuple) -> bool:
-        """Whether args bind to fn's signature, cached under key unless it is None."""
-        sig = self._signatures.get(key, _UNCACHED)
-        if sig is _UNCACHED:
-            try:
-                sig = inspect.signature(fn)
-            except TypeError:
-                return False
-            except ValueError:
-                sig = None
-            if key is not None:
-                self._signatures[key] = sig
-        if sig is None:
-            return True  # no introspectable signature; let the call decide
+
+_CO_VARARGS = 0x04  # code-object flag: the function takes *args
+
+
+def _args_fit(fn: Callable, args: tuple) -> bool:
+    """Whether args bind to fn, as inspect.signature(fn).bind(*args) judges.
+
+    Python functions and methods bound to them (every factory and method the
+    rig hosts) are judged from the code object, after following __wrapped__
+    as inspect.signature does. Classes, partials and builtins go to inspect.
+    """
+    bound = type(fn) is MethodType
+    func = fn.__func__ if bound else fn
+    while type(func) is FunctionType and not hasattr(func, "__signature__"):
+        if not hasattr(func, "__wrapped__"):
+            break
+        func = func.__wrapped__
+    else:  # not a plain function, or one that states its own __signature__
+        import inspect
+
         try:
-            sig.bind(*args)
+            inspect.signature(fn).bind(*args)
         except TypeError:
             return False
+        except ValueError:
+            pass  # no introspectable signature; let the call decide
         return True
+    code = func.__code__
+    varargs = code.co_flags & _CO_VARARGS
+    positional = code.co_argcount - bound
+    if positional < 0 and not varargs:
+        return True  # no parameter to bind self to: inspect gives up, the call decides
+    if code.co_kwonlyargcount > len(func.__kwdefaults__ or ()):
+        return False  # a keyword-only parameter without a default
+    if len(args) > positional and not varargs:
+        return False
+    return len(args) >= positional - len(func.__defaults__ or ())
 
 
 def _close_quietly(obj: Any) -> None:
@@ -553,8 +553,7 @@ def _close_quietly(obj: Any) -> None:
 
 
 def _exc_text(exc: Exception) -> str:
-    text = f"{type(exc).__name__}: {exc}"
-    return "".join(ch if 32 <= ord(ch) <= 126 else " " for ch in text)[:1024]
+    return f"{type(exc).__name__}: {exc}"[:1024]
 
 
 def _jsonable(value: Any) -> Any:

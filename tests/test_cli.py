@@ -1,9 +1,13 @@
 """CLI flags, exit codes, and the machine-readable output."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import double_harness
 from double_harness.cli import main
 
 SCHEMA_KEYS = {"suite", "results", "summary"}
@@ -132,3 +136,28 @@ class TestSelection:
         # No response for that command: the next double-device line is sent, not received.
         later_double = [l for l in log_lines[scan_index + 1 :] if " double " in l]
         assert " > " in later_double[0] and " < " not in later_double[0]
+
+
+# Snapshot sys.modules first, so that modules a site hook preloads do not count.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from double_harness.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["--format", "json"])
+print(json.dumps(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))))
+"""
+
+
+def test_a_cli_run_imports_neither_dataclasses_nor_inspect():
+    src = os.path.dirname(os.path.dirname(double_harness.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -301,11 +301,10 @@ class TestReport:
         def body(ctx):
             ctx.new_on_double("Led", "led", 4, 2)
 
-        results = self._results(rig, TestCase("test_dbg", body))
-        text = report(results, debug=True, transport_log=rig.session.log)
-        assert "--- transport log ---" in text
+        self._results(rig, TestCase("test_dbg", body))
+        text = rig.session.log.render()
         assert "NEW Led led [4,2]" in text
-        assert "double" in text
+        assert " dut " in text and " double " in text
 
     def test_json_schema_shape(self, rig):
         results = self._results(rig, TestCase("test_a", lambda ctx: None))

@@ -172,7 +172,9 @@ class TestProperties:
 
 class _HeapLoopScheduler(Scheduler):
     """Reference model: every re-armed periodic event goes back through the
-    heap before it can fire again."""
+    heap before it can fire again. Time never runs backwards: a re-armed
+    event whose next due time a nested advance already passed is due now,
+    and a nested advance past `to` leaves now where it is."""
 
     def advance_to(self, to):
         if to < self._now:
@@ -187,10 +189,12 @@ class _HeapLoopScheduler(Scheduler):
             fired += 1
             if event.period is not None and not event.cancelled:
                 self._seq += 1
-                heapq.heappush(self._heap, (due + event.period, self._seq, event))
+                heapq.heappush(
+                    self._heap, (max(due + event.period, self._now), self._seq, event)
+                )
             else:
                 event.done = True
-        self._now = to
+        self._now = max(self._now, to)
         return fired
 
 
@@ -210,13 +214,17 @@ _SCENARIO = st.tuples(
 
 
 def _play(sched, scenario):
-    """Run a scenario; return everything observable about the run."""
+    """Run a scenario; return everything observable about the run.
+
+    Also checks that the clock never ran backwards in between.
+    """
     events, steps = scenario
-    log, handles, fires, depth = [], [], {}, [0]
+    log, handles, fires, depth, seen = [], [], {}, [0], []
 
     def spawn(label, delay, period, ops=()):
         def action():
             n = fires[label] = fires.get(label, -1) + 1
+            seen.append(sched.now)
             log.append((label, n, sched.now))
             for j, (on, op, arg) in enumerate(ops):
                 if on != n:
@@ -237,6 +245,7 @@ def _play(sched, scenario):
                 elif depth[0] < 2:  # nest
                     depth[0] += 1
                     log.append((child, sched.advance_to(sched.now + arg % 5), sched.now))
+                    seen.append(sched.now)
                     depth[0] -= 1
 
         handle = sched.schedule(delay, action, periodic=period)
@@ -244,7 +253,11 @@ def _play(sched, scenario):
 
     for i, (delay, period, ops) in enumerate(events):
         spawn(f"e{i}", delay, period, ops)
-    counts = [sched.advance_by(step) for step in steps]
+    counts = []
+    for step in steps:
+        counts.append(sched.advance_by(step))
+        seen.append(sched.now)
+    assert seen == sorted(seen), "time ran backwards"
     return (
         log,
         counts,
@@ -268,3 +281,68 @@ class TestHeadRunMatchesHeapLoop:
         sched.schedule(3, lambda: order.append(("once", sched.now)))
         assert sched.advance_to(4) == 5
         assert order == [("tick", 1), ("tick", 2), ("once", 3), ("tick", 3), ("tick", 4)]
+
+
+class TestRunUntil:
+    def test_an_event_due_at_the_deadline_still_counts(self, sched):
+        done = []
+        sched.schedule(10, lambda: done.append(sched.now))
+        assert sched.run_until(lambda: done, 10)
+        assert sched.now == 10
+
+    def test_a_miss_leaves_the_clock_at_the_deadline(self, sched):
+        done = []
+        sched.schedule(11, lambda: done.append(sched.now))
+        assert not sched.run_until(lambda: done, 10)
+        assert (sched.now, done, sched.next_due()) == (10, [], 11)
+        assert not Scheduler().run_until(lambda: False, 0)
+
+    def test_stops_at_the_first_event_that_makes_it_ready(self, sched):
+        done = []
+        for at in (3, 5, 7):
+            sched.schedule(at, lambda: done.append(sched.now))
+        assert sched.run_until(lambda: len(done) == 2, 100)
+        assert (sched.now, done) == (5, [3, 5])
+        assert sched.run_until(lambda: True, 0)
+        assert sched.now == 5
+
+
+class TestNestedAdvance:
+    """An action that advances the clock itself never makes time run backwards."""
+
+    def test_outer_advance_does_not_move_time_back(self, sched):
+        order = []
+        sched.schedule(1, lambda: sched.advance_to(10))
+        sched.schedule(8, lambda: order.append(("eight", sched.now)))
+        assert sched.advance_to(5) == 1  # "eight" fired in the nested call
+        assert sched.now == 10
+        sched.schedule(0, lambda: order.append(("zero", sched.now)))
+        sched.advance_to(10)
+        assert order == [("eight", 8), ("zero", 10)]
+
+    def test_overshot_periodic_event_fires_once_at_now(self, sched):
+        ticks = []
+
+        def tick():
+            ticks.append(sched.now)
+            if len(ticks) == 1:
+                sched.advance_to(10)
+
+        sched.schedule(1, tick, periodic=2)
+        assert sched.advance_to(5) == 1
+        assert (sched.now, sched.next_due()) == (10, 10)
+        assert sched.advance_to(14) == 3
+        assert ticks == [1, 10, 12, 14]
+
+    def test_next_due_inside_the_nesting_action_keeps_the_resync(self, sched):
+        order = []
+
+        def tick():
+            order.append(sched.now)
+            if len(order) == 1:
+                sched.advance_to(10)
+                assert sched.next_due() is None
+
+        sched.schedule(1, tick, periodic=1)
+        sched.advance_to(12)
+        assert order == [1, 10, 11, 12]

@@ -1,13 +1,21 @@
 """Wire grammar, the virtual channel, command dispatch, and timeouts."""
 
+import functools
+import inspect
 import json
 import random
 import string
+import types
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from double_harness import transport
+from double_harness.simcore import Scheduler
 from double_harness.transport import (
+    MAX_FRAME_LEN,
     ChannelClosedError,
     Command,
     ObjectRegistry,
@@ -285,7 +293,7 @@ class TestDispatch:
 
 
 class TestSignatureCache:
-    """Argument binding stays exact once signatures are cached per registry."""
+    """Argument binding stays exact across repeats, re-registration and instance callables."""
 
     @staticmethod
     def _run(registry, verb, obj=None, method=None, args=()):
@@ -330,6 +338,221 @@ class TestSignatureCache:
         thing = weakref.ref(registry.objects["t"])
         registry.decommission_all()
         assert thing() is None
+
+
+def _traced(fn):
+    """A pass-through wrapper like a tracer puts around a hosted method."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+class _TracedThing(_Thing):
+    add = _traced(_Thing.add)
+
+
+def _posonly(a, b, /):
+    pass
+
+
+def _defaults(a, b=1, c=2):
+    pass
+
+
+def _varargs(a, *rest):
+    pass
+
+
+def _kwonly_required(a, *, k):
+    pass
+
+
+def _kwonly_default(a, *, k=1):
+    pass
+
+
+def _varargs_kwonly(*rest, k=1):
+    pass
+
+
+class _Shapes:
+    def method(self, a, b=1):
+        pass
+
+    def method_varargs(*args):
+        pass
+
+    def method_kwonly(self, *, k):
+        pass
+
+    @staticmethod
+    def static(a, b):
+        pass
+
+    @classmethod
+    def klass(cls, a, b=2):
+        pass
+
+    traced = _traced(method)
+
+    def __call__(self, a):
+        pass
+
+
+# (shape, callable, judged from its code object without inspect)
+_SHAPES = [
+    ("no_params", lambda: None, True),
+    ("lambda_defaults", lambda init_delay_ms=None: None, True),
+    ("positional_only", _posonly, True),
+    ("defaults", _defaults, True),
+    ("varargs", _varargs, True),
+    ("kwonly_required", _kwonly_required, True),
+    ("kwonly_default", _kwonly_default, True),
+    ("varargs_kwonly", _varargs_kwonly, True),
+    ("bound_method", _Shapes().method, True),
+    ("bound_method_varargs", _Shapes().method_varargs, True),
+    ("bound_method_kwonly", _Shapes().method_kwonly, True),
+    ("bound_without_self", types.MethodType(lambda *, k=1: None, object()), True),
+    ("staticmethod", _Shapes().static, True),
+    ("classmethod", _Shapes().klass, True),
+    ("wraps_wrapper", _traced(_defaults), True),
+    ("wrapped_bound_method", _Shapes().traced, True),
+    ("class", _Thing, False),
+    ("callable_instance", _Shapes(), False),
+    ("partial", functools.partial(_defaults, 1), False),
+    ("builtin", divmod, False),
+    ("builtin_without_signature", max, False),
+]
+
+
+def _binds(fn, n):
+    """The reference: inspect.signature binding, as dispatch used to do it."""
+    try:
+        signature = inspect.signature(fn)
+    except ValueError:
+        return True
+    try:
+        signature.bind(*[0] * n)
+    except TypeError:
+        return False
+    return True
+
+
+class TestArgsFit:
+    @pytest.mark.parametrize("fn, fast", [s[1:] for s in _SHAPES], ids=[s[0] for s in _SHAPES])
+    def test_agrees_with_signature_binding(self, monkeypatch, fn, fast):
+        expected = [_binds(fn, n) for n in range(6)]
+        if fast:  # judged without inspect
+            monkeypatch.setattr(inspect, "signature", None)
+        assert [transport._args_fit(fn, (0,) * n) for n in range(6)] == expected
+
+    def test_wrapped_hosted_method_answers_bad_args_to_a_wrong_arity(self):
+        registry = ObjectRegistry()
+        registry.register_class("Thing", _TracedThing)
+        assert registry.execute(Command("NEW", obj="t", method="Thing", args=(5,))).ok
+        assert registry.execute(Command("CALL", obj="t", method="add", args=(1, 2))).payload == 8
+        resp = registry.execute(Command("CALL", obj="t", method="add", args=(1,)))
+        assert resp.code == "BAD_ARGS"
+
+
+class _Wire:
+    """Device-side object whose answers can outgrow a frame."""
+
+    def two(self, a, b):
+        return [a, b]
+
+    def double(self, x):
+        return x * 2
+
+
+def _wire_reply(line):
+    """Send one raw line to a device hosting `_Wire` as `b`; return every reply frame."""
+    sched = Scheduler()
+    registry = ObjectRegistry()
+    registry.register_class("Wire", _Wire)
+    registry.objects["b"] = _Wire()
+    controller, device = open_virtual_pair(sched)
+    serve(device, registry)
+    controller.write_line(line)
+    replies = []
+    while True:
+        try:
+            replies.append(controller.read_frame(0)[0])
+        except TransportTimeout:
+            return replies
+
+
+_IDENT = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=20),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=8,
+)
+_ARGS = st.lists(_JSON, max_size=4).map(tuple)
+_COMMANDS = st.one_of(
+    st.builds(lambda o, c, a: Command("NEW", obj=o, method=c, args=a), _IDENT, _IDENT, _ARGS),
+    st.builds(lambda o, m, a: Command("CALL", obj=o, method=m, args=a), _IDENT, _IDENT, _ARGS),
+    st.builds(lambda o: Command("DEL", obj=o), _IDENT),
+    st.sampled_from([Command("PING"), Command("RESET")]),
+)
+_PRINTABLE = st.characters(min_codepoint=32, max_codepoint=126)
+
+
+def _call_line(method, args, slack):
+    """CALL b.<method> with args; with slack set, one more string argument
+    fills the line up to `slack` chars short of the frame limit."""
+    head = f"CALL b.{method} "
+    if slack is None:
+        return head + json.dumps(args)
+    fill = MAX_FRAME_LEN - slack - len(head + json.dumps(args + [""]))
+    return head + json.dumps(args + ["x" * max(fill, 0)])
+
+
+_LATIN = st.text(st.characters(min_codepoint=0xA1, max_codepoint=0x17F))  # echoed as non-ASCII
+_LINES = st.one_of(
+    st.builds(
+        _call_line,
+        st.sampled_from(["two", "double", "nope", "_hidden"]),
+        st.lists(_JSON | _LATIN, max_size=3),
+        st.none() | st.integers(0, 40) | st.integers(0, 2100),
+    ),
+    st.text(_PRINTABLE, max_size=MAX_FRAME_LEN),
+    _COMMANDS.map(format_command),
+).filter(lambda line: len(line) <= MAX_FRAME_LEN)
+
+
+class TestOneFramePerCommand:
+    """Whatever printable line arrives, the device answers with exactly one valid frame."""
+
+    def test_bad_args_echo_of_non_ascii_args(self):
+        (reply,) = _wire_reply(r'CALL b.two ["\u00e9"]')
+        assert check_frame(reply) == reply
+        assert parse_response(reply).code == "BAD_ARGS"
+
+    def test_ok_payload_longer_than_a_frame_becomes_exec(self):
+        (reply,) = _wire_reply(f'CALL b.double ["{"x" * 3000}"]')
+        resp = parse_response(reply)
+        assert resp.code == "EXEC" and "too long" in resp.message
+
+    def test_echoed_args_are_cut_to_the_frame_limit(self):
+        (reply,) = _wire_reply(f'CALL b.two ["{"x" * 4060}"]')
+        assert len(reply) == MAX_FRAME_LEN
+        assert parse_response(reply).code == "BAD_ARGS"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_LINES)
+    def test_any_printable_line_gets_exactly_one_valid_frame(self, line):
+        (reply,) = _wire_reply(line)
+        assert check_frame(reply) == reply
+        parse_response(reply)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_COMMANDS)
+    def test_parse_inverts_format(self, cmd):
+        assert parse_command(format_command(cmd)) == cmd
 
 
 class _SlowRegistry:
