@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import time
 from collections import namedtuple
+from functools import partial
 from typing import Any, Callable, NamedTuple
 
 from . import transport as _transport
@@ -218,14 +219,10 @@ class Session:
         self.double = double
         self.scheduler = scheduler
         self.log = log = TransportLog() if log is None else log
-        # The loggers close over the log, not the session: the session holds
-        # the endpoints, so capturing it would make a reference cycle.
+        # The loggers hold the log, not the session: the session holds the
+        # endpoints, so capturing it would make a reference cycle.
         for link in (dut, double):
-            link.endpoint.set_logger(
-                lambda direction, line, sim_ms, label=link.label: log.record(
-                    label, direction, line, sim_ms
-                )
-            )
+            link.endpoint.set_logger(partial(log.record, link.label))
 
     def sleep(self, ms: int) -> None:
         """Let time pass: simulated on a virtual rig, wall-clock otherwise."""

@@ -36,7 +36,14 @@ from .simcore import Scheduler
 
 MAX_FRAME_LEN = 4096
 
-IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_is_ident = IDENT_RE.fullmatch  # fullmatch: "x\n" is not a name, as `$` would allow
+
+# One compact encoder and one decoder per process; json.dumps with separators
+# builds a fresh encoder on every call. The bytes are those of
+# json.dumps(value, separators=(",", ":")).
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+_decode = json.JSONDecoder().decode
 
 VERBS = ("NEW", "CALL", "DEL", "PING", "RESET")
 
@@ -95,70 +102,62 @@ class Response(NamedTuple):
         return self.status == "OK"
 
 
-def ok(payload: Any = None) -> Response:
-    return Response("OK", payload=payload)
+_OK_NONE = Response("OK")  # immutable, so every payload-less OK can share it
 
 
 def err(code: str, message: str) -> Response:
     return Response("ERR", code=code, message=message)
 
 
-def _dump_args(args: tuple) -> str:
-    return json.dumps(list(args), separators=(",", ":"))
-
-
 def format_command(cmd: Command) -> str:
-    if cmd.verb == "NEW":
-        line = f"NEW {cmd.method} {cmd.obj} {_dump_args(cmd.args)}"
-    elif cmd.verb == "CALL":
-        line = f"CALL {cmd.obj}.{cmd.method} {_dump_args(cmd.args)}"
-    elif cmd.verb == "DEL":
+    verb = cmd.verb
+    if verb == "CALL":  # half of all traffic: test it first
+        line = f"CALL {cmd.obj}.{cmd.method} {_encode(list(cmd.args))}"
+    elif verb == "NEW":
+        line = f"NEW {cmd.method} {cmd.obj} {_encode(list(cmd.args))}"
+    elif verb == "DEL":
         line = f"DEL {cmd.obj}"
-    elif cmd.verb in ("PING", "RESET"):
-        line = cmd.verb
+    elif verb in ("PING", "RESET"):
+        line = verb
     else:
-        raise ProtocolError(f"unknown verb {cmd.verb!r}")
+        raise ProtocolError(f"unknown verb {verb!r}")
     return check_frame(line)
 
 
 def parse_command(line: str) -> Command:
-    parts = line.split(" ", 1)
-    verb = parts[0]
-    rest = parts[1] if len(parts) > 1 else ""
+    verb, _, rest = line.partition(" ")
+    if verb == "CALL":
+        target, space, args_text = rest.partition(" ")
+        if not space:
+            raise ProtocolError("CALL needs <name>.<method> <json-array>")
+        name, dot, method = target.partition(".")
+        if not dot:
+            raise ProtocolError(f"CALL target {target!r} missing '.'")
+        if not _is_ident(name) or not _is_ident(method):
+            raise ProtocolError(f"bad identifier in CALL {target!r}")
+        return Command("CALL", name, method, _parse_args(args_text))
     if verb in ("PING", "RESET"):
         if rest:
             raise ProtocolError(f"{verb} takes no arguments")
         return Command(verb)
     if verb == "DEL":
-        name = rest.strip()
-        if not IDENT_RE.match(name):
-            raise ProtocolError(f"bad object name {name!r}")
-        return Command("DEL", obj=name)
+        if not _is_ident(rest):
+            raise ProtocolError(f"bad object name {rest!r}")
+        return Command("DEL", obj=rest)
     if verb == "NEW":
         pieces = rest.split(" ", 2)
         if len(pieces) != 3:
             raise ProtocolError("NEW needs <Class> <name> <json-array>")
         cls, name, args_text = pieces
-        if not IDENT_RE.match(cls) or not IDENT_RE.match(name):
+        if not _is_ident(cls) or not _is_ident(name):
             raise ProtocolError(f"bad identifier in NEW {cls!r} {name!r}")
         return Command("NEW", obj=name, method=cls, args=_parse_args(args_text))
-    if verb == "CALL":
-        pieces = rest.split(" ", 1)
-        if len(pieces) != 2:
-            raise ProtocolError("CALL needs <name>.<method> <json-array>")
-        target, args_text = pieces
-        if "." not in target:
-            raise ProtocolError(f"CALL target {target!r} missing '.'")
-        name, method = target.split(".", 1)
-        if not IDENT_RE.match(name) or not IDENT_RE.match(method):
-            raise ProtocolError(f"bad identifier in CALL {target!r}")
-        return Command("CALL", obj=name, method=method, args=_parse_args(args_text))
     raise ProtocolError(f"unknown verb {verb!r}")
 
 
 def _parse_args(text: str) -> tuple:
     try:
-        args = json.loads(text)
+        args = _decode(text)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"bad JSON args: {exc}") from exc
     if not isinstance(args, list):
@@ -170,8 +169,8 @@ def format_response(resp: Response) -> str:
     """Render one response as one valid frame, whatever it holds: an OK line
     longer than a frame becomes ERR EXEC, and an ERR line is cut to the frame
     limit with every character outside printable ASCII made a space."""
-    if resp.ok:
-        line = f"OK {json.dumps(resp.payload, separators=(',', ':'))}"
+    if resp.status == "OK":
+        line = "OK " + _encode(resp.payload)
         if len(line) <= MAX_FRAME_LEN:
             return check_frame(line)
         resp = err("EXEC", f"result too long for one frame: {len(line)} > {MAX_FRAME_LEN}")
@@ -182,21 +181,18 @@ def format_response(resp: Response) -> str:
 
 
 def parse_response(line: str) -> Response:
-    parts = line.split(" ", 1)
-    if parts[0] == "OK":
-        if len(parts) != 2:
+    status, space, rest = line.partition(" ")
+    if status == "OK":
+        if not space:
             raise ProtocolError("OK response missing payload")
         try:
-            return ok(json.loads(parts[1]))
+            return Response("OK", _decode(rest))
         except json.JSONDecodeError as exc:
             raise ProtocolError(f"bad JSON payload: {exc}") from exc
-    if parts[0] == "ERR":
-        rest = parts[1] if len(parts) > 1 else ""
-        pieces = rest.split(" ", 1)
-        code = pieces[0]
+    if status == "ERR":
+        code, _, message = rest.partition(" ")
         if not code:
             raise ProtocolError("ERR response missing code")
-        message = pieces[1] if len(pieces) > 1 else ""
         return err(code, message)
     raise ProtocolError(f"bad response line: {line!r}")
 
@@ -269,12 +265,14 @@ class VirtualEndpoint(Endpoint):
 
     def write_line(self, line: str) -> None:
         check_frame(line)
-        self._log("send", line, self.sim_now())
+        now = self._channel.scheduler.now
+        if self._logger is not None:
+            self._logger("send", line, now)
         if self._channel.closed:
             return  # undeliverable; the reader finds out on its next read
         peer = self._peer
         assert peer is not None
-        peer._rx.append((line, self.sim_now()))
+        peer._rx.append((line, now))
         if peer._server is not None:
             peer._drain()
 
@@ -353,6 +351,12 @@ class SerialEndpoint(Endpoint):
     """Adapter running the same grammar over a user-supplied physical port.
 
     Timeouts here are wall-clock; the virtual scheduler is not involved.
+
+    A controller that timed out may still get the reply it gave up on, and
+    that late frame must not be read as the answer to the next command. So
+    before its next write it resyncs: it sends `DEL` for a name nobody hosts
+    and drops every frame up to the device's NO_OBJECT reply, which quotes
+    that name.
     """
 
     def __init__(
@@ -365,9 +369,13 @@ class SerialEndpoint(Endpoint):
         super().__init__(role, timeout_ms)
         self.port = port
         self.settings = settings
+        self._stale = False  # a read timed out: a late reply may still arrive
+        self._fences = 0
 
     def write_line(self, line: str) -> None:
         check_frame(line)
+        if self._stale:
+            self._resync()
         self._log("send", line, None)
         self.port.write_line(line)
 
@@ -376,10 +384,25 @@ class SerialEndpoint(Endpoint):
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
+                self._stale = self.role == "controller"
                 raise TransportTimeout(f"no frame within {timeout_ms} ms")
             line = self.port.read_line(remaining)
             if line is not None:
                 return check_frame(line.rstrip("\n")), None
+
+    def _resync(self) -> None:
+        """Drop late frames up to the reply to a fence command. If the fence
+        goes unanswered, read_frame marks the endpoint stale again and its
+        TransportTimeout propagates; the next write fences with a new name."""
+        self._stale = False
+        self._fences += 1
+        fence = f"_resync_{self._fences}"
+        self.write_line(f"DEL {fence}")
+        while True:
+            line, _ = self.read_frame(self.timeout_ms)
+            self._log("recv", line, None)
+            if line.startswith("ERR NO_OBJECT ") and line.endswith(f"'{fence}'"):
+                return
 
     def close(self) -> None:
         self.port.close()
@@ -401,15 +424,15 @@ def send_command(ep: Endpoint, cmd: Command, timeout_ms: int | None = None) -> R
         raise TransportError("send_command requires a controller endpoint")
     budget = ep.timeout_ms if timeout_ms is None else timeout_ms
     started = ep.sim_now()
-    ep.write_line(format_command(cmd))
-    line, stamp = ep.read_frame(budget)
+    line = format_command(cmd)
+    ep.write_line(line)
+    reply, stamp = ep.read_frame(budget)
     if started is not None and stamp is not None and stamp - started > budget:
         # Late answer from a device that was still busy when we gave up.
-        raise TransportTimeout(
-            f"no response to '{format_command(cmd)}' within {budget} ms (simulated)"
-        )
-    ep._log("recv", line, stamp)
-    return parse_response(line)
+        raise TransportTimeout(f"no response to '{line}' within {budget} ms (simulated)")
+    if ep._logger is not None:
+        ep._logger("recv", reply, stamp)
+    return parse_response(reply)
 
 
 def ping(ep: Endpoint, timeout_ms: int | None = None) -> bool:
@@ -440,7 +463,7 @@ class ObjectRegistry:
         self.objects = {} if objects is None else objects
 
     def register_class(self, name: str, factory: Factory) -> None:
-        if not IDENT_RE.match(name):
+        if not _is_ident(name):
             raise ValueError(f"bad class name {name!r}")
         self.classes[name] = factory
 
@@ -460,33 +483,8 @@ class ObjectRegistry:
             return err("EXEC", _exc_text(exc))
 
     def _execute(self, cmd: Command) -> Response:
-        if cmd.verb == "PING":
-            return ok(None)
-        if cmd.verb == "RESET":
-            self.decommission_all()
-            return ok(None)
-        if cmd.verb == "NEW":
-            factory = self.classes.get(cmd.method or "")
-            if factory is None:
-                return err("NO_CLASS", f"unknown class '{cmd.method}'")
-            if not _args_fit(factory, cmd.args):
-                return err("BAD_ARGS", f"arguments {list(cmd.args)!r} do not fit {cmd.method}")
-            try:
-                instance = factory(*cmd.args)
-            except Exception as exc:  # noqa: BLE001
-                return err("EXEC", _exc_text(exc))
-            old = self.objects.get(cmd.obj)
-            if old is not None:
-                _close_quietly(old)
-            self.objects[cmd.obj] = instance
-            return ok(None)
-        if cmd.verb == "DEL":
-            obj = self.objects.pop(cmd.obj, None)
-            if obj is None:
-                return err("NO_OBJECT", f"unknown object '{cmd.obj}'")
-            _close_quietly(obj)
-            return ok(None)
-        if cmd.verb == "CALL":
+        verb = cmd.verb
+        if verb == "CALL":  # half of all traffic: test it first
             obj = self.objects.get(cmd.obj)
             if obj is None:
                 return err("NO_OBJECT", f"unknown object '{cmd.obj}'")
@@ -501,8 +499,34 @@ class ObjectRegistry:
                 result = method(*cmd.args)
             except Exception as exc:  # noqa: BLE001
                 return err("EXEC", _exc_text(exc))
-            return ok(_jsonable(result))
-        return err("BAD_ARGS", f"unhandled verb {cmd.verb!r}")
+            return Response("OK", _jsonable(result))
+        if verb == "PING":
+            return _OK_NONE
+        if verb == "RESET":
+            self.decommission_all()
+            return _OK_NONE
+        if verb == "NEW":
+            factory = self.classes.get(cmd.method or "")
+            if factory is None:
+                return err("NO_CLASS", f"unknown class '{cmd.method}'")
+            if not _args_fit(factory, cmd.args):
+                return err("BAD_ARGS", f"arguments {list(cmd.args)!r} do not fit {cmd.method}")
+            try:
+                instance = factory(*cmd.args)
+            except Exception as exc:  # noqa: BLE001
+                return err("EXEC", _exc_text(exc))
+            old = self.objects.get(cmd.obj)
+            if old is not None:
+                _close_quietly(old)
+            self.objects[cmd.obj] = instance
+            return _OK_NONE
+        if verb == "DEL":
+            obj = self.objects.pop(cmd.obj, None)
+            if obj is None:
+                return err("NO_OBJECT", f"unknown object '{cmd.obj}'")
+            _close_quietly(obj)
+            return _OK_NONE
+        return err("BAD_ARGS", f"unhandled verb {verb!r}")
 
 
 _CO_VARARGS = 0x04  # code-object flag: the function takes *args

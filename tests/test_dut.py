@@ -1,5 +1,6 @@
 """Reference drivers, with and without their deliberate faults armed."""
 
+import datetime
 import random
 from decimal import Decimal
 
@@ -26,6 +27,7 @@ from double_harness.dut import (
     SpiMaster,
 )
 from double_harness.simcore import Scheduler
+from double_harness.transport import Command, send_command
 
 
 def ddmm_oracle(raw: str, hemisphere: str) -> float:
@@ -177,6 +179,25 @@ class TestRtcDriver:
         driver = RtcDriver(i2c, FaultConfig(swap_bcd_nibbles=True))
         driver.set_datetime([2021, 6, 15, 12, 34, 56])
         assert driver.get_datetime() != [2021, 6, 15, 12, 34, 56]
+
+
+@pytest.mark.parametrize("year", [2000, 2024, 2099])  # century leap, leap, common
+def test_weekday_register_over_the_wire_for_every_month(rig, year):
+    """Set the 1st and the 28th of each month through the command channel;
+    the weekday register the double holds is the ISO weekday of that date."""
+
+    def send(device, verb, obj, method=None, args=()):
+        resp = send_command(getattr(rig.session, device).endpoint, Command(verb, obj, method, args))
+        assert resp.ok, resp
+        return resp.payload
+
+    send("dut", "NEW", "rtc_drv", "RtcDriver")
+    send("double", "NEW", "rtc", "Rtc", ("static",))
+    for month in range(1, 13):
+        for day in (1, 28):
+            send("dut", "CALL", "rtc_drv", "set_datetime", ([year, month, day, 12, 0, 0],))
+            weekday = send("double", "CALL", "rtc", "read_registers")[3]
+            assert weekday == datetime.date(year, month, day).isoweekday(), (month, day)
 
 
 # ---------------------------------------------------------------------------

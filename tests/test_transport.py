@@ -7,17 +7,21 @@ import random
 import string
 import types
 import weakref
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from double_harness import transport
+from double_harness.harness import PASS, run_suite
 from double_harness.simcore import Scheduler
+from double_harness.suites import SUITE_ORDER, SUITES, build_virtual_rig
 from double_harness.transport import (
     MAX_FRAME_LEN,
     ChannelClosedError,
     Command,
+    CommandServer,
     ObjectRegistry,
     ProtocolError,
     Response,
@@ -555,6 +559,83 @@ class TestOneFramePerCommand:
         assert parse_command(format_command(cmd)) == cmd
 
 
+class TestIdentifiers:
+    """A name is exactly [A-Za-z_][A-Za-z0-9_]*: a trailing newline is not part of one."""
+
+    @pytest.fixture
+    def server(self):
+        registry = ObjectRegistry()
+        registry.register_class("T", _Thing)
+        registry.objects["x"] = _Thing()
+        return CommandServer(registry)
+
+    def test_register_class_rejects_a_trailing_newline(self):
+        with pytest.raises(ValueError):
+            ObjectRegistry().register_class("Led\n", _Thing)
+
+    def test_new_rejects_a_name_with_a_trailing_newline(self, server):
+        assert parse_response(server.handle_line("NEW T x\n []")).code == "BAD_ARGS"
+        assert parse_response(server.handle_line("NEW T\n y []")).code == "BAD_ARGS"
+        assert set(server.registry.objects) == {"x"}
+
+    def test_call_rejects_a_target_with_a_trailing_newline(self, server):
+        server.registry.objects["x\n"] = _Thing()  # hosted behind the parser's back
+        assert parse_response(server.handle_line("CALL x\n.add [1,2]")).code == "BAD_ARGS"
+        assert parse_response(server.handle_line("CALL x.add\n [1,2]")).code == "BAD_ARGS"
+        assert server.handle_line("CALL x.add [1,2]") == "OK 3"
+
+    def test_del_rejects_a_name_with_a_trailing_newline(self, server):
+        assert parse_response(server.handle_line("DEL x\n")).code == "BAD_ARGS"
+        assert "x" in server.registry.objects
+        assert server.handle_line("DEL x") == "OK null"
+
+
+_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _compact(value):
+    return json.dumps(value, separators=(",", ":"))
+
+
+class TestCodecBytes:
+    """The shared encoder renders exactly what json.dumps with compact separators did."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_IDENT, _IDENT, st.lists(_PAYLOADS, max_size=4).map(tuple))
+    def test_format_command_bytes(self, obj, name, args):
+        call = format_command(Command("CALL", obj, name, args))
+        assert call == f"CALL {obj}.{name} {_compact(list(args))}"
+        new = format_command(Command("NEW", obj, name, args))
+        assert new == f"NEW {name} {obj} {_compact(list(args))}"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_PAYLOADS)
+    def test_format_response_bytes(self, payload):
+        assert format_response(Response("OK", payload)) == f"OK {_compact(payload)}"
+
+    def test_a_five_suite_pass_builds_no_json_coder(self, monkeypatch):
+        built = []
+        for cls in (json.JSONEncoder, json.JSONDecoder):
+
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        json.loads(_compact([1]), parse_int=int)  # the patches see both kinds
+        assert built == ["JSONEncoder", "JSONDecoder"]
+        built.clear()
+        rig = build_virtual_rig()
+        verdicts = [r.verdict for name in SUITE_ORDER for r in run_suite(SUITES[name], rig.session)]
+        rig.close()
+        assert verdicts and set(verdicts) == {PASS}
+        assert built == []
+
+
 class _SlowRegistry:
     """Builds a registry whose method burns simulated time before answering."""
 
@@ -656,6 +737,78 @@ class TestSerialEndpoint:
         port = _FakePort()
         SerialEndpoint(port, "controller").close()
         assert port.closed
+
+
+class _LatePort:
+    """SerialPortLike in front of a device whose replies to the first `held`
+    lines come late: they arrive just before the reply to the next line."""
+
+    def __init__(self, registry, held=1):
+        self.server = CommandServer(registry)
+        self.held = held
+        self.late = []
+        self.sent = []
+        self.replies = deque()
+
+    def write_line(self, line):
+        self.sent.append(line)
+        reply = self.server.handle_line(line)
+        if len(self.sent) <= self.held:
+            self.late.append(reply)
+            return
+        self.replies.extend(self.late)
+        self.late.clear()
+        self.replies.append(reply)
+
+    def read_line(self, timeout_s):
+        return self.replies.popleft() if self.replies else None
+
+    def close(self):
+        pass
+
+
+class _Calls:
+    def first(self):
+        return "first"
+
+    def second(self):
+        return "second"
+
+
+def _late_endpoint(held):
+    registry = ObjectRegistry()
+    registry.objects["a"] = _Calls()
+    port = _LatePort(registry, held)
+    return SerialEndpoint(port, "controller", timeout_ms=20), port
+
+
+class TestSerialLateReply:
+    """After a timeout the controller fences off the reply it gave up on."""
+
+    def test_late_reply_is_not_read_as_the_next_answer(self):
+        ep, port = _late_endpoint(held=1)
+        with pytest.raises(TransportTimeout):
+            send_command(ep, Command("CALL", "a", "first"))
+        assert send_command(ep, Command("CALL", "a", "second")).payload == "second"
+        assert send_command(ep, Command("CALL", "a", "first")).payload == "first"
+        assert port.sent == ["CALL a.first []", "DEL _resync_1", "CALL a.second []", "CALL a.first []"]
+
+    def test_unanswered_fence_is_retried_with_a_new_name(self):
+        ep, port = _late_endpoint(held=2)
+        with pytest.raises(TransportTimeout):
+            send_command(ep, Command("CALL", "a", "first"))
+        with pytest.raises(TransportTimeout):  # the fence itself goes unanswered
+            send_command(ep, Command("CALL", "a", "second"))
+        assert send_command(ep, Command("CALL", "a", "second")).payload == "second"
+        assert port.sent == ["CALL a.first []", "DEL _resync_1", "DEL _resync_2", "CALL a.second []"]
+
+    def test_a_device_endpoint_writes_straight_after_an_idle_read(self):
+        port = _FakePort()
+        ep = SerialEndpoint(port, "device", timeout_ms=5)
+        with pytest.raises(TransportTimeout):
+            ep.read_frame(5)
+        ep.write_line("OK null")
+        assert port.lines == ["OK null"]
 
 
 def test_payloads_survive_json_encoding(sched):
