@@ -106,9 +106,6 @@ class I2cBus:
     def remove_device(self, addr: int) -> None:
         self._devices.pop(addr, None)
 
-    def has_device(self, addr: int) -> bool:
-        return addr in self._devices
-
     def write_then_read(self, addr: int, wbytes: bytes, nread: int) -> bytes:
         """Send wbytes to the device at addr, then clock nread bytes back.
 
@@ -139,9 +136,8 @@ class UartLink:
     """
 
     def __init__(self, scheduler: Scheduler) -> None:
-        self.scheduler = scheduler
-        self.a = UartEnd(scheduler, "a")
-        self.b = UartEnd(scheduler, "b")
+        self.a = UartEnd(scheduler)
+        self.b = UartEnd(scheduler)
         self.a._peer = self.b
         self.b._peer = self.a
 
@@ -153,9 +149,8 @@ class UartLink:
 
 
 class UartEnd:
-    def __init__(self, scheduler: Scheduler, name: str) -> None:
+    def __init__(self, scheduler: Scheduler) -> None:
         self._scheduler = scheduler
-        self._name = name
         self._peer: UartEnd | None = None
         self._rx = bytearray()
         self._line_listener: Callable[[bytes], None] | None = None
@@ -333,9 +328,6 @@ class BleAir:
 
     def disconnect(self, central_id: str, name: str) -> None:
         self._connections.discard((central_id, name))
-
-    def is_connected(self, central_id: str, name: str) -> bool:
-        return (central_id, name) in self._connections
 
     def read(self, central_id: str, name: str, char: str) -> Any:
         if (central_id, name) not in self._connections:

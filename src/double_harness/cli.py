@@ -13,6 +13,7 @@ import sys
 
 from . import harness
 from .suites import SHIPPED_FAULTS, SUITE_ORDER, SUITES, build_virtual_rig
+from .transport import DEFAULT_TIMEOUT_MS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="arm one deliberate driver bug (virtual transport only)",
     )
     parser.add_argument(
-        "--timeout-ms", type=int, default=5000, help="per-command response budget"
+        "--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS, help="per-command response budget"
     )
     return parser
 
@@ -97,9 +98,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.format == "json":
                 json_docs.append(harness.suite_report_dict(name, results))
             else:
-                human_chunks.append(
-                    harness.report(results, format="human", suite_name=name)
-                )
+                human_chunks.append(harness.report(results, suite_name=name))
     finally:
         rig.close()
 

@@ -47,70 +47,53 @@ class _StopCase(Exception):
 
 
 class Matcher(NamedTuple):
-    """Assertion predicate richer than equality.
+    """Assertion predicate richer than equality: what it checks, what it
+    expected, and the test itself. A predicate that raises TypeError fails."""
 
-    close_to uses an inclusive absolute tolerance: |actual - expected| <= tol.
-    """
-
-    kind: str
-    expected: Any = None
-    tolerance: float | None = None
-    low: Any = None
-    high: Any = None
+    description: str
+    expectation: str
+    predicate: Callable[[Any], bool]
 
     def check(self, actual: Any) -> bool:
-        if self.kind == "equal":
-            return actual == self.expected
-        if self.kind == "close_to":
-            try:
-                return abs(actual - self.expected) <= self.tolerance
-            except TypeError:
-                return False
-        if self.kind == "within":
-            try:
-                return self.low <= actual <= self.high
-            except TypeError:
-                return False
-        if self.kind == "is_true":
-            return bool(actual)
-        raise ValueError(f"unknown matcher kind {self.kind!r}")
+        try:
+            return self.predicate(actual)
+        except TypeError:
+            return False
 
     def describe(self) -> str:
-        if self.kind == "equal":
-            return f"equal({self.expected!r})"
-        if self.kind == "close_to":
-            return f"close_to({self.expected!r}, tol={self.tolerance!r})"
-        if self.kind == "within":
-            return f"within({self.low!r}, {self.high!r})"
-        return "is_true()"
+        return self.description
 
     def failure_text(self, actual: Any) -> str:
-        if self.kind == "close_to":
-            return (
-                f"expected={self.expected!r} tolerance={self.tolerance!r} "
-                f"actual={actual!r}"
-            )
-        if self.kind == "within":
-            return f"expected within [{self.low!r}, {self.high!r}] actual={actual!r}"
-        return f"expected={self.expected!r} actual={actual!r}"
+        return f"{self.expectation} actual={actual!r}"
 
 
 def equal(expected: Any) -> Matcher:
-    return Matcher("equal", expected=expected)
+    return Matcher(
+        f"equal({expected!r})", f"expected={expected!r}", lambda actual: actual == expected
+    )
 
 
 def close_to(expected: float, tolerance: float) -> Matcher:
+    """Inclusive absolute tolerance: |actual - expected| <= tolerance."""
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    return Matcher("close_to", expected=expected, tolerance=tolerance)
+    return Matcher(
+        f"close_to({expected!r}, tol={tolerance!r})",
+        f"expected={expected!r} tolerance={tolerance!r}",
+        lambda actual: abs(actual - expected) <= tolerance,
+    )
 
 
 def within(low: Any, high: Any) -> Matcher:
-    return Matcher("within", low=low, high=high)
+    return Matcher(
+        f"within({low!r}, {high!r})",
+        f"expected within [{low!r}, {high!r}]",
+        lambda actual: low <= actual <= high,
+    )
 
 
 def is_true() -> Matcher:
-    return Matcher("is_true")
+    return Matcher("is_true()", "expected=None", bool)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +485,7 @@ def _setup_phase(suite: Suite, session: Session, options: RunOptions) -> None:
         _reset_device(link, options)
         if link.registry is not None:
             for cls in manifest.classes:
-                if not link.registry.has_class(cls):
+                if cls not in link.registry.classes:
                     raise CaseError(
                         "NO_CLASS",
                         f"{link.label} is missing class '{cls}' from {manifest.name}",
@@ -513,14 +496,10 @@ def _setup_phase(suite: Suite, session: Session, options: RunOptions) -> None:
 # Reporting
 
 
-def report(results: list[TestResult], format: str = "human", suite_name: str = "") -> str:
-    """Render results. Human format is one line per case plus a summary;
-    JSON format emits the machine schema. TransportLog.render() gives the
-    interleaved traffic of both devices."""
-    if format == "json":
-        return json.dumps(suite_report_dict(suite_name, results), indent=2)
-    if format != "human":
-        raise ValueError(f"unknown format {format!r}")
+def report(results: list[TestResult], *, suite_name: str = "") -> str:
+    """Render results for people: one line per case plus a summary.
+    suite_report_dict() gives the machine schema, and TransportLog.render()
+    the interleaved traffic of both devices."""
     lines = []
     if suite_name:
         lines.append(f"suite {suite_name}")

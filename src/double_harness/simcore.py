@@ -20,8 +20,9 @@ class ScheduleError(ValueError):
     """Invalid scheduling request: negative delay, zero period, or time reversal."""
 
 
-class _Event:
-    """One queued action; its (due, seq) key lives in the heap entry. A
+class EventHandle:
+    """One queued action, as Scheduler.schedule() returns it; pass it to
+    Scheduler.cancel(). Its (due, seq) key lives in the heap entry. A
     cancelled event drops its action: it may wait in the heap until its due
     time, and must not keep the object that scheduled it alive meanwhile."""
 
@@ -33,25 +34,16 @@ class _Event:
         self.cancelled = False
         self.done = False
 
+    @property
+    def pending(self) -> bool:
+        return not self.cancelled and not self.done
+
 
 # Left in the heap by a nested advance_to for the loop that called it (see
 # advance_to). It sorts first; at most one is ever in the heap.
-_RESYNC = _Event(None, None)
+_RESYNC = EventHandle(None, None)
 _RESYNC.cancelled = True
 _RESYNC_ENTRY = (-1, 0, _RESYNC)
-
-
-class EventHandle:
-    """Opaque ticket for a scheduled event; pass it to Scheduler.cancel()."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: _Event):
-        self._event = event
-
-    @property
-    def pending(self) -> bool:
-        return not self._event.cancelled and not self._event.done
 
 
 class Scheduler:
@@ -65,7 +57,7 @@ class Scheduler:
     def __init__(self) -> None:
         self._now: int = 0
         self._seq: int = 0
-        self._heap: list[tuple[int, int, _Event]] = []
+        self._heap: list[tuple[int, int, EventHandle]] = []
         self._advancing = False
 
     @property
@@ -84,9 +76,9 @@ class Scheduler:
         if periodic is not None and periodic < 1:
             raise ScheduleError(f"period must be >= 1 ms, got {periodic}")
         self._seq += 1
-        event = _Event(action, periodic)
+        event = EventHandle(action, periodic)
         heapq.heappush(self._heap, (self._now + delay_ms, self._seq, event))
-        return EventHandle(event)
+        return event
 
     def cancel(self, handle: EventHandle) -> bool:
         """Remove a pending event. Returns True iff it was still pending.
@@ -94,11 +86,10 @@ class Scheduler:
         Cancelling a periodic event stops all future recurrences. Cancelling
         an already-fired or already-cancelled handle returns False.
         """
-        event = handle._event
-        if event.cancelled or event.done:
+        if handle.cancelled or handle.done:
             return False
-        event.cancelled = True
-        event.action = None
+        handle.cancelled = True
+        handle.action = None
         return True
 
     def advance_to(self, to: SimTime) -> int:

@@ -26,13 +26,12 @@ from .harness import (
     Session,
     Suite,
     TestCase,
-    TransportLog,
     close_to,
     equal,
     is_true,
 )
 from .simcore import Scheduler
-from .transport import ObjectRegistry, open_virtual_pair, serve
+from .transport import DEFAULT_TIMEOUT_MS, ObjectRegistry, open_virtual_pair, serve
 
 # Wiring constants: which pin each board uses for the LED line.
 DUT_LED_PIN = 13
@@ -178,7 +177,7 @@ class VirtualRig(NamedTuple):
         self.uart.close()
 
 
-def build_virtual_rig(fault: str | None = None, timeout_ms: int = 5000) -> VirtualRig:
+def build_virtual_rig(fault: str | None = None, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> VirtualRig:
     """Assemble the simulated DUT + double pair behind two controller endpoints."""
     faults = fault_config(fault)
     scheduler = Scheduler()
@@ -233,7 +232,6 @@ def build_virtual_rig(fault: str | None = None, timeout_ms: int = 5000) -> Virtu
         dut=DeviceLink("dut", dut_ctl, dut_registry),
         double=DeviceLink("double", double_ctl, double_registry),
         scheduler=scheduler,
-        log=TransportLog(),
     )
     return VirtualRig(scheduler, session, led_line, i2c, uart, spi, air, faults)
 
@@ -464,4 +462,4 @@ SUITES: dict[str, Suite] = {
     for suite in (BLINK_SUITE, RTC_SUITE, GPS_SUITE, SPI_SUITE, BLE_SUITE)
 }
 
-SUITE_ORDER = ("blink", "rtc", "gps", "spi", "ble")
+SUITE_ORDER = tuple(SUITES)  # the dict order is the run order

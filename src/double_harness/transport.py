@@ -45,8 +45,6 @@ _is_ident = IDENT_RE.fullmatch  # fullmatch: "x\n" is not a name, as `$` would a
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 _decode = json.JSONDecoder().decode
 
-VERBS = ("NEW", "CALL", "DEL", "PING", "RESET")
-
 DEFAULT_TIMEOUT_MS = 5000  # simulated ms on the virtual channel
 DEFAULT_SERIAL_TIMEOUT_MS = 2000  # wall-clock ms on a physical port
 
@@ -57,8 +55,6 @@ class TransportError(Exception):
 
 class TransportTimeout(TransportError):
     """The device did not answer within the timeout budget."""
-
-    code = "TIMEOUT"
 
 
 class ProtocolError(TransportError):
@@ -239,61 +235,54 @@ class Endpoint:
         return None
 
 
-class _VirtualChannel:
-    def __init__(self, scheduler: Scheduler) -> None:
-        self.scheduler = scheduler
-        self.closed = False
-
-
 class VirtualEndpoint(Endpoint):
     """In-process endpoint; its peer sees writes immediately and in order.
+    An endpoint without a peer is closed.
 
     Timeouts are budgets of *simulated* time: a response produced after the
     clock moved past the deadline counts as silence, exactly like a device
     that is still busy when the controller gives up.
     """
 
-    def __init__(self, channel: _VirtualChannel, role: str, timeout_ms: int) -> None:
+    def __init__(self, scheduler: Scheduler, role: str, timeout_ms: int) -> None:
         super().__init__(role, timeout_ms)
-        self._channel = channel
+        self._scheduler = scheduler
         self._rx: deque[tuple[str, int]] = deque()
         self._peer: VirtualEndpoint | None = None
         self._server: CommandServer | None = None
 
     def sim_now(self) -> int:
-        return self._channel.scheduler.now
+        return self._scheduler.now
 
     def write_line(self, line: str) -> None:
         check_frame(line)
-        now = self._channel.scheduler.now
+        now = self._scheduler.now
         if self._logger is not None:
             self._logger("send", line, now)
-        if self._channel.closed:
-            return  # undeliverable; the reader finds out on its next read
         peer = self._peer
-        assert peer is not None
+        if peer is None:
+            return  # closed: undeliverable; the reader finds out on its next read
         peer._rx.append((line, now))
         if peer._server is not None:
             peer._drain()
 
     def read_frame(self, timeout_ms: int) -> tuple[str, int]:
         if not self._rx:
-            if self._channel.closed:
+            if self._peer is None:
                 raise ChannelClosedError("channel closed")
             # Nothing buffered: let scheduled work run up to the deadline in
             # case it produces frames, then give up.
-            sched = self._channel.scheduler
+            sched = self._scheduler
             if not sched.run_until(lambda: self._rx, sched.now + timeout_ms):
                 raise TransportTimeout(f"no frame within {timeout_ms} ms (simulated)")
         return self._rx.popleft()
 
     def close(self) -> None:
-        """Close the channel for both ends and unlink them from each other.
+        """Close the channel for both ends by unlinking them from each other.
 
         Frames already buffered stay readable; everything written later is
         dropped. Unlinking leaves no reference cycle between the two ends.
         """
-        self._channel.closed = True
         if self._peer is not None:
             self._peer._peer = None
             self._peer._server = None
@@ -316,9 +305,8 @@ def open_virtual_pair(
     scheduler: Scheduler, timeout_ms: int = DEFAULT_TIMEOUT_MS
 ) -> tuple[VirtualEndpoint, VirtualEndpoint]:
     """Create a linked (controller, device) endpoint pair on one clock."""
-    channel = _VirtualChannel(scheduler)
-    controller = VirtualEndpoint(channel, "controller", timeout_ms)
-    device = VirtualEndpoint(channel, "device", timeout_ms)
+    controller = VirtualEndpoint(scheduler, "controller", timeout_ms)
+    device = VirtualEndpoint(scheduler, "device", timeout_ms)
     controller._peer = device
     device._peer = controller
     return controller, device
@@ -326,15 +314,6 @@ def open_virtual_pair(
 
 # ---------------------------------------------------------------------------
 # Serial interface slot (no bundled implementation)
-
-
-class SerialSettings(NamedTuple):
-    """Classic 115200-8N1 defaults for a physical port."""
-
-    baudrate: int = 115200
-    bytesize: int = 8
-    parity: str = "N"
-    stopbits: int = 1
 
 
 class SerialPortLike(Protocol):
@@ -360,15 +339,10 @@ class SerialEndpoint(Endpoint):
     """
 
     def __init__(
-        self,
-        port: SerialPortLike,
-        role: str,
-        timeout_ms: int = DEFAULT_SERIAL_TIMEOUT_MS,
-        settings: SerialSettings = SerialSettings(),
+        self, port: SerialPortLike, role: str, timeout_ms: int = DEFAULT_SERIAL_TIMEOUT_MS
     ) -> None:
         super().__init__(role, timeout_ms)
         self.port = port
-        self.settings = settings
         self._stale = False  # a read timed out: a late reply may still arrive
         self._fences = 0
 
@@ -439,10 +413,6 @@ def ping(ep: Endpoint, timeout_ms: int | None = None) -> bool:
     return send_command(ep, Command("PING"), timeout_ms).ok
 
 
-def reset(ep: Endpoint, timeout_ms: int | None = None) -> Response:
-    return send_command(ep, Command("RESET"), timeout_ms)
-
-
 # ---------------------------------------------------------------------------
 # Device side
 
@@ -456,19 +426,14 @@ class ObjectRegistry:
     code is provisioned once per rig, not per command.
     """
 
-    def __init__(
-        self, classes: dict[str, Factory] | None = None, objects: dict[str, Any] | None = None
-    ) -> None:
-        self.classes = {} if classes is None else classes
-        self.objects = {} if objects is None else objects
+    def __init__(self) -> None:
+        self.classes: dict[str, Factory] = {}
+        self.objects: dict[str, Any] = {}
 
     def register_class(self, name: str, factory: Factory) -> None:
         if not _is_ident(name):
             raise ValueError(f"bad class name {name!r}")
         self.classes[name] = factory
-
-    def has_class(self, name: str) -> bool:
-        return name in self.classes
 
     def decommission_all(self) -> None:
         """Close and forget every hosted instance, as RESET does."""
@@ -602,8 +567,12 @@ class CommandServer:
         try:
             cmd = parse_command(line)
         except ProtocolError as exc:
-            return format_response(err("BAD_ARGS", f"malformed command: {exc}"))
+            return _malformed(exc)
         return format_response(self.registry.execute(cmd))
+
+
+def _malformed(exc: ProtocolError) -> str:
+    return format_response(err("BAD_ARGS", f"malformed command: {exc}"))
 
 
 def serve(ep: Endpoint, registry: ObjectRegistry) -> CommandServer:
@@ -611,7 +580,9 @@ def serve(ep: Endpoint, registry: ObjectRegistry) -> CommandServer:
 
     On a virtual endpoint this attaches an event-driven server: each frame
     is dispatched the moment it arrives and stays attached until the channel
-    closes. Returns the server for direct inspection.
+    closes. Returns the server for direct inspection. On a serial endpoint
+    it answers in order, a line that is not a frame included, until the
+    port raises ChannelClosedError.
     """
     if ep.role != "device":
         raise TransportError("serve requires a device endpoint")
@@ -624,6 +595,9 @@ def serve(ep: Endpoint, registry: ObjectRegistry) -> CommandServer:
         try:
             line, _ = ep.read_frame(ep.timeout_ms)
         except TransportTimeout:
+            continue
+        except ProtocolError as exc:  # not a frame, but it still gets one answer
+            ep.write_line(_malformed(exc))
             continue
         except ChannelClosedError:
             return server

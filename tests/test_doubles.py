@@ -170,6 +170,14 @@ class TestRtcRegisters:
         rtc.close()
         RtcDouble(i2c, sched)  # address free again
 
+    def test_rejected_mode_leaves_the_address_free(self, sched):
+        """The mode is checked before the part goes on the bus: a double that
+        failed to build is never hosted, so nothing would close it."""
+        i2c = I2cBus()
+        with pytest.raises(ValueError, match="static or dynamic"):
+            RtcDouble(i2c, sched, mode="bogus")
+        RtcDouble(i2c, sched)
+
 
 class TestRtcModes:
     def test_static_mode_holds_time(self, rtc_setup):

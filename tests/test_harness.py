@@ -81,6 +81,35 @@ class TestMatchers:
         text = close_to(2000, 1).failure_text(2001.5)
         assert "2000" in text and "2001.5" in text and "1" in text
 
+    @pytest.mark.parametrize(
+        "matcher, actual, description, failure",
+        [
+            (equal("on"), "off", "equal('on')", "expected='on' actual='off'"),
+            (equal([1, 2]), [1, 3], "equal([1, 2])", "expected=[1, 2] actual=[1, 3]"),
+            (
+                close_to(2000, 1),
+                2001.5,
+                "close_to(2000, tol=1)",
+                "expected=2000 tolerance=1 actual=2001.5",
+            ),
+            (within(1, 3), 3.1, "within(1, 3)", "expected within [1, 3] actual=3.1"),
+            (within("a", "c"), "d", "within('a', 'c')", "expected within ['a', 'c'] actual='d'"),
+            (is_true(), 0, "is_true()", "expected=None actual=0"),
+        ],
+    )
+    def test_fail_text_is_exact(self, rig, matcher, actual, description, failure):
+        assert matcher.describe() == description
+        assert matcher.failure_text(actual) == failure
+        suite = make_suite(TestCase("test_x", lambda ctx: ctx.expect(actual, matcher)))
+        [result] = run_suite(suite, rig.session)
+        assert result.verdict == FAIL
+        assert result.message == f"{description} failed: {failure}"
+
+    @pytest.mark.parametrize("matcher", [close_to(1.0, 0.5), within(1, 3)])
+    @pytest.mark.parametrize("actual", ["wat", None, [1]])
+    def test_non_numeric_actual_fails(self, matcher, actual):
+        assert matcher.check(actual) is False
+
 
 class TestSuiteRules:
     def test_case_names_must_start_with_test_(self):
@@ -289,6 +318,10 @@ class TestReport:
     def test_empty_suite_reports_zeroes(self):
         assert "0 passed, 0 failed, 0 errors" in report([])
 
+    def test_suite_name_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            report([], "demo")
+
     def test_human_line_carries_inputs_and_outputs(self, rig):
         def body(ctx):
             led = ctx.new_on_double("Led", "led", 4, 2)
@@ -308,7 +341,7 @@ class TestReport:
 
     def test_json_schema_shape(self, rig):
         results = self._results(rig, TestCase("test_a", lambda ctx: None))
-        doc = json.loads(report(results, format="json", suite_name="demo"))
+        doc = json.loads(json.dumps(suite_report_dict("demo", results), indent=2))
         assert set(doc) == {"suite", "results", "summary"}
         assert doc["suite"] == "demo"
         assert set(doc["results"][0]) == {

@@ -127,10 +127,10 @@ class TestCancel:
         periodic = sched.schedule(1, lambda: None, periodic=1)
         sched.advance_to(2)
         sched.cancel(oneshot)
-        assert oneshot._event.action is None
-        assert periodic._event.action is not None
+        assert oneshot.action is None
+        assert periodic.action is not None
         sched.cancel(periodic)
-        assert periodic._event.action is None
+        assert periodic.action is None
 
 
 class TestProperties:

@@ -721,15 +721,6 @@ class TestSerialEndpoint:
         with pytest.raises(TransportTimeout):
             ep.read_frame(10)
 
-    def test_default_settings_are_115200_8n1(self):
-        ep = SerialEndpoint(_FakePort(), "controller")
-        assert (
-            ep.settings.baudrate,
-            ep.settings.bytesize,
-            ep.settings.parity,
-            ep.settings.stopbits,
-        ) == (115200, 8, "N", 1)
-
     def test_default_wall_clock_budget_is_2000ms(self):
         assert SerialEndpoint(_FakePort(), "controller").timeout_ms == 2000
 
@@ -737,6 +728,38 @@ class TestSerialEndpoint:
         port = _FakePort()
         SerialEndpoint(port, "controller").close()
         assert port.closed
+
+    def test_device_answers_a_line_that_is_not_a_frame(self):
+        port = _ScriptedPort(["caf\u00e9", "PING\r\n", "x" * 5000, "PING\n"])
+        serve(SerialEndpoint(port, "device", timeout_ms=10), ObjectRegistry())
+        bad = "ERR BAD_ARGS malformed command: "
+        assert port.written == [
+            bad + "frame contains non-printable or non-ASCII characters",
+            bad + "frame contains non-printable or non-ASCII characters",
+            bad + f"frame too long: 5000 > {MAX_FRAME_LEN}",
+            "OK null",
+        ]
+        for line in port.written:
+            parse_response(check_frame(line))
+
+
+class _ScriptedPort:
+    """SerialPortLike that delivers a fixed script of lines, then hangs up."""
+
+    def __init__(self, lines):
+        self.lines = deque(lines)
+        self.written = []
+
+    def write_line(self, line):
+        self.written.append(line)
+
+    def read_line(self, timeout_s):
+        if not self.lines:
+            raise ChannelClosedError("script ended")
+        return self.lines.popleft()
+
+    def close(self):
+        pass
 
 
 class _LatePort:
