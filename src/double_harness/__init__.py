@@ -10,7 +10,6 @@ from .bus import BleAir, GpioLine, I2cBus, SpiBus, UartLink
 from .harness import (
     CaseContext,
     CodeManifest,
-    RunOptions,
     Session,
     Suite,
     TestCase,
@@ -45,7 +44,6 @@ __all__ = [
     "I2cBus",
     "ObjectRegistry",
     "Response",
-    "RunOptions",
     "SHIPPED_FAULTS",
     "SUITES",
     "Scheduler",

@@ -85,14 +85,13 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     rig = build_virtual_rig(fault=args.fault, timeout_ms=args.timeout_ms)
-    options = harness.RunOptions(timeout_ms=args.timeout_ms)
     all_pass = True
     json_docs = []
     human_chunks = []
     try:
         for name in names:
             suite = SUITES[name]
-            results = harness.run_suite(suite, rig.session, options)
+            results = harness.run_suite(suite, rig.session)
             counts = harness.summarize(results)
             all_pass = all_pass and counts["failed"] == 0 and counts["errors"] == 0
             if args.format == "json":

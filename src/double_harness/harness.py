@@ -38,10 +38,6 @@ class CaseError(Exception):
         self.code = code
 
 
-class _StopCase(Exception):
-    """Internal: fail-fast short circuit."""
-
-
 # ---------------------------------------------------------------------------
 # Matchers
 
@@ -149,11 +145,6 @@ class Suite(namedtuple("Suite", "name cases dut_code double_code")):
         dut_code.require_prefix("dut_")
         double_code.require_prefix("Double_")
         return super().__new__(cls, name, cases, dut_code, double_code)
-
-
-class RunOptions(NamedTuple):
-    timeout_ms: int = _transport.DEFAULT_TIMEOUT_MS
-    fail_fast: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +277,8 @@ class ObjectHandle:
 class CaseContext:
     """What a case body sees: init, inject, gather, assert, decommission."""
 
-    def __init__(self, session: Session, options: RunOptions) -> None:
+    def __init__(self, session: Session) -> None:
         self._session = session
-        self._options = options
         self.inputs: dict[str, Any] = {}
         self.outputs: dict[str, Any] = {}
         self.checks: list[CheckRecord] = []
@@ -325,14 +315,12 @@ class CaseContext:
     def expect(self, actual: Any, matcher: Matcher) -> bool:
         passed = matcher.check(actual)
         self.checks.append(CheckRecord(matcher, actual, passed))
-        if not passed and self._options.fail_fast:
-            raise _StopCase()
         return passed
 
     # step 5 and utilities
 
     def decommission(self, handle: ObjectHandle) -> None:
-        self._send(handle.link, Command("DEL", obj=handle.name), None)
+        _send(handle.link, Command("DEL", obj=handle.name))
         handle.live = False
 
     def sleep(self, ms: int) -> None:
@@ -341,7 +329,7 @@ class CaseContext:
     # internals
 
     def _new(self, link: DeviceLink, cls: str, name: str, args: tuple) -> ObjectHandle:
-        self._send(link, Command("NEW", obj=name, method=cls, args=args), None)
+        _send(link, Command("NEW", obj=name, method=cls, args=args))
         self._record(self.inputs, f"{cls} {name}", list(args))
         handle = ObjectHandle(name, cls, link)
         self.handles.append(handle)
@@ -350,10 +338,8 @@ class CaseContext:
     def _invoke(
         self, handle: ObjectHandle, method: str, args: tuple, timeout_ms: int | None
     ) -> Any:
-        resp = self._send(
-            handle.link, Command("CALL", obj=handle.name, method=method, args=args), timeout_ms
-        )
-        return resp.payload
+        cmd = Command("CALL", obj=handle.name, method=method, args=args)
+        return _send(handle.link, cmd, timeout_ms).payload
 
     @staticmethod
     def _record(store: dict[str, Any], key: str, value: Any) -> None:
@@ -365,51 +351,46 @@ class CaseContext:
             counter += 1
         store[candidate] = value
 
-    def _send(self, link: DeviceLink, cmd: Command, timeout_ms: int | None) -> Response:
-        budget = self._options.timeout_ms if timeout_ms is None else timeout_ms
-        try:
-            resp = _transport.send_command(link.endpoint, cmd, budget)
-        except _transport.TransportTimeout as exc:
-            raise CaseError("TIMEOUT", str(exc)) from exc
-        except _transport.ProtocolError as exc:
-            raise CaseError("PROTOCOL", str(exc)) from exc
-        except _transport.ChannelClosedError as exc:
-            raise CaseError("CLOSED", str(exc)) from exc
-        if not resp.ok:
-            raise CaseError(resp.code or "EXEC", resp.message)
-        return resp
-
 
 # ---------------------------------------------------------------------------
 # Execution
 
+_ERROR_CODES = {
+    _transport.TransportTimeout: "TIMEOUT",
+    _transport.ProtocolError: "PROTOCOL",
+    _transport.ChannelClosedError: "CLOSED",
+}
 
-def _reset_device(link: DeviceLink, options: RunOptions) -> None:
-    resp = _transport.send_command(link.endpoint, Command("RESET"), options.timeout_ms)
+
+def _send(link: DeviceLink, cmd: Command, timeout_ms: int | None = None) -> Response:
+    """Send one command within the endpoint's budget, or timeout_ms if given;
+    the harness sends every command through here. A transport failure or an
+    ERR reply raises CaseError. send_command is looked up on the module, so a
+    wrapper installed on double_harness.transport sees every round trip."""
+    try:
+        resp = _transport.send_command(link.endpoint, cmd, timeout_ms)
+    except _transport.TransportError as exc:
+        raise CaseError(_ERROR_CODES.get(type(exc), "TRANSPORT"), str(exc)) from exc
     if not resp.ok:
-        raise CaseError(resp.code or "EXEC", f"RESET failed on {link.label}: {resp.message}")
+        raise CaseError(resp.code or "EXEC", resp.message)
+    return resp
 
 
-def _run_case(case: TestCase, session: Session, options: RunOptions) -> TestResult:
-    ctx = CaseContext(session, options)
+def _run_case(case: TestCase, session: Session) -> TestResult:
+    ctx = CaseContext(session)
     sim_start = session.sim_now()
     wall_start = time.perf_counter()
     verdict = PASS
     message = ""
-    errored = False
     try:
         case.body(ctx)
-    except _StopCase:
-        pass
     except CaseError as exc:
         verdict = ERROR
         message = f"{exc.code}: {exc}"
-        errored = True
     except Exception as exc:  # noqa: BLE001 - a broken case body is a result, not a crash
         verdict = ERROR
         message = f"INTERNAL: {type(exc).__name__}: {exc}"
-        errored = True
-    if not errored:
+    if verdict == PASS:
         failures = [c for c in ctx.checks if not c.passed]
         if failures:
             verdict = FAIL
@@ -436,17 +417,15 @@ def _run_case(case: TestCase, session: Session, options: RunOptions) -> TestResu
     )
 
 
-def run_suite(
-    suite: Suite, session: Session, options: RunOptions | None = None
-) -> list[TestResult]:
+def run_suite(suite: Suite, session: Session) -> list[TestResult]:
     """Execute one suite: setup phase, then every case in order.
 
     Setup failures abort the whole suite with a single ERROR result; a case
-    error never prevents the cases after it.
+    error, or a failed RESET before a case, is that case's ERROR result and
+    never prevents the cases after it. No transport error escapes.
     """
-    options = options or RunOptions()
     try:
-        _setup_phase(suite, session, options)
+        _setup_phase(suite, session)
     except CaseError as exc:
         return [
             TestResult(
@@ -460,29 +439,27 @@ def run_suite(
     for index, case in enumerate(suite.cases):
         if index > 0:
             try:
-                _reset_device(session.dut, options)
-                _reset_device(session.double, options)
+                _send(session.dut, Command("RESET"))
+                _send(session.double, Command("RESET"))
             except CaseError as exc:
                 results.append(
                     TestResult(name=case.name, verdict=ERROR, message=f"{exc.code}: {exc}")
                 )
                 continue
-        results.append(_run_case(case, session, options))
+        results.append(_run_case(case, session))
     return results
 
 
-def _setup_phase(suite: Suite, session: Session, options: RunOptions) -> None:
+def _setup_phase(suite: Suite, session: Session) -> None:
     for link, manifest in (
         (session.dut, suite.dut_code),
         (session.double, suite.double_code),
     ):
         try:
-            alive = _transport.ping(link.endpoint, options.timeout_ms)
-        except _transport.TransportError as exc:
-            raise CaseError("TIMEOUT", f"no contact with {link.label}: {exc}") from exc
-        if not alive:
-            raise CaseError("EXEC", f"{link.label} failed PING")
-        _reset_device(link, options)
+            _send(link, Command("PING"))
+            _send(link, Command("RESET"))
+        except CaseError as exc:
+            raise CaseError(exc.code, f"no contact with {link.label}: {exc}") from exc
         if link.registry is not None:
             for cls in manifest.classes:
                 if cls not in link.registry.classes:

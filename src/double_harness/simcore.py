@@ -2,8 +2,9 @@
 
 Every bus, peripheral double, and reference driver in a virtual rig shares
 one Scheduler, so all observable timestamps are reproducible run to run.
-Time is integer milliseconds and only moves when someone advances it; there
-is no wall-clock coupling anywhere in this module.
+Time is integer milliseconds and only moves when someone advances it; a
+delay, period or target of any other type, bool included, is a ScheduleError.
+There is no wall-clock coupling anywhere in this module.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ Action = Callable[[], None]
 
 
 class ScheduleError(ValueError):
-    """Invalid scheduling request: negative delay, zero period, or time reversal."""
+    """Invalid scheduling request: a non-int time, negative delay, zero period,
+    or time reversal."""
 
 
 class EventHandle:
@@ -71,10 +73,10 @@ class Scheduler:
         With `periodic` set, the action repeats every `periodic` ms until
         cancelled. A zero period is rejected: it would livelock advance().
         """
-        if delay_ms < 0:
-            raise ScheduleError(f"delay must be >= 0, got {delay_ms}")
-        if periodic is not None and periodic < 1:
-            raise ScheduleError(f"period must be >= 1 ms, got {periodic}")
+        if type(delay_ms) is not int or delay_ms < 0:
+            raise ScheduleError(f"delay must be an int >= 0, got {delay_ms!r}")
+        if periodic is not None and (type(periodic) is not int or periodic < 1):
+            raise ScheduleError(f"period must be an int >= 1 ms, got {periodic!r}")
         self._seq += 1
         event = EventHandle(action, periodic)
         heapq.heappush(self._heap, (self._now + delay_ms, self._seq, event))
@@ -113,6 +115,8 @@ class Scheduler:
         nested call leaves _RESYNC, which ends any head run here, and
         popping it re-keys the passed entries to now, keeping their seq.
         """
+        if type(to) is not int:
+            raise ScheduleError(f"time must be an int ms, got {to!r}")
         if to < self._now:
             raise ScheduleError(f"cannot advance backwards: now={self._now}, to={to}")
         heap = self._heap
@@ -149,8 +153,8 @@ class Scheduler:
 
     def advance_by(self, delta_ms: int) -> int:
         """Equivalent to advance_to(now + delta_ms)."""
-        if delta_ms < 0:
-            raise ScheduleError(f"delta must be >= 0, got {delta_ms}")
+        if type(delta_ms) is not int or delta_ms < 0:
+            raise ScheduleError(f"delta must be an int >= 0, got {delta_ms!r}")
         return self.advance_to(self._now + delta_ms)
 
     def run_until(self, ready: Callable[[], object], deadline: SimTime) -> bool:

@@ -409,10 +409,6 @@ def send_command(ep: Endpoint, cmd: Command, timeout_ms: int | None = None) -> R
     return parse_response(reply)
 
 
-def ping(ep: Endpoint, timeout_ms: int | None = None) -> bool:
-    return send_command(ep, Command("PING"), timeout_ms).ok
-
-
 # ---------------------------------------------------------------------------
 # Device side
 

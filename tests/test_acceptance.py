@@ -26,7 +26,7 @@ from double_harness.doubles import (
     wrap_sentence,
 )
 from double_harness.dut import GpsDriver, SpiMaster
-from double_harness.harness import ERROR, PASS, RunOptions, run_suite
+from double_harness.harness import ERROR, PASS, run_suite
 from double_harness.simcore import Scheduler
 from double_harness.suites import SHIPPED_FAULTS, SUITE_ORDER, SUITES, build_virtual_rig
 
@@ -46,7 +46,7 @@ def criterion(number: int, title: str):
 def run_shipped(name, fault=None):
     rig = build_virtual_rig(fault=fault)
     try:
-        return run_suite(SUITES[name], rig.session, RunOptions(timeout_ms=5000))
+        return run_suite(SUITES[name], rig.session)
     finally:
         rig.close()
 

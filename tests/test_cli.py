@@ -1,7 +1,9 @@
 """CLI flags, exit codes, and the machine-readable output."""
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,6 +11,7 @@ import pytest
 
 import double_harness
 from double_harness.cli import main
+from double_harness.suites import SHIPPED_FAULTS
 
 SCHEMA_KEYS = {"suite", "results", "summary"}
 RESULT_KEYS = {"name", "verdict", "inputs", "outputs", "message", "sim_ms", "wall_ms"}
@@ -44,6 +47,12 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "--timeout-ms", "0")
         assert code == 2
         assert "timeout" in err.lower()
+
+    def test_timeout_ms_is_the_command_budget(self, capsys):
+        """The faulted BLE bring-up takes 6000 ms: past the 5000 ms default."""
+        argv = ("--suite", "ble", "--fault", "ble_init_delay_ms")
+        assert run_cli(capsys, *argv)[0] == 1
+        assert run_cli(capsys, *argv, "--timeout-ms", "7000")[0] == 0
 
 
 class TestTransportSelection:
@@ -138,11 +147,55 @@ class TestSelection:
         assert " > " in later_double[0] and " < " not in later_double[0]
 
 
+# sha256 of stdout with every "wall_ms" value masked, for each output mode and
+# armed fault. Any change to the report bytes shows up here.
+_MODES = {
+    "json": ["--format", "json"],
+    "human": ["--format", "human"],
+    "debug": ["--debug"],
+    "json+debug": ["--format", "json", "--debug"],
+}
+_REPORT_SHA256 = {
+    ("json", None): "8a83099fc74d7e713eede6a606ee8f3f13b60ad56e71be1fbcd5327d728f9c20",
+    ("json", "ble_init_delay_ms"): "6d5d80c514c5eb0403f6b9ef2db9a39fb49388f999954627ae95c8ec9bfe0132",
+    ("json", "drop_first_byte"): "c29b5014817485cf750d0c6150b0387e47f06a1ee88b5ef1303715727adc3f06",
+    ("json", "omit_checksum"): "9f5bb0fbc9fd1f297c95eaee36376d7c2d1c4193e7b0d1f8f65645e0e3d4e58d",
+    ("json", "period_skew_ms"): "6789450347ad76ddbbf98fb12879ce871a551ffeab8998dfea43e2f03561a628",
+    ("json", "swap_bcd_nibbles"): "d48982cdcb0744d194d4e7a94cc9be76021738dd988cab7229fbb3035fb8c8d7",
+    ("human", None): "48b3f2c84bd9d63e426eea24e7b95c74eb0645982eacc95b51022042fb8cf638",
+    ("human", "ble_init_delay_ms"): "ae5afcbd64e29f45c71a02834aacb03beafa38cd87128f9be1cab6ae0dcf03ce",
+    ("human", "drop_first_byte"): "2cb702ab39be9fd6d46ac95237203ec9e1b70b55ae5de4303980caeec3fb4597",
+    ("human", "omit_checksum"): "de6855ae65fd950c64f1e616c48cce69d07d66229ef8b0630024773165743b92",
+    ("human", "period_skew_ms"): "5826c0548c0ef07db129f8397b46c7cb9d8e83bad1429e17f165fcc602ad3d60",
+    ("human", "swap_bcd_nibbles"): "72f52c6479526df23b20c3299093b0332edbd0858de98af11de473b72904221c",
+    ("debug", None): "4189f8525eba723efc1e72f5a6e80719e6c50a35723151a19f8e85f151817177",
+    ("debug", "ble_init_delay_ms"): "d34a42a3e7b11732b5a01ac7c2ee03347b2e1e333eb2a1395193231e02d297f2",
+    ("debug", "drop_first_byte"): "cd8409d3f674c64efdf50347539cb410c8a05ca77f69f9532b5edb9e34e82835",
+    ("debug", "omit_checksum"): "f4ababb355a648cd60bc08973d3ccbe20fddcb897391b76dc7f8a2fac33c836c",
+    ("debug", "period_skew_ms"): "9dfc456c8b65f69178c1e44fd1bf86daeb2f757b0c0929d56e83d2d25b8cf26a",
+    ("debug", "swap_bcd_nibbles"): "aeda05fcc68a63c519319652cda5bce3053cd03423950481740e95c132db4178",
+}
+_WALL_MS = re.compile(r'"wall_ms": [0-9.e+-]+')
+
+
+@pytest.mark.parametrize("fault", [None, *sorted(SHIPPED_FAULTS)])
+@pytest.mark.parametrize("mode", _MODES)
+def test_report_bytes_are_unchanged(capsys, mode, fault):
+    argv = _MODES[mode] + ([] if fault is None else ["--fault", fault])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == (0 if fault is None else 1)
+    digest = hashlib.sha256(_WALL_MS.sub('"wall_ms": 0', out).encode()).hexdigest()
+    # --debug appends the transport log to the human format only.
+    recorded = "json" if mode == "json+debug" else mode
+    assert digest == _REPORT_SHA256[recorded, fault]
+
+
 # Snapshot sys.modules first, so that modules a site hook preloads do not count.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 before = set(sys.modules)
 from double_harness.cli import main
+from double_harness.suites import SHIPPED_FAULTS
 with contextlib.redirect_stdout(io.StringIO()):
     main(["--format", "json"])
 print(json.dumps(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))))

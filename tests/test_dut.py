@@ -200,6 +200,22 @@ def test_weekday_register_over_the_wire_for_every_month(rig, year):
             assert weekday == datetime.date(year, month, day).isoweekday(), (month, day)
 
 
+def test_float_times_from_the_wire_get_err_exec_and_leave_the_clock(rig):
+    """A float the drivers pass on to the clock is refused there: the command
+    answers ERR EXEC ScheduleError and sim time stays an int."""
+
+    def send(verb, obj, method=None, *args):
+        return send_command(rig.session.dut.endpoint, Command(verb, obj, method, args))
+
+    assert send("NEW", "g", "GpsDriver").ok
+    resp = send("CALL", "g", "get_latitude", 2.25)
+    assert (resp.code, resp.message) == ("EXEC", "ScheduleError: time must be an int ms, got 2.25")
+    assert send("NEW", "c", "Blinker", 13, 1.5, 4).ok
+    resp = send("CALL", "c", "blink", "blocking")
+    assert (resp.code, resp.message) == ("EXEC", "ScheduleError: delta must be an int >= 0, got 1.5")
+    assert rig.scheduler.now == 0 and type(rig.scheduler.now) is int
+
+
 # ---------------------------------------------------------------------------
 # GPS driver
 

@@ -10,7 +10,8 @@ from double_harness.harness import (
     FAIL,
     PASS,
     CodeManifest,
-    RunOptions,
+    DeviceLink,
+    Session,
     Suite,
     SuiteDefinitionError,
     TestCase,
@@ -23,6 +24,11 @@ from double_harness.harness import (
     summarize,
     within,
 )
+from double_harness.simcore import Scheduler
+from double_harness.suites import SUITES
+from double_harness.transport import Command, open_virtual_pair, send_command
+
+
 def make_suite(*cases, name="demo"):
     return Suite(
         name=name,
@@ -181,22 +187,6 @@ class TestRunSuite:
         results = run_suite(suite, rig.session)
         assert [r.name for r in results] == names
 
-    def test_fail_fast_stops_at_the_first_failed_expect(self, rig):
-        seen = []
-
-        def body(ctx):
-            seen.append("first")
-            ctx.expect(1, equal(2))
-            seen.append("second")
-
-        results = run_suite(
-            make_suite(TestCase("test_ff", body)),
-            rig.session,
-            RunOptions(fail_fast=True),
-        )
-        assert results[0].verdict == FAIL
-        assert seen == ["first"]
-
     def test_inputs_and_outputs_are_recorded(self, rig):
         def body(ctx):
             led = ctx.new_on_double("Led", "led", 4, 2)
@@ -238,6 +228,80 @@ class TestRunSuite:
 
         result = run_suite(make_suite(TestCase("test_sleep", body)), rig.session)[0]
         assert result.sim_ms == 1234
+
+
+class _SlowClose:
+    """Hosted object whose close() holds its device for 10 s of sim time, so
+    the RESET that closes it is answered after the 5000 ms budget."""
+
+    def __init__(self, scheduler):
+        self._scheduler = scheduler
+
+    def close(self):
+        self._scheduler.advance_by(10_000)
+
+
+class TestTransportFailuresAreResults:
+    """Setup and inter-case commands map transport failures as case commands
+    do; run_suite returns ERROR results and never raises them."""
+
+    def _host_slow_close(self, rig):
+        dut = rig.session.dut
+        dut.registry.register_class("SlowClose", lambda: _SlowClose(rig.scheduler))
+        assert send_command(dut.endpoint, Command("NEW", "slow", "SlowClose")).ok
+
+    def test_a_closed_rig_fails_setup_as_closed(self, rig):
+        rig.close()
+        results = run_suite(SUITES["blink"], rig.session)
+        assert [(r.name, r.verdict, r.message) for r in results] == [
+            ("setup[blink]", ERROR, "CLOSED: no contact with dut: channel closed")
+        ]
+
+    def test_any_other_transport_error_is_a_transport_result(self):
+        sched = Scheduler()
+        controller, device = open_virtual_pair(sched)
+        session = Session(DeviceLink("dut", device), DeviceLink("double", controller), sched)
+        results = run_suite(make_suite(TestCase("test_x", lambda ctx: None)), session)
+        assert [r.message for r in results] == [
+            "TRANSPORT: no contact with dut: send_command requires a controller endpoint"
+        ]
+
+    def test_a_channel_closed_by_a_case_errors_the_later_cases(self, rig):
+        suite = make_suite(
+            TestCase("test_close", lambda ctx: rig.session.dut.endpoint.close()),
+            TestCase("test_next", lambda ctx: None),
+            TestCase("test_last", lambda ctx: None),
+        )
+        results = run_suite(suite, rig.session)
+        assert [(r.verdict, r.message) for r in results] == [
+            (PASS, ""),
+            (ERROR, "CLOSED: channel closed"),
+            (ERROR, "CLOSED: channel closed"),
+        ]
+
+    def test_a_late_reset_between_cases_errors_only_the_next_case(self, rig):
+        suite = make_suite(
+            TestCase("test_leave_alive", lambda ctx: self._host_slow_close(rig)),
+            TestCase("test_next", lambda ctx: None),
+            TestCase("test_last", lambda ctx: None),
+        )
+        results = run_suite(suite, rig.session)
+        assert [(r.verdict, r.message) for r in results] == [
+            (PASS, ""),
+            (ERROR, "TIMEOUT: no response to 'RESET' within 5000 ms (simulated)"),
+            (PASS, ""),
+        ]
+
+    def test_a_late_reset_at_setup_is_one_setup_error(self, rig):
+        self._host_slow_close(rig)
+        results = run_suite(make_suite(TestCase("test_x", lambda ctx: None)), rig.session)
+        assert [(r.name, r.verdict, r.message) for r in results] == [
+            (
+                "setup[demo]",
+                ERROR,
+                "TIMEOUT: no contact with dut: no response to 'RESET' within 5000 ms (simulated)",
+            )
+        ]
 
 
 class TestTransportLogInvariants:

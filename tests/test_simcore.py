@@ -45,6 +45,31 @@ class TestSchedule:
             sched.schedule(10, lambda: None, periodic=0)
 
 
+class TestIntegerTime:
+    """Sim time is int ms: a float or bool time is refused even when its value
+    would do, and the refusal leaves the clock and the queue as they were."""
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, False])
+    def test_delay_must_be_an_int(self, sched, bad):
+        with pytest.raises(ScheduleError):
+            sched.schedule(bad, lambda: None)
+        assert sched.next_due() is None
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True])
+    def test_period_must_be_an_int(self, sched, bad):
+        with pytest.raises(ScheduleError):
+            sched.schedule(1, lambda: None, periodic=bad)
+        assert sched.next_due() is None
+
+    @pytest.mark.parametrize("bad", [2.25, 3.0, True, False])
+    def test_target_must_be_an_int(self, sched, bad):
+        with pytest.raises(ScheduleError):
+            sched.advance_to(bad)
+        with pytest.raises(ScheduleError):
+            sched.advance_by(bad)
+        assert sched.now == 0 and type(sched.now) is int
+
+
 class TestAdvance:
     def test_empty_queue_just_moves_time(self, sched):
         assert sched.advance_to(100) == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from double_harness.harness import ERROR, PASS, RunOptions, run_suite, summarize
+from double_harness.harness import ERROR, PASS, run_suite, summarize
 from double_harness.suites import (
     SHIPPED_FAULTS,
     SUITE_ORDER,
@@ -15,7 +15,7 @@ from double_harness.suites import (
 def run_one(name, fault=None, timeout_ms=5000):
     rig = build_virtual_rig(fault=fault, timeout_ms=timeout_ms)
     try:
-        results = run_suite(SUITES[name], rig.session, RunOptions(timeout_ms=timeout_ms))
+        results = run_suite(SUITES[name], rig.session)
     finally:
         rig.close()
     return results

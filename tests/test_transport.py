@@ -33,7 +33,6 @@ from double_harness.transport import (
     open_virtual_pair,
     parse_command,
     parse_response,
-    ping,
     send_command,
     serve,
 )
@@ -674,7 +673,7 @@ class TestVirtualTimeout:
         with pytest.raises(TransportTimeout):
             send_command(controller, Command("CALL", obj="s", method="work", args=()))
         assert send_command(controller, Command("RESET")).ok
-        assert ping(controller)
+        assert send_command(controller, Command("PING")).ok
         resp = send_command(controller, Command("NEW", obj="s2", method="Sluggish", args=()))
         assert resp.ok
 
