@@ -412,6 +412,8 @@ class BleCentralDouble:
     def scan_connect(self, name: str, timeout_ms: int) -> bool:
         """Scan for `name` and connect; True on success, ScanTimeoutError if
         the peripheral never starts advertising inside the window."""
+        if type(timeout_ms) is not int:
+            raise ValueError(f"timeout must be an int ms, got {timeout_ms!r}")
         self.state = "scanning"
         try:
             self._air.scan(name, timeout_ms)
@@ -429,6 +431,8 @@ class BleCentralDouble:
 
     def await_notify(self, timeout_ms: int) -> Any:
         """Next notified value, waiting in simulated time up to the deadline."""
+        if type(timeout_ms) is not int:
+            raise ValueError(f"timeout must be an int ms, got {timeout_ms!r}")
         self._require_connected()
         inbox = self._air.inbox(self.central_id)
         sched = self._air.scheduler

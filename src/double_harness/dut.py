@@ -56,10 +56,10 @@ class Blinker:
         scheduler: Scheduler,
         faults: FaultConfig = NO_FAULTS,
     ) -> None:
-        if period_ms < 1:
-            raise ValueError(f"period must be >= 1 ms, got {period_ms}")
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
+        if type(period_ms) is bool or period_ms < 1:  # a float is left for the clock to refuse
+            raise ValueError(f"period must be an int >= 1 ms, got {period_ms!r}")
+        if type(count) is not int or count < 1:
+            raise ValueError(f"count must be an int >= 1, got {count!r}")
         self.line = line
         self.period_ms = period_ms
         self.count = count
@@ -222,6 +222,8 @@ class GpsDriver:
         and skipped; raises UartTimeoutError when the window closes without
         a usable fix.
         """
+        if type(timeout_ms) is bool:  # True + now is an int; a float is left for the clock
+            raise ValueError(f"timeout must be an int ms, got {timeout_ms!r}")
         deadline = self._scheduler.now + timeout_ms
         while True:
             remaining = deadline - self._scheduler.now
@@ -343,7 +345,9 @@ class BleTempSensor:
         self.name = "TempSensor"
         self._scheduler = scheduler
         if init_delay_ms is not None:
-            self.init_delay_ms = int(init_delay_ms)
+            if type(init_delay_ms) is not int:
+                raise ValueError(f"init delay must be an int ms, got {init_delay_ms!r}")
+            self.init_delay_ms = init_delay_ms
         elif faults.ble_init_delay_ms is not None:
             self.init_delay_ms = faults.ble_init_delay_ms
         else:

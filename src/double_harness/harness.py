@@ -196,7 +196,7 @@ class Session:
         # The loggers hold the log, not the session: the session holds the
         # endpoints, so capturing it would make a reference cycle.
         for link in (dut, double):
-            link.endpoint.set_logger(partial(log.record, link.label))
+            link.endpoint.logger = partial(log.record, link.label)
 
     def sleep(self, ms: int) -> None:
         """Let time pass: simulated on a virtual rig, wall-clock otherwise."""

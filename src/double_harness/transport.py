@@ -117,7 +117,7 @@ def format_command(cmd: Command) -> str:
         line = verb
     else:
         raise ProtocolError(f"unknown verb {verb!r}")
-    return check_frame(line)
+    return line
 
 
 def parse_command(line: str) -> Command:
@@ -165,15 +165,16 @@ def format_response(resp: Response) -> str:
     """Render one response as one valid frame, whatever it holds: an OK line
     longer than a frame becomes ERR EXEC, and an ERR line is cut to the frame
     limit with every character outside printable ASCII made a space."""
+    # No check_frame: _encode escapes all but printable ASCII, and the rest is above.
     if resp.status == "OK":
         line = "OK " + _encode(resp.payload)
         if len(line) <= MAX_FRAME_LEN:
-            return check_frame(line)
+            return line
         resp = err("EXEC", f"result too long for one frame: {len(line)} > {MAX_FRAME_LEN}")
-    line = f"ERR {resp.code} {resp.message}"
+    line = f"ERR {resp.code} {resp.message}"[:MAX_FRAME_LEN]
     if not (line.isascii() and line.isprintable()):
         line = "".join(ch if " " <= ch <= "~" else " " for ch in line)
-    return check_frame(line[:MAX_FRAME_LEN].rstrip())
+    return line.rstrip()
 
 
 def parse_response(line: str) -> Response:
@@ -210,14 +211,7 @@ class Endpoint:
             raise ValueError(f"role must be controller or device, got {role!r}")
         self.role = role
         self.timeout_ms = timeout_ms
-        self._logger: LineLogger | None = None
-
-    def set_logger(self, logger: LineLogger | None) -> None:
-        self._logger = logger
-
-    def _log(self, direction: str, line: str, sim_ms: int | None) -> None:
-        if self._logger is not None:
-            self._logger(direction, line, sim_ms)
+        self.logger: LineLogger | None = None  # a Session sets it to record every line
 
     # Subclasses implement the raw line operations.
 
@@ -257,8 +251,8 @@ class VirtualEndpoint(Endpoint):
     def write_line(self, line: str) -> None:
         check_frame(line)
         now = self._scheduler.now
-        if self._logger is not None:
-            self._logger("send", line, now)
+        if self.logger is not None:
+            self.logger("send", line, now)
         peer = self._peer
         if peer is None:
             return  # closed: undeliverable; the reader finds out on its next read
@@ -350,7 +344,8 @@ class SerialEndpoint(Endpoint):
         check_frame(line)
         if self._stale:
             self._resync()
-        self._log("send", line, None)
+        if self.logger is not None:
+            self.logger("send", line, None)
         self.port.write_line(line)
 
     def read_frame(self, timeout_ms: int) -> tuple[str, None]:
@@ -374,7 +369,8 @@ class SerialEndpoint(Endpoint):
         self.write_line(f"DEL {fence}")
         while True:
             line, _ = self.read_frame(self.timeout_ms)
-            self._log("recv", line, None)
+            if self.logger is not None:
+                self.logger("recv", line, None)
             if line.startswith("ERR NO_OBJECT ") and line.endswith(f"'{fence}'"):
                 return
 
@@ -404,8 +400,8 @@ def send_command(ep: Endpoint, cmd: Command, timeout_ms: int | None = None) -> R
     if started is not None and stamp is not None and stamp - started > budget:
         # Late answer from a device that was still busy when we gave up.
         raise TransportTimeout(f"no response to '{line}' within {budget} ms (simulated)")
-    if ep._logger is not None:
-        ep._logger("recv", reply, stamp)
+    if ep.logger is not None:
+        ep.logger("recv", reply, stamp)
     return parse_response(reply)
 
 
@@ -441,7 +437,7 @@ class ObjectRegistry:
         try:
             return self._execute(cmd)
         except Exception as exc:  # noqa: BLE001 - everything maps to a wire error
-            return err("EXEC", _exc_text(exc))
+            return err("EXEC", f"{type(exc).__name__}: {exc}")
 
     def _execute(self, cmd: Command) -> Response:
         verb = cmd.verb
@@ -456,11 +452,7 @@ class ObjectRegistry:
                 return err("NO_METHOD", f"no method '{cmd.method}' on '{cmd.obj}'")
             if not _args_fit(method, cmd.args):
                 return err("BAD_ARGS", f"arguments {list(cmd.args)!r} do not fit {cmd.method}")
-            try:
-                result = method(*cmd.args)
-            except Exception as exc:  # noqa: BLE001
-                return err("EXEC", _exc_text(exc))
-            return Response("OK", _jsonable(result))
+            return Response("OK", _jsonable(method(*cmd.args)))
         if verb == "PING":
             return _OK_NONE
         if verb == "RESET":
@@ -472,10 +464,7 @@ class ObjectRegistry:
                 return err("NO_CLASS", f"unknown class '{cmd.method}'")
             if not _args_fit(factory, cmd.args):
                 return err("BAD_ARGS", f"arguments {list(cmd.args)!r} do not fit {cmd.method}")
-            try:
-                instance = factory(*cmd.args)
-            except Exception as exc:  # noqa: BLE001
-                return err("EXEC", _exc_text(exc))
+            instance = factory(*cmd.args)
             old = self.objects.get(cmd.obj)
             if old is not None:
                 _close_quietly(old)
@@ -535,10 +524,6 @@ def _close_quietly(obj: Any) -> None:
             close()
         except Exception:  # noqa: BLE001 - cleanup must not break RESET
             pass
-
-
-def _exc_text(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"[:1024]
 
 
 def _jsonable(value: Any) -> Any:

@@ -216,6 +216,42 @@ def test_float_times_from_the_wire_get_err_exec_and_leave_the_clock(rig):
     assert rig.scheduler.now == 0 and type(rig.scheduler.now) is int
 
 
+_BLE_LINKED = [
+    ("dut", "NEW", "t", "BleTempSensor", 0),
+    ("dut", "CALL", "t", "start"),
+    ("double", "NEW", "p", "BleCentral"),
+    ("double", "CALL", "p", "scan_connect", "TempSensor", 100),
+]
+
+
+@pytest.mark.parametrize(
+    "setup, step",
+    [
+        ([], ("dut", "NEW", "b", "Blinker", 13, True, 3)),
+        ([], ("dut", "NEW", "t", "BleTempSensor", 1e308)),
+        ([("dut", "NEW", "g", "GpsDriver")], ("dut", "CALL", "g", "get_latitude", True)),
+        (
+            [("double", "NEW", "p", "BleCentral")],
+            ("double", "CALL", "p", "scan_connect", "TempSensor", True),
+        ),
+        (_BLE_LINKED, ("double", "CALL", "p", "await_notify", True)),
+    ],
+    ids=["blinker-period", "ble-init-delay", "gps-timeout", "ble-scan", "ble-notify"],
+)
+def test_a_wire_time_that_is_not_an_int_gets_err_exec_and_leaves_the_clock(rig, setup, step):
+    """A driver refuses a bool or a coerced float it would turn into clock time."""
+
+    def send(device, verb, obj, method=None, *args):
+        return send_command(getattr(rig.session, device).endpoint, Command(verb, obj, method, args))
+
+    for command in setup:
+        assert send(*command).ok
+    now = rig.scheduler.now
+    resp = send(*step)
+    assert resp.code == "EXEC" and resp.message.startswith("ValueError: "), resp
+    assert rig.scheduler.now == now and rig.scheduler.next_due() is None
+
+
 # ---------------------------------------------------------------------------
 # GPS driver
 

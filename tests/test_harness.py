@@ -26,7 +26,13 @@ from double_harness.harness import (
 )
 from double_harness.simcore import Scheduler
 from double_harness.suites import SUITES
-from double_harness.transport import Command, open_virtual_pair, send_command
+from double_harness.transport import (
+    MAX_FRAME_LEN,
+    Command,
+    ProtocolError,
+    open_virtual_pair,
+    send_command,
+)
 
 
 def make_suite(*cases, name="demo"):
@@ -302,6 +308,31 @@ class TestTransportFailuresAreResults:
                 "TIMEOUT: no contact with dut: no response to 'RESET' within 5000 ms (simulated)",
             )
         ]
+
+    @pytest.mark.parametrize(
+        "cmd",
+        [
+            Command("CALL", "b", "blink", ("x" * MAX_FRAME_LEN,)),
+            Command("CALL", "b", "blïnk", ("blocking",)),
+        ],
+        ids=["too-long", "non-ascii-name"],
+    )
+    def test_a_command_that_is_not_a_frame_is_neither_logged_nor_delivered(self, rig, cmd):
+        dut = rig.session.dut
+        assert send_command(dut.endpoint, Command("NEW", "b", "Blinker", (13, 100, 1))).ok
+        log, objects = list(rig.session.log.entries), dict(dut.registry.objects)
+        with pytest.raises(ProtocolError):
+            send_command(dut.endpoint, cmd)
+        assert rig.session.log.entries == log
+        assert dut.registry.objects == objects and rig.scheduler.now == 0
+
+    def test_a_call_too_long_for_a_frame_is_a_protocol_error(self, rig):
+        def body(ctx):
+            ctx.call(ctx.new_on_dut("Blinker", "b", 13, 100, 1), "blink", "x" * MAX_FRAME_LEN)
+
+        (result,) = run_suite(make_suite(TestCase("test_long", body)), rig.session)
+        assert result.verdict == ERROR and result.message.startswith("PROTOCOL: frame too long")
+        assert not any("blink" in line for _, _, _, line, _ in rig.session.log.entries)
 
 
 class TestTransportLogInvariants:

@@ -3,6 +3,7 @@
 import functools
 import inspect
 import json
+import operator
 import random
 import string
 import types
@@ -28,6 +29,7 @@ from double_harness.transport import (
     SerialEndpoint,
     TransportTimeout,
     check_frame,
+    err,
     format_command,
     format_response,
     open_virtual_pair,
@@ -514,6 +516,16 @@ def _call_line(method, args, slack):
     return head + json.dumps(args + ["x" * max(fill, 0)])
 
 
+_LONG_TEXT = st.text(min_size=1000, max_size=5000)
+_WIDE_PAYLOADS = st.recursive(  # long and non-ASCII strings included
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | _LONG_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+# Any unicode after a visible first character: the registry's codes are all names, and
+# "ERR  <message>", with no code, is not a response.
+_ERR_CODES = st.builds(operator.add, st.characters(min_codepoint=33, max_codepoint=126), st.text())
+_ERR_MESSAGES = st.text(max_size=6000) | st.text(min_size=4000, max_size=6000)
 _LATIN = st.text(st.characters(min_codepoint=0xA1, max_codepoint=0x17F))  # echoed as non-ASCII
 _LINES = st.one_of(
     st.builds(
@@ -551,6 +563,19 @@ class TestOneFramePerCommand:
         (reply,) = _wire_reply(line)
         assert check_frame(reply) == reply
         parse_response(reply)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(
+            st.builds(Response, st.just("OK"), _WIDE_PAYLOADS),
+            st.builds(err, _ERR_CODES, _ERR_MESSAGES),
+        )
+    )
+    def test_any_response_formats_to_one_valid_frame(self, resp):
+        """format_response is not checked on its way out: its output is valid by construction."""
+        line = format_response(resp)
+        assert check_frame(line) == line
+        parse_response(line)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_COMMANDS)
@@ -633,6 +658,27 @@ class TestCodecBytes:
         rig.close()
         assert verdicts and set(verdicts) == {PASS}
         assert built == []
+
+    def test_a_five_suite_pass_checks_each_frame_once(self, monkeypatch):
+        counts = {"check_frame": 0, "write_line": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(transport, "check_frame", counting("check_frame", check_frame))
+        write_line = transport.VirtualEndpoint.write_line
+        monkeypatch.setattr(
+            transport.VirtualEndpoint, "write_line", counting("write_line", write_line)
+        )
+        rig = build_virtual_rig()
+        verdicts = [r.verdict for name in SUITE_ORDER for r in run_suite(SUITES[name], rig.session)]
+        rig.close()
+        assert verdicts and set(verdicts) == {PASS}
+        assert counts["write_line"] > 0 and counts["check_frame"] == counts["write_line"]
 
 
 class _SlowRegistry:
