@@ -229,11 +229,11 @@ class SpiBus:
     def set_slave(self, handler: SpiSlaveHandler) -> None:
         self._slave = handler
 
-    def clear_slave(self, handler: SpiSlaveHandler | None = None) -> None:
+    def clear_slave(self, handler: SpiSlaveHandler) -> None:
         # Equality, not identity: each access to obj.method makes a new bound
         # method object, and two of them are equal when they bind the same
         # function to the same instance.
-        if handler is None or self._slave == handler:
+        if self._slave == handler:
             self._slave = None
 
     def assert_cs(self) -> None:

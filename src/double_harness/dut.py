@@ -161,9 +161,10 @@ class RtcDriver:
 
     @staticmethod
     def _validate(dt: list[int]) -> tuple[int, int, int, int, int, int]:
-        if len(dt) != 6:
-            raise ValueError(f"datetime needs 6 fields, got {len(dt)}")
-        year, month, day, hour, minute, second = (int(v) for v in dt)
+        # type(), not int(): a bool, float or str field is refused, not coerced
+        if len(dt) != 6 or any(type(v) is not int for v in dt):
+            raise ValueError(f"datetime needs 6 int fields, got {dt!r}")
+        year, month, day, hour, minute, second = dt
         if not 2000 <= year <= 2099:
             raise ValueError(f"year {year} outside 2000..2099")
         if not 1 <= month <= 12:

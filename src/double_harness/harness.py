@@ -187,12 +187,11 @@ class Session:
         dut: DeviceLink,
         double: DeviceLink,
         scheduler: Scheduler | None = None,
-        log: TransportLog | None = None,
     ) -> None:
         self.dut = dut
         self.double = double
         self.scheduler = scheduler
-        self.log = log = TransportLog() if log is None else log
+        self.log = log = TransportLog()
         # The loggers hold the log, not the session: the session holds the
         # endpoints, so capturing it would make a reference cycle.
         for link in (dut, double):

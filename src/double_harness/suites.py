@@ -161,7 +161,6 @@ class VirtualRig(NamedTuple):
     uart: UartLink
     spi: SpiBus
     air: BleAir
-    faults: _dut.FaultConfig
 
     def close(self) -> None:
         """Decommission everything both devices host, then close the channels
@@ -233,7 +232,7 @@ def build_virtual_rig(fault: str | None = None, timeout_ms: int = DEFAULT_TIMEOU
         double=DeviceLink("double", double_ctl, double_registry),
         scheduler=scheduler,
     )
-    return VirtualRig(scheduler, session, led_line, i2c, uart, spi, air, faults)
+    return VirtualRig(scheduler, session, led_line, i2c, uart, spi, air)
 
 
 def _pin(pins: dict[int, GpioLine], number: int) -> GpioLine:

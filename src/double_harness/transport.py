@@ -39,10 +39,17 @@ MAX_FRAME_LEN = 4096
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _is_ident = IDENT_RE.fullmatch  # fullmatch: "x\n" is not a name, as `$` would allow
 
+
+def _wire_value(value: Any) -> list[int]:  # the encoder's `default` hook
+    if isinstance(value, (bytes, bytearray)):
+        return list(value)  # bytes travel as arrays of ints
+    raise TypeError(f"value of type {type(value).__name__} is not wire-encodable")
+
+
 # One compact encoder and one decoder per process; json.dumps with separators
-# builds a fresh encoder on every call. The bytes are those of
-# json.dumps(value, separators=(",", ":")).
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+# builds a fresh encoder on every call. The encoder owns the conversion of a
+# Python value to wire JSON, for commands and results alike.
+_encode = json.JSONEncoder(separators=(",", ":"), default=_wire_value).encode
 _decode = json.JSONDecoder().decode
 
 DEFAULT_TIMEOUT_MS = 5000  # simulated ms on the virtual channel
@@ -108,9 +115,9 @@ def err(code: str, message: str) -> Response:
 def format_command(cmd: Command) -> str:
     verb = cmd.verb
     if verb == "CALL":  # half of all traffic: test it first
-        line = f"CALL {cmd.obj}.{cmd.method} {_encode(list(cmd.args))}"
+        line = f"CALL {cmd.obj}.{cmd.method} {_encode(cmd.args)}"
     elif verb == "NEW":
-        line = f"NEW {cmd.method} {cmd.obj} {_encode(list(cmd.args))}"
+        line = f"NEW {cmd.method} {cmd.obj} {_encode(cmd.args)}"
     elif verb == "DEL":
         line = f"DEL {cmd.obj}"
     elif verb in ("PING", "RESET"):
@@ -154,7 +161,7 @@ def parse_command(line: str) -> Command:
 def _parse_args(text: str) -> tuple:
     try:
         args = _decode(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ProtocolError(f"bad JSON args: {exc}") from exc
     if not isinstance(args, list):
         raise ProtocolError("args must be a JSON array")
@@ -162,15 +169,20 @@ def _parse_args(text: str) -> tuple:
 
 
 def format_response(resp: Response) -> str:
-    """Render one response as one valid frame, whatever it holds: an OK line
-    longer than a frame becomes ERR EXEC, and an ERR line is cut to the frame
-    limit with every character outside printable ASCII made a space."""
+    """Render one response as one valid frame, whatever it holds. This is the
+    one place that decides whether a result can be carried: an OK payload the
+    encoder refuses, or whose line outgrows a frame, becomes ERR EXEC. An ERR
+    line is cut to the frame limit with every character outside printable
+    ASCII made a space."""
     # No check_frame: _encode escapes all but printable ASCII, and the rest is above.
     if resp.status == "OK":
-        line = "OK " + _encode(resp.payload)
-        if len(line) <= MAX_FRAME_LEN:
-            return line
-        resp = err("EXEC", f"result too long for one frame: {len(line)} > {MAX_FRAME_LEN}")
+        try:  # refused: an unknown type, an int too long to print, a cycle, deep nesting
+            line = "OK " + _encode(resp.payload)
+            if len(line) <= MAX_FRAME_LEN:
+                return line
+            resp = err("EXEC", f"result too long for one frame: {len(line)} > {MAX_FRAME_LEN}")
+        except (TypeError, ValueError, RecursionError) as exc:
+            resp = err("EXEC", f"{type(exc).__name__}: {exc}")
     line = f"ERR {resp.code} {resp.message}"[:MAX_FRAME_LEN]
     if not (line.isascii() and line.isprintable()):
         line = "".join(ch if " " <= ch <= "~" else " " for ch in line)
@@ -184,7 +196,7 @@ def parse_response(line: str) -> Response:
             raise ProtocolError("OK response missing payload")
         try:
             return Response("OK", _decode(rest))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ProtocolError(f"bad JSON payload: {exc}") from exc
     if status == "ERR":
         code, _, message = rest.partition(" ")
@@ -452,7 +464,7 @@ class ObjectRegistry:
                 return err("NO_METHOD", f"no method '{cmd.method}' on '{cmd.obj}'")
             if not _args_fit(method, cmd.args):
                 return err("BAD_ARGS", f"arguments {list(cmd.args)!r} do not fit {cmd.method}")
-            return Response("OK", _jsonable(method(*cmd.args)))
+            return Response("OK", method(*cmd.args))
         if verb == "PING":
             return _OK_NONE
         if verb == "RESET":
@@ -524,18 +536,6 @@ def _close_quietly(obj: Any) -> None:
             close()
         except Exception:  # noqa: BLE001 - cleanup must not break RESET
             pass
-
-
-def _jsonable(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (bytes, bytearray)):
-        return list(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    raise TypeError(f"result of type {type(value).__name__} is not wire-encodable")
 
 
 class CommandServer:

@@ -200,6 +200,30 @@ def test_weekday_register_over_the_wire_for_every_month(rig, year):
             assert weekday == datetime.date(year, month, day).isoweekday(), (month, day)
 
 
+@pytest.mark.parametrize(
+    "dt",
+    [
+        [2021.9, 2, 28.7, 23, 59, 30],
+        [2021, 2, 28, True, 59, 30],
+        ["2021", "2", "28", "23", "59", "30"],
+    ],
+    ids=["float", "bool", "str"],
+)
+def test_a_datetime_field_that_is_not_an_int_gets_err_exec(rig, dt):
+    """set_datetime refuses a field it would otherwise coerce with int(), and
+    the RTC's registers keep the image they held."""
+
+    def send(device, verb, obj, method=None, *args):
+        return send_command(getattr(rig.session, device).endpoint, Command(verb, obj, method, args))
+
+    assert send("double", "NEW", "rtc", "Rtc", "static").ok
+    assert send("dut", "NEW", "rtc_drv", "RtcDriver").ok
+    before = send("double", "CALL", "rtc", "read_registers").payload
+    resp = send("dut", "CALL", "rtc_drv", "set_datetime", dt)
+    assert resp.code == "EXEC" and resp.message.startswith("ValueError: "), resp
+    assert send("double", "CALL", "rtc", "read_registers").payload == before
+
+
 def test_float_times_from_the_wire_get_err_exec_and_leave_the_clock(rig):
     """A float the drivers pass on to the clock is refused there: the command
     answers ERR EXEC ScheduleError and sim time stays an int."""

@@ -473,12 +473,13 @@ class _Wire:
         return x * 2
 
 
-def _wire_reply(line):
-    """Send one raw line to a device hosting `_Wire` as `b`; return every reply frame."""
+def _wire_reply(line, hosted=None):
+    """Send one raw line to a device hosting `hosted` (a `_Wire` by default)
+    as `b`; return every reply frame."""
     sched = Scheduler()
     registry = ObjectRegistry()
     registry.register_class("Wire", _Wire)
-    registry.objects["b"] = _Wire()
+    registry.objects["b"] = _Wire() if hosted is None else hosted
     controller, device = open_virtual_pair(sched)
     serve(device, registry)
     controller.write_line(line)
@@ -539,8 +540,104 @@ _LINES = st.one_of(
 ).filter(lambda line: len(line) <= MAX_FRAME_LEN)
 
 
+class _Returns:
+    """Device-side object whose one method returns a fixed value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def get(self):
+        return self.value
+
+
+def _hosted_reply(value):
+    """Every reply frame to a CALL of a hosted method that returns `value`."""
+    return _wire_reply("CALL b.get []", _Returns(value))
+
+
+def _reference(value):
+    """Oracle for the wire's value model: bytes become int arrays, tuples
+    lists, dict keys str(); any other type is refused."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, (bytes, bytearray)):
+        return list(value)
+    if isinstance(value, (list, tuple)):
+        return [_reference(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _reference(v) for k, v in value.items()}
+    raise TypeError(f"result of type {type(value).__name__} is not wire-encodable")
+
+
+def _nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def _circular():
+    value = [1]
+    value.append(value)
+    return value
+
+
+# Letters never spell an int, so no str key collides with an int key's str().
+_KEYS = st.text(string.ascii_letters, max_size=6) | st.integers()
+_RESULTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12)
+    | st.binary(max_size=8) | st.binary(max_size=8).map(bytearray)
+    | st.builds(object) | st.frozensets(st.integers(), max_size=2),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=12,
+)
+
+
 class TestOneFramePerCommand:
     """Whatever printable line arrives, the device answers with exactly one valid frame."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_RESULTS)
+    def test_any_hosted_result_answers_exactly_one_frame(self, value):
+        (reply,) = _hosted_reply(value)
+        assert check_frame(reply) == reply
+        resp = parse_response(reply)
+        try:
+            expected = "OK " + _compact(_reference(value))
+        except TypeError:
+            assert resp.code == "EXEC" and "is not wire-encodable" in resp.message
+            return
+        if len(expected) <= MAX_FRAME_LEN:
+            assert reply == expected
+        else:
+            assert resp.code == "EXEC" and "too long" in resp.message
+
+    @pytest.mark.parametrize(
+        "make, error",
+        [
+            (lambda: 10**5000, "ValueError"),
+            (_circular, "ValueError"),
+            (lambda: _nested(1500), "RecursionError"),
+            (lambda: {1, 2}, "TypeError"),
+            (object, "TypeError"),
+        ],
+        ids=["5000-digit-int", "circular-list", "1500-deep-list", "set", "object"],
+    )
+    def test_a_result_the_wire_cannot_carry_gets_one_exec_frame(self, make, error):
+        (reply,) = _hosted_reply(make())
+        assert check_frame(reply) == reply
+        resp = parse_response(reply)
+        assert resp.code == "EXEC" and resp.message.startswith(f"{error}: "), resp
+
+    def test_a_command_nested_too_deep_is_malformed(self):
+        line = "CALL b.two [" + "[" * 1000 + "]" * 1000 + "]"
+        (reply,) = _wire_reply(line)
+        assert reply.startswith("ERR BAD_ARGS malformed command: bad JSON args: ")
+
+    def test_a_reply_nested_too_deep_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError):
+            parse_response("OK " + "[" * 1000 + "]" * 1000)
 
     def test_bad_args_echo_of_non_ascii_args(self):
         (reply,) = _wire_reply(r'CALL b.two ["\u00e9"]')
@@ -640,6 +737,10 @@ class TestCodecBytes:
     @given(_PAYLOADS)
     def test_format_response_bytes(self, payload):
         assert format_response(Response("OK", payload)) == f"OK {_compact(payload)}"
+
+    def test_bytes_arguments_travel_as_int_arrays(self):
+        cmd = Command("CALL", "s", "write", (b"\x01\xff", bytearray(b"\x02")))
+        assert format_command(cmd) == "CALL s.write [[1,255],[2]]"
 
     def test_a_five_suite_pass_builds_no_json_coder(self, monkeypatch):
         built = []
