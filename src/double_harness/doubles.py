@@ -164,8 +164,8 @@ class RtcDouble:
 
     def advance_seconds(self, n: int) -> None:
         """Move the stored date/time forward n seconds (the tick does n=1)."""
-        if n < 0:
-            raise ValueError("cannot advance backwards")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"seconds must be an int >= 0, got {n!r}")
         sec = _bcd_decode(self.regs[0])
         minute = _bcd_decode(self.regs[1])
         hour = _bcd_decode(self.regs[2])
@@ -176,8 +176,14 @@ class RtcDouble:
         self.regs[0] = _bcd_encode(sec)
         self.regs[1] = _bcd_encode(minute)
         self.regs[2] = _bcd_encode(hour)
-        for _ in range(days):
+        if days:  # the first day also re-synchronizes garbage date registers
             self._advance_one_day()
+            # From a valid date the calendar repeats every 36525 days (2000-2099,
+            # a leap year every fourth) and the weekday every 7: skip the cycles.
+            skipped = (days - 1) // 36525 * 36525
+            self.regs[3] = _bcd_encode((_bcd_decode(self.regs[3]) - 1 + skipped) % 7 + 1)
+            for _ in range((days - 1) % 36525):
+                self._advance_one_day()
 
     def close(self) -> None:
         if self._tick_handle is not None:
@@ -374,6 +380,8 @@ class SpiSlaveDouble:
         spi.set_slave(self._handler)
 
     def preload_tx(self, data: list[int]) -> None:
+        if type(data) is not list:
+            raise ValueError(f"data must be a list of byte values, got {type(data).__name__}")
         self.tx_fifo.extend(bytes(data))
 
     def get_rx(self) -> list[int]:
@@ -385,14 +393,10 @@ class SpiSlaveDouble:
         self._spi.clear_slave(self._handler)
 
     def _handler(self, mosi: bytes) -> bytes:
-        miso = bytearray()
-        for value in mosi:
-            self.rx_log.append(value)
-            if self.tx_fifo:
-                miso.append(self.tx_fifo.pop(0))
-            else:
-                miso.append(0x00)
-        return bytes(miso)
+        self.rx_log += mosi
+        miso = bytes(self.tx_fifo[: len(mosi)])
+        del self.tx_fifo[: len(mosi)]
+        return miso + bytes(len(mosi) - len(miso))
 
 
 # ---------------------------------------------------------------------------

@@ -286,11 +286,23 @@ class GpsDriver:
 # SPI master driver
 
 
+# Longest read one SPI command may clock. No reply to a longer read fits one
+# wire frame, so clocking it would only burn host time before the ERR.
+MAX_SPI_READ = 4096
+
+
+def _spi_bytes(data: list[int]) -> bytes:
+    if type(data) is not list:
+        raise ValueError(f"data must be a list of byte values, got {type(data).__name__}")
+    return bytes(data)
+
+
 class SpiMaster:
     """Plain SPI master: write, read-without-address, and full-duplex.
 
     CS is asserted around every operation. read(n) clocks n dummy 0x00
-    bytes and returns whatever the slave supplied.
+    bytes and returns whatever the slave supplied. Data must be a list and
+    n an int in 0..MAX_SPI_READ; anything else is refused before a byte moves.
     """
 
     def __init__(self, spi: _bus.SpiBus, faults: FaultConfig = NO_FAULTS) -> None:
@@ -298,16 +310,16 @@ class SpiMaster:
         self._faults = faults
 
     def write(self, data: list[int]) -> int:
-        self._transfer(bytes(data))
+        self._transfer(_spi_bytes(data))
         return len(data)
 
     def read(self, n: int) -> list[int]:
-        if n < 0:
-            raise ValueError(f"read length must be >= 0, got {n}")
+        if type(n) is not int or not 0 <= n <= MAX_SPI_READ:
+            raise ValueError(f"read length must be an int in 0..{MAX_SPI_READ}, got {n!r}")
         return list(self._receive(self._transfer(bytes(n))))
 
     def write_read(self, data: list[int]) -> list[int]:
-        return list(self._receive(self._transfer(bytes(data))))
+        return list(self._receive(self._transfer(_spi_bytes(data))))
 
     def _transfer(self, mosi: bytes) -> bytes:
         self.spi.assert_cs()

@@ -41,13 +41,6 @@ class EventHandle:
         return not self.cancelled and not self.done
 
 
-# Left in the heap by a nested advance_to for the loop that called it (see
-# advance_to). It sorts first; at most one is ever in the heap.
-_RESYNC = EventHandle(None, None)
-_RESYNC.cancelled = True
-_RESYNC_ENTRY = (-1, 0, _RESYNC)
-
-
 class Scheduler:
     """Discrete-event scheduler over a virtual millisecond clock.
 
@@ -60,7 +53,6 @@ class Scheduler:
         self._now: int = 0
         self._seq: int = 0
         self._heap: list[tuple[int, int, EventHandle]] = []
-        self._advancing = False
 
     @property
     def now(self) -> SimTime:
@@ -111,9 +103,8 @@ class Scheduler:
 
         Nesting: an action may call advance_to itself; time still never
         runs backwards. Now stays where a nested call left it, and a
-        periodic event whose next due time it passed is due at now: the
-        nested call leaves _RESYNC, which ends any head run here, and
-        popping it re-keys the passed entries to now, keeping their seq.
+        periodic event re-armed at a due time that call already passed is
+        due at now instead.
         """
         if type(to) is not int:
             raise ScheduleError(f"time must be an int ms, got {to!r}")
@@ -121,32 +112,25 @@ class Scheduler:
             raise ScheduleError(f"cannot advance backwards: now={self._now}, to={to}")
         heap = self._heap
         fired = 0
-        nested, self._advancing = self._advancing, True
-        try:
-            while heap and heap[0][0] <= to:
-                due, _seq, event = heapq.heappop(heap)
-                if event.cancelled:
-                    while event is _RESYNC and heap and heap[0][0] < self._now:
-                        _due, seq, late = heap[0]
-                        heapq.heapreplace(heap, (self._now, seq, late))
-                    continue
-                action, period = event.action, event.period
-                while True:
-                    self._now = due
-                    action()
-                    fired += 1
-                    if period is None or event.cancelled:
-                        event.done = True
-                        break
-                    due += period
-                    self._seq += 1
-                    if due > to or (heap and heap[0][0] <= due):
-                        heapq.heappush(heap, (due, self._seq, event))
-                        break
-        finally:
-            self._advancing = nested
-        if nested:  # the loop above popped any earlier marker
-            heapq.heappush(heap, _RESYNC_ENTRY)
+        while heap and heap[0][0] <= to:
+            due, _seq, event = heapq.heappop(heap)
+            if event.cancelled:
+                continue
+            action, period = event.action, event.period
+            while True:
+                self._now = due
+                action()
+                fired += 1
+                if period is None or event.cancelled:
+                    event.done = True
+                    break
+                due += period
+                if due < self._now:  # the action advanced the clock past it
+                    due = self._now
+                self._seq += 1
+                if due > to or (heap and heap[0][0] <= due):
+                    heapq.heappush(heap, (due, self._seq, event))
+                    break
         if self._now < to:
             self._now = to
         return fired
@@ -173,10 +157,6 @@ class Scheduler:
     def next_due(self) -> SimTime | None:
         """Due time of the earliest pending event, or None when idle."""
         heap = self._heap
-        resync = heap[0] if heap and heap[0][2] is _RESYNC else None
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
-        due = heap[0][0] if heap else None
-        if resync:  # still owed to the advance_to loop that is running
-            heapq.heappush(heap, resync)
-        return due
+        return heap[0][0] if heap else None

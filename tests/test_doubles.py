@@ -29,6 +29,7 @@ from double_harness.doubles import (
     wrap_sentence,
 )
 from double_harness.simcore import Scheduler
+from double_harness.transport import Command, send_command
 
 # ---------------------------------------------------------------------------
 # Independent oracles
@@ -274,6 +275,86 @@ class TestRtcCalendarOracle:
             bulk.advance_seconds(seconds)
 
             assert ticked.read_registers() == bulk.read_registers()
+
+
+def per_day_advance(rtc, n):
+    """Reference: advance_seconds as a plain loop of one register step per day."""
+
+    def dec(b):
+        return (b >> 4) * 10 + (b & 0x0F)
+
+    def enc(v):
+        return ((v // 10) << 4) | (v % 10)
+
+    tod = dec(rtc.regs[2]) * 3600 + dec(rtc.regs[1]) * 60 + dec(rtc.regs[0]) + n
+    days, tod = divmod(tod, 86400)
+    rtc.regs[0:3] = bytes([enc(tod % 60), enc(tod // 60 % 60), enc(tod // 3600)])
+    for _ in range(days):
+        rtc._advance_one_day()
+
+
+def _outcome(advance, image, n):
+    rtc = RtcDouble(I2cBus(), Scheduler())
+    rtc.load_registers(image)
+    try:
+        advance(rtc, n)
+    except ValueError as exc:  # a garbage year register is refused mid-step
+        return "ValueError", str(exc), rtc.read_registers()
+    return None, None, rtc.read_registers()
+
+
+class TestRtcBulkAdvance:
+    def test_matches_the_per_day_loop_on_valid_and_garbage_images(self):
+        rng = random.Random(36525)
+        for i in range(36):
+            if i % 2:
+                start = datetime.datetime(2000, 1, 1) + datetime.timedelta(
+                    seconds=rng.randrange(36525 * 86400)
+                )
+                image = oracle_encode(start, weekday=rng.randrange(1, 8))
+            else:  # any byte in the time, weekday, day and month registers
+                image = [rng.randrange(256) for _ in range(6)] + [rng.choice((0x99, 0x47, 0xFF))]
+            days = rng.choice(
+                (rng.randrange(4), rng.randrange(800), 36525 * rng.randrange(1, 3) + rng.randrange(-2, 3))
+            )
+            n = days * 86400 + rng.randrange(86400)
+            got = _outcome(RtcDouble.advance_seconds, image, n)
+            assert got == _outcome(per_day_advance, image, n), (image, n)
+
+    def test_a_huge_advance_takes_at_most_one_calendar_cycle_of_steps(self, monkeypatch):
+        steps = []
+        one_day = RtcDouble._advance_one_day
+
+        def counting(self):
+            steps.append(1)
+            assert len(steps) <= 36525, "stepped past one 2000-2099 calendar cycle"
+            one_day(self)
+
+        monkeypatch.setattr(RtcDouble, "_advance_one_day", counting)
+        days = 10**10
+        start = datetime.datetime(2024, 2, 28, 23, 59, 59)
+        rtc = RtcDouble(I2cBus(), Scheduler())
+        rtc.load_registers(oracle_encode(start, weekday=3))
+        rtc.advance_seconds(days * 86400)
+        # 2000-01-01 + 36525 days is 2100-01-01, so the register calendar wraps there.
+        epoch = datetime.datetime(2000, 1, 1)
+        expected = epoch + datetime.timedelta(days=((start - epoch).days + days) % 36525)
+        expected = expected.replace(hour=23, minute=59, second=59)
+        assert oracle_decode_regs(rtc.read_registers()) == expected
+        assert rtc.read_registers()[3] == (3 - 1 + days) % 7 + 1
+
+
+@pytest.mark.parametrize("n", [True, -1, 1.5])
+def test_rtc_advance_that_is_not_an_int_ge_zero_gets_err_exec(rig, n):
+    def send(method, *args):
+        return send_command(rig.session.double.endpoint, Command("CALL", "rtc", method, args))
+
+    assert send_command(rig.session.double.endpoint, Command("NEW", "rtc", "Rtc", ("static",))).ok
+    assert send("load_registers", [0x59, 0x59, 0x23, 0x07, 0x31, 0x12, 0x99]).ok
+    before = send("read_registers").payload
+    resp = send("advance_seconds", n)
+    assert resp.code == "EXEC" and resp.message.startswith("ValueError: "), resp
+    assert send("read_registers").payload == before
 
 
 def _month_len(year, month):

@@ -21,6 +21,7 @@ from double_harness.dut import (
     Blinker,
     BleTempSensor,
     FaultConfig,
+    MAX_SPI_READ,
     GpsDriver,
     NotStartedError,
     RtcDriver,
@@ -407,6 +408,11 @@ class TestSpiMaster:
         slave.preload_tx([0x12, 0x34])
         assert master.read(2) == [0x34, 0x00]
 
+    def test_read_up_to_the_limit_is_served(self, spi_pair):
+        master, _, spi = spi_pair
+        assert master.read(MAX_SPI_READ) == [0] * MAX_SPI_READ
+        assert len(spi.transfers[-1][0]) == MAX_SPI_READ
+
     def test_random_write_read_conservation(self, sched):
         """Property: the slave's log is exactly the concatenated writes."""
         rng = random.Random(101)
@@ -424,6 +430,37 @@ class TestSpiMaster:
                 master.read(n)
                 written.extend([0] * n)  # reads clock dummy zeros
         assert slave.get_rx() == written
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        ("dut", "master", "write", 5),
+        ("double", "slave", "preload_tx", 5),
+        ("dut", "master", "write_read", 3),
+        ("dut", "master", "read", True),
+        ("dut", "master", "read", 200_000),
+        ("dut", "master", "read", MAX_SPI_READ + 1),
+    ],
+    ids=["write-int", "preload-int", "write_read-int", "read-bool", "read-huge", "read-past-limit"],
+)
+def test_spi_wire_arguments_out_of_shape_are_refused_before_a_byte_moves(rig, step):
+    """bytes(n) of an int n is n zero bytes: an int where a byte list belongs,
+    or a read longer than any reply frame holds, must not clock anything."""
+
+    def send(device, verb, obj, method=None, *args):
+        return send_command(getattr(rig.session, device).endpoint, Command(verb, obj, method, args))
+
+    assert send("dut", "NEW", "master", "SpiMaster").ok
+    assert send("double", "NEW", "slave", "SpiSlave").ok
+    assert send("double", "CALL", "slave", "preload_tx", [1, 2]).ok
+    assert send("dut", "CALL", "master", "write", [9]).ok
+    slave = rig.session.double.registry.objects["slave"]
+    before = (len(rig.spi.transfers), bytes(slave.rx_log), bytes(slave.tx_fifo))
+    device, obj, method, arg = step
+    resp = send(device, "CALL", obj, method, arg)
+    assert resp.code == "EXEC" and resp.message.startswith("ValueError: "), resp
+    assert (len(rig.spi.transfers), bytes(slave.rx_log), bytes(slave.tx_fifo)) == before
 
 
 # ---------------------------------------------------------------------------
