@@ -27,11 +27,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(SUITE_ORDER) + ["all"],
         help="suite to run (repeatable); default: all",
     )
-    parser.add_argument(
-        "--transport",
-        default="virtual",
-        help="'virtual' or 'serial:<path>' (serial needs a user-supplied port driver)",
-    )
     parser.add_argument("--format", choices=("human", "json"), default="human")
     parser.add_argument(
         "--debug", action="store_true", help="append the interleaved transport log"
@@ -39,17 +34,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--fault",
         choices=sorted(SHIPPED_FAULTS),
-        help="arm one deliberate driver bug (virtual transport only)",
+        help="arm one deliberate driver bug",
     )
     parser.add_argument(
         "--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS, help="per-command response budget"
     )
     return parser
-
-
-def _usage_error(parser: argparse.ArgumentParser, message: str) -> int:
-    print(f"{parser.prog}: error: {message}", file=sys.stderr)
-    return 2
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -68,21 +58,8 @@ def main(argv: list[str] | None = None) -> int:
             names.append(name)
 
     if args.timeout_ms < 1:
-        return _usage_error(parser, "--timeout-ms must be >= 1")
-
-    if args.transport != "virtual":
-        if not args.transport.startswith("serial:"):
-            return _usage_error(parser, f"unknown transport {args.transport!r}")
-        if args.fault:
-            return _usage_error(parser, "--fault is only available on the virtual transport")
-        path = args.transport.split(":", 1)[1]
-        if not path:
-            return _usage_error(parser, "serial transport requires a path: serial:<path>")
-        return _usage_error(
-            parser,
-            "no serial port driver is bundled; plug a SerialPortLike into "
-            "double_harness.transport.SerialEndpoint",
-        )
+        print(f"{parser.prog}: error: --timeout-ms must be >= 1", file=sys.stderr)
+        return 2
 
     rig = build_virtual_rig(fault=args.fault, timeout_ms=args.timeout_ms)
     all_pass = True

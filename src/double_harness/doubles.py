@@ -209,10 +209,8 @@ class RtcDouble:
             if month > 12:
                 month = 1
                 year2 = (year2 + 1) % 100
-        self.regs[3] = _bcd_encode(weekday)
-        self.regs[4] = _bcd_encode(day)
-        self.regs[5] = _bcd_encode(month)
-        self.regs[6] = _bcd_encode(year2)
+        # Encode all four before writing any: a garbage year leaves them as they were.
+        self.regs[3:7] = bytes(map(_bcd_encode, (weekday, day, month, year2)))
 
 
 # ---------------------------------------------------------------------------

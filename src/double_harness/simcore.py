@@ -105,6 +105,10 @@ class Scheduler:
         runs backwards. Now stays where a nested call left it, and a
         periodic event re-armed at a due time that call already passed is
         due at now instead.
+
+        An action that raises ends its event, periodic or not: the handle is
+        done, the clock rests at the event's due time (or where a nested call
+        left it) and the exception propagates to whoever advanced the clock.
         """
         if type(to) is not int:
             raise ScheduleError(f"time must be an int ms, got {to!r}")
@@ -119,7 +123,11 @@ class Scheduler:
             action, period = event.action, event.period
             while True:
                 self._now = due
-                action()
+                try:
+                    action()
+                except BaseException:
+                    event.done = True  # out of the heap for good: no longer pending
+                    raise
                 fired += 1
                 if period is None or event.cancelled:
                     event.done = True

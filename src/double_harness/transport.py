@@ -114,10 +114,14 @@ def err(code: str, message: str) -> Response:
 
 def format_command(cmd: Command) -> str:
     verb = cmd.verb
-    if verb == "CALL":  # half of all traffic: test it first
-        line = f"CALL {cmd.obj}.{cmd.method} {_encode(cmd.args)}"
-    elif verb == "NEW":
-        line = f"NEW {cmd.method} {cmd.obj} {_encode(cmd.args)}"
+    if verb == "CALL" or verb == "NEW":
+        args = cmd.args
+        # Empty args need no encoder; anything else, None included, goes to it.
+        text = "[]" if isinstance(args, (tuple, list)) and not args else _encode(args)
+        if verb == "CALL":  # half of all traffic: test it first
+            line = f"CALL {cmd.obj}.{cmd.method} {text}"
+        else:
+            line = f"NEW {cmd.method} {cmd.obj} {text}"
     elif verb == "DEL":
         line = f"DEL {cmd.obj}"
     elif verb in ("PING", "RESET"):
@@ -159,6 +163,8 @@ def parse_command(line: str) -> Command:
 
 
 def _parse_args(text: str) -> tuple:
+    if text == "[]":  # half of all CALLs and NEWs: no decoder needed
+        return ()
     try:
         args = _decode(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
@@ -176,6 +182,8 @@ def format_response(resp: Response) -> str:
     ASCII made a space."""
     # No check_frame: _encode escapes all but printable ASCII, and the rest is above.
     if resp.status == "OK":
+        if resp.payload is None:  # most replies: no encoder needed
+            return "OK null"
         try:  # refused: an unknown type, an int too long to print, a cycle, deep nesting
             line = "OK " + _encode(resp.payload)
             if len(line) <= MAX_FRAME_LEN:
@@ -190,6 +198,8 @@ def format_response(resp: Response) -> str:
 
 
 def parse_response(line: str) -> Response:
+    if line == "OK null":  # most replies: no decoder needed
+        return _OK_NONE
     status, space, rest = line.partition(" ")
     if status == "OK":
         if not space:

@@ -327,8 +327,7 @@ def _strip_wall(doc):
 
 def test_criterion_10_byte_identical_json_runs():
     with criterion(10, "two CLI runs differ only in wall-clock duration fields"):
-        argv = [sys.executable, "-m", "double_harness", "--suite", "all",
-                "--transport", "virtual", "--format", "json"]
+        argv = [sys.executable, "-m", "double_harness", "--suite", "all", "--format", "json"]
         outputs = []
         for hash_seed in ("1", "2"):  # also prove hash-order independence
             env = dict(os.environ)

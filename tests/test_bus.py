@@ -136,6 +136,7 @@ class TestI2cBus:
     def test_address_bounds_and_uniqueness(self):
         bus = I2cBus()
         bus.add_device(0x08, lambda w, n: bytes(n))
+        bus.add_device(0x77, lambda w, n: bytes(n))  # both ends of 0x08..0x77 are usable
         with pytest.raises(ValueError):
             bus.add_device(0x07, lambda w, n: bytes(n))
         with pytest.raises(ValueError):
@@ -149,6 +150,16 @@ class TestUartLink:
         link = UartLink(sched)
         link.a.send(b"$GPGGA,123519,4807.038,N*11\r\n")
         assert link.b.recv_line(100) == b"$GPGGA,123519,4807.038,N*11\r\n"
+
+    def test_an_empty_line_that_arrives_first_is_still_a_line(self, sched):
+        link = UartLink(sched)
+        lines = []
+        link.b.subscribe_lines(lines.append)
+        link.a.send(b"\nabc\n")
+        assert lines == [b"\n", b"abc\n"]
+        link.b.send(b"\nabc\n")
+        assert link.a.recv_line(10) == b"\n"
+        assert link.a.recv_line(10) == b"abc\n"
 
     def test_two_lines_arrive_in_order(self, sched):
         link = UartLink(sched)

@@ -56,22 +56,7 @@ class TestExitCodes:
 
 
 class TestTransportSelection:
-    def test_serial_without_path_is_a_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "--transport", "serial:")
-        assert code == 2
-        assert "path" in err
-
-    def test_serial_has_no_bundled_port_driver(self, capsys):
-        code, _, err = run_cli(capsys, "--transport", "serial:/dev/ttyUSB0")
-        assert code == 2
-        assert "SerialPortLike" in err
-
-    def test_fault_refused_on_serial_transport(self, capsys):
-        code, _, err = run_cli(
-            capsys, "--transport", "serial:/dev/ttyUSB0", "--fault", "drop_first_byte"
-        )
-        assert code == 2
-        assert "virtual" in err
+    """The CLI runs the virtual rig only; there is no flag to pick a transport."""
 
     def test_unknown_transport_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "--transport", "carrier_pigeon")

@@ -357,6 +357,25 @@ def test_rtc_advance_that_is_not_an_int_ge_zero_gets_err_exec(rig, n):
     assert send("read_registers").payload == before
 
 
+def test_a_tick_on_a_garbage_year_ends_the_tick_and_writes_no_date_register(rig):
+    """The tick at 1000 ms rolls 23:59:59 over midnight and cannot encode year
+    165: the command that moved the clock answers ERR EXEC, the tick is done
+    (not pending, not queued) and weekday, day, month and year are as loaded."""
+    double, dut = rig.session.double.endpoint, rig.session.dut.endpoint
+    assert send_command(double, Command("NEW", "rtc", "Rtc", ("dynamic",))).ok
+    garbage = [0x59, 0x59, 0x23, 1, 1, 1, 0xFF]  # [89,89,35,1,1,1,255] on the wire
+    assert send_command(double, Command("CALL", "rtc", "load_registers", (garbage,))).ok
+    assert send_command(dut, Command("NEW", "b", "Blinker", (13, 10, 300))).ok
+    resp = send_command(dut, Command("CALL", "b", "blink", ("blocking",)))
+    assert resp.code == "EXEC" and resp.message.startswith("ValueError: BCD range"), resp
+    assert rig.scheduler.now == 1000
+    rtc = rig.session.double.registry.objects["rtc"]
+    tick = rtc._tick_handle
+    assert not tick.pending
+    assert all(entry[2] is not tick for entry in rig.scheduler._heap)
+    assert rtc.read_registers() == [0, 0, 0, 1, 1, 1, 0xFF]
+
+
 def _month_len(year, month):
     if month == 12:
         return 31

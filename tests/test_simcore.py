@@ -118,6 +118,12 @@ class TestCancel:
         assert sched.cancel(handle) is True
         assert sched.cancel(handle) is False
 
+    def test_a_cancelled_event_is_no_longer_pending(self, sched):
+        handle = sched.schedule(50, lambda: None, periodic=50)
+        assert handle.pending
+        sched.cancel(handle)
+        assert not handle.pending
+
     def test_cancel_fired_oneshot_returns_false(self, sched):
         handle = sched.schedule(50, lambda: None)
         sched.advance_to(100)
@@ -156,6 +162,49 @@ class TestCancel:
         assert periodic.action is not None
         sched.cancel(periodic)
         assert periodic.action is None
+
+
+class TestRaisingAction:
+    """An action that raises ends its event: the handle is done, the clock
+    rests at its due time and the exception reaches whoever advanced."""
+
+    @staticmethod
+    def _boom_on(firing):
+        fired = []
+
+        def action():
+            fired.append(len(fired))
+            if len(fired) == firing:
+                raise RuntimeError("boom")
+
+        return fired, action
+
+    @pytest.mark.parametrize("period", [None, 10])
+    def test_the_event_is_done_and_the_clock_rests_at_its_due_time(self, sched, period):
+        fired, action = self._boom_on(2 if period else 1)
+        handle = sched.schedule(10, action, periodic=period)
+        later = []
+        sched.schedule(35, lambda: later.append(sched.now))
+        with pytest.raises(RuntimeError, match="boom"):
+            sched.advance_to(100)
+        assert sched.now == (20 if period else 10)
+        assert not handle.pending
+        assert sched.cancel(handle) is False
+        assert all(entry[2] is not handle for entry in sched._heap)
+        sched.advance_to(100)
+        assert fired == ([0, 1] if period else [0])
+        assert later == [35] and sched.now == 100
+
+    def test_a_raise_inside_a_nested_advance_ends_each_action_it_leaves(self, sched):
+        _, action = self._boom_on(1)
+        inner = sched.schedule(5, action)
+        outer = sched.schedule(1, lambda: sched.advance_to(8), periodic=50)
+        bystander = sched.schedule(30, lambda: None)
+        with pytest.raises(RuntimeError):
+            sched.advance_to(20)
+        assert sched.now == 5
+        assert not inner.pending and not outer.pending
+        assert bystander.pending and sched.next_due() == 30
 
 
 class TestProperties:

@@ -711,11 +711,17 @@ class TestIdentifiers:
         assert server.handle_line("DEL x") == "OK null"
 
 
+# Empty arrays and objects, alone or nested, are what the coder-free branches
+# for `[]` args and `OK null` replies must tell apart.
+_EMPTIES = st.sampled_from([(), [], {}, ((),), [[]], [{}], [[], {}], [[[]]]])
 _PAYLOADS = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12) | _EMPTIES,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=12,
 )
+_ARG_LISTS = st.lists(_PAYLOADS, max_size=4)
+_ARGS_SEQUENCES = st.sampled_from([(), []]) | _ARG_LISTS | _ARG_LISTS.map(tuple)
 
 
 def _compact(value):
@@ -723,20 +729,56 @@ def _compact(value):
 
 
 class TestCodecBytes:
-    """The shared encoder renders exactly what json.dumps with compact separators did."""
+    """Every frame holds exactly what json.dumps with compact separators writes,
+    whether it went through the shared coder or skipped it (`[]` args, `OK
+    null` replies), and parses back to a value that formats to the same bytes."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(_IDENT, _IDENT, st.lists(_PAYLOADS, max_size=4).map(tuple))
+    @given(_IDENT, _IDENT, _ARGS_SEQUENCES)
     def test_format_command_bytes(self, obj, name, args):
         call = format_command(Command("CALL", obj, name, args))
-        assert call == f"CALL {obj}.{name} {_compact(list(args))}"
+        assert call == f"CALL {obj}.{name} {_compact(args)}"
+        assert format_command(parse_command(call)) == call
         new = format_command(Command("NEW", obj, name, args))
-        assert new == f"NEW {name} {obj} {_compact(list(args))}"
+        assert new == f"NEW {name} {obj} {_compact(args)}"
+        assert format_command(parse_command(new)) == new
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_PAYLOADS)
     def test_format_response_bytes(self, payload):
-        assert format_response(Response("OK", payload)) == f"OK {_compact(payload)}"
+        line = format_response(Response("OK", payload))
+        assert line == f"OK {_compact(payload)}"
+        assert format_response(parse_response(line)) == line
+
+    @pytest.mark.parametrize("args", [None, 0, False, "", {}], ids=repr)
+    def test_falsy_args_that_are_not_a_sequence_still_reach_the_encoder(self, args):
+        line = format_command(Command("CALL", "o", "m", args))
+        assert line == f"CALL o.m {_compact(args)}"
+        with pytest.raises(ProtocolError, match="args must be a JSON array"):
+            parse_command(line)
+
+    @pytest.mark.parametrize("line", ["OK nul", "OK nullx", "OK null,", "OK null null"])
+    def test_a_reply_next_to_ok_null_is_still_decoded_and_refused(self, line):
+        with pytest.raises(ProtocolError, match="bad JSON payload"):
+            parse_response(line)
+
+    @pytest.mark.parametrize("text", ["[", "[]]", "[],", "[] []"])
+    def test_args_next_to_the_empty_array_are_still_decoded_and_refused(self, text):
+        with pytest.raises(ProtocolError, match="bad JSON args"):
+            parse_command(f"CALL o.m {text}")
+
+    def test_the_json_free_shapes_never_touch_the_coder(self, monkeypatch):
+        def refuse(_value):
+            raise AssertionError("the coder was called")
+
+        monkeypatch.setattr(transport, "_encode", refuse)
+        monkeypatch.setattr(transport, "_decode", refuse)
+        assert format_command(Command("CALL", "o", "m", ())) == "CALL o.m []"
+        assert format_command(Command("NEW", "o", "C", [])) == "NEW C o []"
+        assert parse_command("CALL o.m []").args == ()
+        assert parse_command("NEW C o []").args == ()
+        assert format_response(Response("OK")) == "OK null"
+        assert parse_response("OK null") is transport._OK_NONE
 
     def test_bytes_arguments_travel_as_int_arrays(self):
         cmd = Command("CALL", "s", "write", (b"\x01\xff", bytearray(b"\x02")))
