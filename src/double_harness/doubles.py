@@ -11,6 +11,7 @@ remotely through the command channel.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Any
 
 from . import bus as _bus
@@ -34,42 +35,45 @@ class NotifyTimeoutError(Exception):
 
 
 class LedDouble:
-    """Pretends to be an LED: watches a GPIO line and times the toggles."""
+    """Pretends to be an LED: times the toggles on a GPIO line.
+
+    The line's edge log already holds every edge with its time, so the
+    double keeps no copy and hooks nothing into the line: an acquisition is
+    the window of that log from start_acquisition() to the expected toggle
+    count or to close(), whichever ends first.
+    """
 
     def __init__(self, line: _bus.GpioLine, expected_toggles: int) -> None:
         if expected_toggles < 2:
             raise ValueError("need at least 2 toggles to measure an interval")
         self.line = line
         self.expected_toggles = expected_toggles
-        self.captured: list[int] = []
-        self.acquiring = False
-        line.subscribe(self._on_edge)
+        self._first: int | None = None  # log index of the window's first edge
+        self._closed_at = sys.maxsize  # log length at the first close()
+
+    @property
+    def captured(self) -> list[int]:
+        """Times of the edges captured by the last acquisition, oldest first."""
+        first = self._first
+        if first is None:
+            return []
+        end = min(first + self.expected_toggles, self._closed_at)
+        return [at for at, _level in self.line.edges[first:end]]
 
     def start_acquisition(self) -> None:
-        self.captured = []
-        self.acquiring = True
+        self._first = len(self.line.edges)
 
     def get_avg_blink_ms(self) -> float:
         """Mean interval between consecutive captured edges, in ms."""
-        if len(self.captured) < self.expected_toggles:
-            raise NotReadyError(
-                f"captured {len(self.captured)} of {self.expected_toggles} edges"
-            )
-        intervals = [b - a for a, b in zip(self.captured, self.captured[1:])]
+        captured = self.captured
+        if len(captured) < self.expected_toggles:
+            raise NotReadyError(f"captured {len(captured)} of {self.expected_toggles} edges")
+        intervals = [b - a for a, b in zip(captured, captured[1:])]
         return sum(intervals) / len(intervals)
 
     def close(self) -> None:
-        self.line.unsubscribe(self._on_edge)
-
-    def _on_edge(self, at: int, _level: int) -> None:
-        if not self.acquiring:
-            return
-        captured = self.captured
-        missing = self.expected_toggles - len(captured)
-        if missing > 0:
-            captured.append(at)
-            if missing == 1:
-                self.acquiring = False
+        # A closed LED sees no later edge, whatever is started after.
+        self._closed_at = min(self._closed_at, len(self.line.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +128,10 @@ class RtcDouble:
     def set_mode(self, mode: str) -> None:
         if mode not in ("static", "dynamic"):
             raise ValueError(f"mode must be static or dynamic, got {mode!r}")
-        if mode == self.mode:
-            return
         if mode == "dynamic":
-            self._tick_handle = self._scheduler.schedule(1000, self._tick, periodic=1000)
+            # Arm a tick whenever none is pending: also after a tick that raised.
+            if self._tick_handle is None or not self._tick_handle.pending:
+                self._tick_handle = self._scheduler.schedule(1000, self._tick, periodic=1000)
         elif self._tick_handle is not None:
             self._scheduler.cancel(self._tick_handle)
             self._tick_handle = None
@@ -173,9 +177,7 @@ class RtcDouble:
         days, tod = divmod(tod, 86400)
         hour, rem = divmod(tod, 3600)
         minute, sec = divmod(rem, 60)
-        self.regs[0] = _bcd_encode(sec)
-        self.regs[1] = _bcd_encode(minute)
-        self.regs[2] = _bcd_encode(hour)
+        time_regs = bytes(map(_bcd_encode, (sec, minute, hour)))
         if days:  # the first day also re-synchronizes garbage date registers
             self._advance_one_day()
             # From a valid date the calendar repeats every 36525 days (2000-2099,
@@ -184,6 +186,9 @@ class RtcDouble:
             self.regs[3] = _bcd_encode((_bcd_decode(self.regs[3]) - 1 + skipped) % 7 + 1)
             for _ in range((days - 1) % 36525):
                 self._advance_one_day()
+        # Written after the day step, the one part that can raise (on a garbage
+        # year): a step that fails writes no register.
+        self.regs[0:3] = time_regs
 
     def close(self) -> None:
         if self._tick_handle is not None:

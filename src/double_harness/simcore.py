@@ -47,17 +47,15 @@ class Scheduler:
     Events fire strictly in (due, seq) order, where seq is the insertion
     sequence number, so simultaneous events run first-scheduled-first.
     Periodic events re-arm themselves at due + period until cancelled.
+
+    `now` is the current simulated time in ms. It is a plain attribute,
+    read on every edge, and only advance_to assigns it.
     """
 
     def __init__(self) -> None:
-        self._now: int = 0
+        self.now: SimTime = 0
         self._seq: int = 0
         self._heap: list[tuple[int, int, EventHandle]] = []
-
-    @property
-    def now(self) -> SimTime:
-        """Current simulated time in ms."""
-        return self._now
 
     def schedule(self, delay_ms: int, action: Action, periodic: int | None = None) -> EventHandle:
         """Queue `action` to run delay_ms from now.
@@ -71,7 +69,7 @@ class Scheduler:
             raise ScheduleError(f"period must be an int >= 1 ms, got {periodic!r}")
         self._seq += 1
         event = EventHandle(action, periodic)
-        heapq.heappush(self._heap, (self._now + delay_ms, self._seq, event))
+        heapq.heappush(self._heap, (self.now + delay_ms, self._seq, event))
         return event
 
     def cancel(self, handle: EventHandle) -> bool:
@@ -91,7 +89,8 @@ class Scheduler:
 
         Events scheduled by fired actions also fire in the same pass when
         their due time is <= `to`. Returns the number of actions fired.
-        Time cannot reverse: `to` must be >= now.
+        Time cannot reverse: `to` must be >= now. This is the one method
+        that assigns `now`.
 
         Head-run rule: a periodic event re-armed after firing takes a fresh
         seq, so it goes after every event already queued for the same ms.
@@ -112,8 +111,8 @@ class Scheduler:
         """
         if type(to) is not int:
             raise ScheduleError(f"time must be an int ms, got {to!r}")
-        if to < self._now:
-            raise ScheduleError(f"cannot advance backwards: now={self._now}, to={to}")
+        if to < self.now:
+            raise ScheduleError(f"cannot advance backwards: now={self.now}, to={to}")
         heap = self._heap
         fired = 0
         while heap and heap[0][0] <= to:
@@ -122,7 +121,7 @@ class Scheduler:
                 continue
             action, period = event.action, event.period
             while True:
-                self._now = due
+                self.now = due
                 try:
                     action()
                 except BaseException:
@@ -133,21 +132,21 @@ class Scheduler:
                     event.done = True
                     break
                 due += period
-                if due < self._now:  # the action advanced the clock past it
-                    due = self._now
+                if due < self.now:  # the action advanced the clock past it
+                    due = self.now
                 self._seq += 1
                 if due > to or (heap and heap[0][0] <= due):
                     heapq.heappush(heap, (due, self._seq, event))
                     break
-        if self._now < to:
-            self._now = to
+        if self.now < to:
+            self.now = to
         return fired
 
     def advance_by(self, delta_ms: int) -> int:
         """Equivalent to advance_to(now + delta_ms)."""
         if type(delta_ms) is not int or delta_ms < 0:
             raise ScheduleError(f"delta must be an int >= 0, got {delta_ms!r}")
-        return self.advance_to(self._now + delta_ms)
+        return self.advance_to(self.now + delta_ms)
 
     def run_until(self, ready: Callable[[], object], deadline: SimTime) -> bool:
         """Fire events due time by due time until ready() holds, and return
@@ -156,7 +155,7 @@ class Scheduler:
         while not ready():
             due = self.next_due()
             if due is None or due > deadline:
-                if self._now < deadline:
+                if self.now < deadline:
                     self.advance_to(deadline)
                 return False
             self.advance_to(due)

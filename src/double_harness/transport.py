@@ -29,6 +29,7 @@ import json
 import re
 import time
 from collections import deque
+from itertools import accumulate
 from types import FunctionType, MethodType
 from typing import Any, Callable, NamedTuple, Protocol
 
@@ -51,6 +52,35 @@ def _wire_value(value: Any) -> list[int]:  # the encoder's `default` hook
 # Python value to wire JSON, for commands and results alike.
 _encode = json.JSONEncoder(separators=(",", ":"), default=_wire_value).encode
 _decode = json.JSONDecoder().decode
+
+# One nesting rule on every supported Python: JSON nested deeper than this is
+# refused. The interpreters' own limits differ (about 990 levels on 3.10 and
+# 3.11, 1500 on 3.12, over 2000 on 3.13), so the codec does not lean on them.
+MAX_JSON_DEPTH = 512
+_TOO_DEEP = f"nested deeper than {MAX_JSON_DEPTH} levels"
+# Patterns, not compiled at import: re compiles and caches them on first use,
+# so a process that never scans never pays for them. With escapes gone, a
+# string runs to the next quote; its brackets are data.
+_ESCAPE = r"\\."
+_NOT_NESTING = r'"[^"]*"|[^"\[\]{}]+'
+_NESTING_STEP = {"[": 1, "{": 1, "]": -1, "}": -1, '"': 0}  # '"': an unclosed string
+
+
+def _check_depth(text: str) -> None:
+    """Raise ValueError when JSON text nests deeper than MAX_JSON_DEPTH."""
+    # Each level takes two chars and one opening bracket: a flat array of
+    # any length passes without a scan.
+    if len(text) <= 2 * MAX_JSON_DEPTH or text.count("[") + text.count("{") <= MAX_JSON_DEPTH:
+        return
+    nesting = re.sub(_NOT_NESTING, "", re.sub(_ESCAPE, "", text))
+    if nesting and max(accumulate(map(_NESTING_STEP.__getitem__, nesting))) > MAX_JSON_DEPTH:
+        raise ValueError(_TOO_DEEP)
+
+
+def _depth_rule(exc: Exception) -> Exception:
+    """The depth rule's error in place of an interpreter RecursionError."""
+    return ValueError(_TOO_DEEP) if isinstance(exc, RecursionError) else exc
+
 
 DEFAULT_TIMEOUT_MS = 5000  # simulated ms on the virtual channel
 DEFAULT_SERIAL_TIMEOUT_MS = 2000  # wall-clock ms on a physical port
@@ -166,9 +196,10 @@ def _parse_args(text: str) -> tuple:
     if text == "[]":  # half of all CALLs and NEWs: no decoder needed
         return ()
     try:
+        _check_depth(text)
         args = _decode(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise ProtocolError(f"bad JSON args: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ProtocolError(f"bad JSON args: {_depth_rule(exc)}") from exc
     if not isinstance(args, list):
         raise ProtocolError("args must be a JSON array")
     return tuple(args)
@@ -186,10 +217,12 @@ def format_response(resp: Response) -> str:
             return "OK null"
         try:  # refused: an unknown type, an int too long to print, a cycle, deep nesting
             line = "OK " + _encode(resp.payload)
+            _check_depth(line)
             if len(line) <= MAX_FRAME_LEN:
                 return line
             resp = err("EXEC", f"result too long for one frame: {len(line)} > {MAX_FRAME_LEN}")
         except (TypeError, ValueError, RecursionError) as exc:
+            exc = _depth_rule(exc)
             resp = err("EXEC", f"{type(exc).__name__}: {exc}")
     line = f"ERR {resp.code} {resp.message}"[:MAX_FRAME_LEN]
     if not (line.isascii() and line.isprintable()):
@@ -205,9 +238,10 @@ def parse_response(line: str) -> Response:
         if not space:
             raise ProtocolError("OK response missing payload")
         try:
+            _check_depth(rest)
             return Response("OK", _decode(rest))
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ProtocolError(f"bad JSON payload: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+            raise ProtocolError(f"bad JSON payload: {_depth_rule(exc)}") from exc
     if status == "ERR":
         code, _, message = rest.partition(" ")
         if not code:

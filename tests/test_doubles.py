@@ -5,6 +5,8 @@ import random
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from double_harness.bus import (
     BleAir,
@@ -126,6 +128,67 @@ class TestLedDouble:
         led.close()
         line.toggle(10)
         assert led.captured == []
+
+
+class _ListeningLed:
+    """Reference: an LED that subscribes to the line and copies each edge time
+    into its own list while an acquisition is open."""
+
+    def __init__(self, line, expected_toggles):
+        self.line, self.expected_toggles = line, expected_toggles
+        self.captured, self.acquiring = [], False
+        line.subscribe(self.on_edge)
+
+    def start_acquisition(self):
+        self.captured, self.acquiring = [], True
+
+    def close(self):
+        self.line.unsubscribe(self.on_edge)
+
+    def on_edge(self, at, _level):
+        if self.acquiring and len(self.captured) < self.expected_toggles:
+            self.captured.append(at)
+
+    def get_avg_blink_ms(self):
+        if len(self.captured) < self.expected_toggles:
+            raise NotReadyError(f"captured {len(self.captured)} of {self.expected_toggles} edges")
+        return (self.captured[-1] - self.captured[0]) / (len(self.captured) - 1)
+
+
+def _reading(led):
+    try:
+        return list(led.captured), led.get_avg_blink_ms()
+    except NotReadyError as exc:
+        return list(led.captured), str(exc)
+
+
+_LED_OPS = st.lists(
+    st.tuples(st.just("write"), st.integers(0, 1))  # writing the current level is a no-op
+    | st.tuples(st.just("sleep"), st.integers(0, 40))
+    | st.just(("start_acquisition",))
+    | st.just(("close",)),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 1), max_size=4), st.integers(2, 5), _LED_OPS)
+def test_led_window_of_the_edge_log_reads_like_a_listener(before, toggles, ops):
+    """Over any writes, sleeps, acquisitions and closes, the LED double's window
+    of the line's edge log captures what a subscribed listener would have."""
+    line, now = GpioLine(), 0
+    for level in before:  # edges logged before the LED exists
+        line.write(level, now)
+    led, reference = LedDouble(line, toggles), _ListeningLed(line, toggles)
+    for op, *arg in ops:
+        if op == "write":
+            line.write(arg[0], now)
+        elif op == "sleep":
+            now += arg[0]
+        else:
+            getattr(led, op)()
+            getattr(reference, op)()
+        assert _reading(led) == _reading(reference)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +341,8 @@ class TestRtcCalendarOracle:
 
 
 def per_day_advance(rtc, n):
-    """Reference: advance_seconds as a plain loop of one register step per day."""
+    """Reference: advance_seconds as a plain loop of one register step per day,
+    with the time registers written only once every step has passed."""
 
     def dec(b):
         return (b >> 4) * 10 + (b & 0x0F)
@@ -288,9 +352,9 @@ def per_day_advance(rtc, n):
 
     tod = dec(rtc.regs[2]) * 3600 + dec(rtc.regs[1]) * 60 + dec(rtc.regs[0]) + n
     days, tod = divmod(tod, 86400)
-    rtc.regs[0:3] = bytes([enc(tod % 60), enc(tod // 60 % 60), enc(tod // 3600)])
     for _ in range(days):
         rtc._advance_one_day()
+    rtc.regs[0:3] = bytes([enc(tod % 60), enc(tod // 60 % 60), enc(tod // 3600)])
 
 
 def _outcome(advance, image, n):
@@ -357,10 +421,9 @@ def test_rtc_advance_that_is_not_an_int_ge_zero_gets_err_exec(rig, n):
     assert send("read_registers").payload == before
 
 
-def test_a_tick_on_a_garbage_year_ends_the_tick_and_writes_no_date_register(rig):
-    """The tick at 1000 ms rolls 23:59:59 over midnight and cannot encode year
-    165: the command that moved the clock answers ERR EXEC, the tick is done
-    (not pending, not queued) and weekday, day, month and year are as loaded."""
+def _garbage_year_tick(rig):
+    """Load 23:59:59 with year 165 into a dynamic RTC and run a blocking blink
+    through its first tick; return the RTC, whose tick then failed."""
     double, dut = rig.session.double.endpoint, rig.session.dut.endpoint
     assert send_command(double, Command("NEW", "rtc", "Rtc", ("dynamic",))).ok
     garbage = [0x59, 0x59, 0x23, 1, 1, 1, 0xFF]  # [89,89,35,1,1,1,255] on the wire
@@ -369,11 +432,34 @@ def test_a_tick_on_a_garbage_year_ends_the_tick_and_writes_no_date_register(rig)
     resp = send_command(dut, Command("CALL", "b", "blink", ("blocking",)))
     assert resp.code == "EXEC" and resp.message.startswith("ValueError: BCD range"), resp
     assert rig.scheduler.now == 1000
-    rtc = rig.session.double.registry.objects["rtc"]
+    return rig.session.double.registry.objects["rtc"]
+
+
+def test_a_tick_on_a_garbage_year_ends_the_tick_and_writes_no_register(rig):
+    """The tick at 1000 ms rolls 23:59:59 over midnight and cannot encode year
+    165: the command that moved the clock answers ERR EXEC, the tick is done
+    (not pending, not queued) and all seven registers are as loaded."""
+    rtc = _garbage_year_tick(rig)
     tick = rtc._tick_handle
     assert not tick.pending
     assert all(entry[2] is not tick for entry in rig.scheduler._heap)
-    assert rtc.read_registers() == [0, 0, 0, 1, 1, 1, 0xFF]
+    assert rtc.read_registers() == [0x59, 0x59, 0x23, 1, 1, 1, 0xFF]
+
+
+def test_set_mode_dynamic_rearms_a_tick_that_a_garbage_year_ended(rig):
+    """After the failed tick, a valid image plus set_mode("dynamic") ticks
+    again, and a second set_mode("dynamic") on the ticking RTC arms no
+    second tick: 5 s of sim time adds 5 s."""
+
+    def send(method, *args):
+        return send_command(rig.session.double.endpoint, Command("CALL", "rtc", method, args))
+
+    _garbage_year_tick(rig)
+    assert send("load_registers", [0, 0, 0, 1, 1, 1, 36]).ok
+    assert send("set_mode", "dynamic").ok
+    assert send("set_mode", "dynamic").ok
+    rig.scheduler.advance_by(5000)
+    assert send("read_registers").payload == [5, 0, 0, 1, 1, 1, 36]
 
 
 def _month_len(year, month):

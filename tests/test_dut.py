@@ -6,6 +6,7 @@ from decimal import Decimal
 
 import pytest
 
+from double_harness import suites
 from double_harness.bus import (
     BleAir,
     GpioLine,
@@ -104,6 +105,51 @@ class TestBlinker:
     def test_bad_mode_rejected(self, sched):
         with pytest.raises(ValueError):
             Blinker(GpioLine(), 100, 1, sched).blink("turbo")
+
+
+def _send_dut(rig, verb, obj, method=None, *args):
+    return send_command(rig.session.dut.endpoint, Command(verb, obj, method, args))
+
+
+@pytest.mark.parametrize(
+    "period_ms, count, refusal",
+    [
+        (1, 1, None),
+        (0, 1, "ValueError: period must be an int >= 1 ms, got 0"),
+        (10, 0, "ValueError: count must be an int >= 1, got 0"),
+    ],
+    ids=["period-1-count-1", "period-0", "count-0"],
+)
+def test_blinker_period_and_count_boundaries_on_the_wire(rig, period_ms, count, refusal):
+    """NEW takes the smallest period and count, 1 ms and 1 blink, and refuses 0."""
+    resp = _send_dut(rig, "NEW", "b", "Blinker", 13, period_ms, count)
+    if refusal is not None:
+        assert (resp.code, resp.message) == ("EXEC", refusal)
+        return
+    assert resp.ok
+    assert _send_dut(rig, "CALL", "b", "blink", "blocking").ok
+    assert [t for t, _ in rig.led_line.edges] == [1, 2]
+
+
+@pytest.mark.parametrize("mode", ["blocking", "isr"])
+@pytest.mark.parametrize("skew, edges", [(-2, [1, 2, 3, 4]), (-3, None)], ids=["leaves-1ms", "leaves-0ms"])
+def test_blinker_period_skew_boundary_on_the_wire(monkeypatch, mode, skew, edges):
+    """A 3 ms period skewed to 1 ms still blinks; skewed to 0 ms the blink is
+    refused before the clock moves or a timer is armed."""
+    monkeypatch.setattr(suites, "fault_config", lambda name: FaultConfig(period_skew_ms=skew))
+    rig = suites.build_virtual_rig("skewed")
+    try:
+        assert _send_dut(rig, "NEW", "b", "Blinker", 13, 3, 2).ok
+        resp = _send_dut(rig, "CALL", "b", "blink", mode)
+        if edges is None:
+            assert (resp.code, resp.message) == ("EXEC", "ValueError: skewed period collapsed below 1 ms")
+            assert rig.scheduler.now == 0 and rig.scheduler.next_due() is None
+        else:
+            assert resp.ok
+        rig.scheduler.advance_by(10)
+        assert [t for t, _ in rig.led_line.edges] == (edges or [])
+    finally:
+        rig.close()
 
 
 # ---------------------------------------------------------------------------

@@ -251,24 +251,24 @@ class _HeapLoopScheduler(Scheduler):
     and a nested advance past `to` leaves now where it is."""
 
     def advance_to(self, to):
-        if to < self._now:
-            raise ScheduleError(f"cannot advance backwards: now={self._now}, to={to}")
+        if to < self.now:
+            raise ScheduleError(f"cannot advance backwards: now={self.now}, to={to}")
         fired = 0
         while self._heap and self._heap[0][0] <= to:
             due, _seq, event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
-            self._now = due
+            self.now = due
             event.action()
             fired += 1
             if event.period is not None and not event.cancelled:
                 self._seq += 1
                 heapq.heappush(
-                    self._heap, (max(due + event.period, self._now), self._seq, event)
+                    self._heap, (max(due + event.period, self.now), self._seq, event)
                 )
             else:
                 event.done = True
-        self._now = max(self._now, to)
+        self.now = max(self.now, to)
         return fired
 
 

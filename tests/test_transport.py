@@ -20,6 +20,7 @@ from double_harness.simcore import Scheduler
 from double_harness.suites import SUITE_ORDER, SUITES, build_virtual_rig
 from double_harness.transport import (
     MAX_FRAME_LEN,
+    MAX_JSON_DEPTH,
     ChannelClosedError,
     Command,
     CommandServer,
@@ -576,6 +577,24 @@ def _nested(depth):
     return value
 
 
+def _levels(value):
+    """Nesting depth of a JSON value: 0 for a scalar, 1 for an empty array."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return 1 + max(map(_levels, value), default=0)
+    return 0
+
+
+_TOO_DEEP = f"nested deeper than {MAX_JSON_DEPTH} levels"
+_BRACKETY = st.text('[]{}"\\,:ab\u00e9\n', max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _BRACKETY,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_BRACKETY, inner, max_size=3),
+    max_leaves=10,
+)
+
+
 def _circular():
     value = [1]
     value.append(value)
@@ -618,7 +637,7 @@ class TestOneFramePerCommand:
         [
             (lambda: 10**5000, "ValueError"),
             (_circular, "ValueError"),
-            (lambda: _nested(1500), "RecursionError"),
+            (lambda: _nested(1500), "ValueError"),
             (lambda: {1, 2}, "TypeError"),
             (object, "TypeError"),
         ],
@@ -638,6 +657,39 @@ class TestOneFramePerCommand:
     def test_a_reply_nested_too_deep_is_a_protocol_error(self):
         with pytest.raises(ProtocolError):
             parse_response("OK " + "[" * 1000 + "]" * 1000)
+
+    @pytest.mark.parametrize("depth", [MAX_JSON_DEPTH, MAX_JSON_DEPTH + 1], ids=["at-limit", "one-over"])
+    def test_one_nesting_rule_for_args_replies_and_results(self, depth):
+        """JSON MAX_JSON_DEPTH levels deep is carried and one level more is
+        refused, whatever the interpreter's own limit: in a command's args, in
+        a reply the controller reads, and in a result the device encodes."""
+        fits = depth <= MAX_JSON_DEPTH
+        inner = _compact(_nested(depth - 2))  # _nested(n) is n + 1 levels deep
+        (reply,) = _wire_reply(f"CALL b.two [{inner},0]")
+        if fits:
+            assert reply == f"OK [{inner},0]"
+        else:
+            assert reply == f"ERR BAD_ARGS malformed command: bad JSON args: {_TOO_DEEP}"
+        text = _compact(_nested(depth - 1))
+        if fits:
+            assert parse_response("OK " + text).payload == _nested(depth - 1)
+        else:
+            with pytest.raises(ProtocolError, match=f"^bad JSON payload: {_TOO_DEEP}$"):
+                parse_response("OK " + text)
+        (reply,) = _hosted_reply(_nested(depth - 1))
+        assert reply == ("OK " + text if fits else f"ERR EXEC ValueError: {_TOO_DEEP}")
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_JSON_VALUES)
+    def test_brackets_inside_strings_do_not_count_as_nesting(self, value):
+        """Wrapped to exactly MAX_JSON_DEPTH levels, any value passes the depth
+        check, whatever brackets, quotes and backslashes its strings hold; one
+        level more fails it."""
+        wrap = MAX_JSON_DEPTH - _levels(value)
+        text = _compact(value)
+        transport._check_depth("[" * wrap + text + "]" * wrap)
+        with pytest.raises(ValueError, match=_TOO_DEEP):
+            transport._check_depth("[" * (wrap + 1) + text + "]" * (wrap + 1))
 
     def test_bad_args_echo_of_non_ascii_args(self):
         (reply,) = _wire_reply(r'CALL b.two ["\u00e9"]')
