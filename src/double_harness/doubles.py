@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import lru_cache
 from typing import Any
 
 from . import bus as _bus
@@ -44,32 +45,42 @@ class LedDouble:
     """
 
     def __init__(self, line: _bus.GpioLine, expected_toggles: int) -> None:
-        if expected_toggles < 2:
-            raise ValueError("need at least 2 toggles to measure an interval")
+        # type(), not int(): the count is a log index, so a bool or float is refused
+        if type(expected_toggles) is not int or expected_toggles < 2:
+            raise ValueError(f"expected_toggles must be an int >= 2, got {expected_toggles!r}")
         self.line = line
         self.expected_toggles = expected_toggles
         self._first: int | None = None  # log index of the window's first edge
         self._closed_at = sys.maxsize  # log length at the first close()
 
+    def _window(self) -> tuple[int, int]:
+        """Log index of the acquisition's first edge, and how many it captured."""
+        first = self._first
+        if first is None:
+            return 0, 0
+        end = min(len(self.line.edges), first + self.expected_toggles, self._closed_at)
+        return first, max(0, end - first)
+
     @property
     def captured(self) -> list[int]:
         """Times of the edges captured by the last acquisition, oldest first."""
-        first = self._first
-        if first is None:
-            return []
-        end = min(first + self.expected_toggles, self._closed_at)
-        return [at for at, _level in self.line.edges[first:end]]
+        first, n = self._window()
+        return [at for at, _level in self.line.edges[first : first + n]]
 
     def start_acquisition(self) -> None:
         self._first = len(self.line.edges)
 
     def get_avg_blink_ms(self) -> float:
-        """Mean interval between consecutive captured edges, in ms."""
-        captured = self.captured
-        if len(captured) < self.expected_toggles:
-            raise NotReadyError(f"captured {len(captured)} of {self.expected_toggles} edges")
-        intervals = [b - a for a, b in zip(captured, captured[1:])]
-        return sum(intervals) / len(intervals)
+        """Mean interval between consecutive captured edges, in ms.
+
+        The mean telescopes to the window's end points. Edge times are ints,
+        so this is the same float as the sum of the intervals over their count.
+        """
+        first, n = self._window()
+        if n < self.expected_toggles:
+            raise NotReadyError(f"captured {n} of {self.expected_toggles} edges")
+        edges = self.line.edges
+        return (edges[first + n - 1][0] - edges[first][0]) / (n - 1)
 
     def close(self) -> None:
         # A closed LED sees no later edge, whatever is started after.
@@ -257,6 +268,20 @@ GGA = "GGA"
 RMC = "RMC"
 
 
+@lru_cache(maxsize=8)  # a second's sentences are reused by every emit within it
+def _sentence(stype: str, fix: tuple[str, str, str, str], second: int) -> bytes:
+    """One NMEA line, CRLF included: a pure function of type, fix and second of day."""
+    lat, ns, lon, ew = fix
+    h, rem = divmod(second, 3600)
+    m, s = divmod(rem, 60)
+    hhmmss = f"{h:02d}{m:02d}{s:02d}"
+    if stype == GGA:
+        body = f"GPGGA,{hhmmss},{lat},{ns},{lon},{ew},1,08,0.9,10.0,M,0.0,M,,"
+    else:
+        body = f"GPRMC,{hhmmss},A,{lat},{ns},{lon},{ew},0.0,0.0,010100,,"
+    return wrap_sentence(body).encode("ascii") + b"\r\n"
+
+
 class GpsDouble:
     """NEO-6M stand-in: accepts config sentences, emits fixes on a timer.
 
@@ -344,25 +369,10 @@ class GpsDouble:
         self._emit_handle = self._scheduler.schedule(period, self._emit, periodic=period)
 
     def _emit(self) -> None:
+        second = (self._scheduler.now // 1000) % 86400
         for stype in sorted(self.enabled):
-            sentence = self._build(stype)
-            self._uart.send(sentence.encode("ascii") + b"\r\n")
+            self._uart.send(_sentence(stype, self.fix, second))
             self.emit_count += 1
-
-    def _build(self, stype: str) -> str:
-        lat, ns, lon, ew = self.fix
-        hhmmss = self._clock_field()
-        if stype == GGA:
-            body = f"GPGGA,{hhmmss},{lat},{ns},{lon},{ew},1,08,0.9,10.0,M,0.0,M,,"
-        else:
-            body = f"GPRMC,{hhmmss},A,{lat},{ns},{lon},{ew},0.0,0.0,010100,,"
-        return wrap_sentence(body)
-
-    def _clock_field(self) -> str:
-        total = (self._scheduler.now // 1000) % 86400
-        h, rem = divmod(total, 3600)
-        m, s = divmod(rem, 60)
-        return f"{h:02d}{m:02d}{s:02d}"
 
 
 # ---------------------------------------------------------------------------

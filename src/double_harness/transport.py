@@ -147,7 +147,17 @@ def format_command(cmd: Command) -> str:
     if verb == "CALL" or verb == "NEW":
         args = cmd.args
         # Empty args need no encoder; anything else, None included, goes to it.
-        text = "[]" if isinstance(args, (tuple, list)) and not args else _encode(args)
+        if isinstance(args, (tuple, list)) and not args:
+            text = "[]"
+        else:
+            try:  # the depth rule on every Python, whatever the interpreter's own limit
+                text = _encode(args)
+            except RecursionError as exc:
+                raise ProtocolError(f"bad JSON args: {_TOO_DEEP}") from exc
+            try:
+                _check_depth(text)
+            except ValueError as exc:
+                raise ProtocolError(f"bad JSON args: {exc}") from exc
         if verb == "CALL":  # half of all traffic: test it first
             line = f"CALL {cmd.obj}.{cmd.method} {text}"
         else:

@@ -2,10 +2,11 @@
 
 import datetime
 import random
+import time
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from double_harness.bus import (
@@ -31,6 +32,7 @@ from double_harness.doubles import (
     wrap_sentence,
 )
 from double_harness.simcore import Scheduler
+from double_harness.suites import DOUBLE_LED_PIN
 from double_harness.transport import Command, send_command
 
 # ---------------------------------------------------------------------------
@@ -132,7 +134,8 @@ class TestLedDouble:
 
 class _ListeningLed:
     """Reference: an LED that subscribes to the line and copies each edge time
-    into its own list while an acquisition is open."""
+    into its own list while an acquisition is open, and averages the
+    intervals one by one."""
 
     def __init__(self, line, expected_toggles):
         self.line, self.expected_toggles = line, expected_toggles
@@ -152,7 +155,8 @@ class _ListeningLed:
     def get_avg_blink_ms(self):
         if len(self.captured) < self.expected_toggles:
             raise NotReadyError(f"captured {len(self.captured)} of {self.expected_toggles} edges")
-        return (self.captured[-1] - self.captured[0]) / (len(self.captured) - 1)
+        intervals = [b - a for a, b in zip(self.captured, self.captured[1:])]
+        return sum(intervals) / len(intervals)
 
 
 def _reading(led):
@@ -165,6 +169,7 @@ def _reading(led):
 _LED_OPS = st.lists(
     st.tuples(st.just("write"), st.integers(0, 1))  # writing the current level is a no-op
     | st.tuples(st.just("sleep"), st.integers(0, 40))
+    | st.tuples(st.just("burst"), st.integers(1, 30))  # toggles 1 ms apart
     | st.just(("start_acquisition",))
     | st.just(("close",)),
     max_size=40,
@@ -172,10 +177,16 @@ _LED_OPS = st.lists(
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.integers(0, 1), max_size=4), st.integers(2, 5), _LED_OPS)
+@given(st.lists(st.integers(0, 1), max_size=4), st.integers(2, 40), _LED_OPS)
+@example([], 4, [("start_acquisition",), ("burst", 2), ("close",), ("burst", 5)])  # closed early
+@example([1], 2, [("start_acquisition",), ("burst", 3), ("start_acquisition",), ("burst", 2)])  # restarted
+@example([], 40, [("start_acquisition",), ("burst", 30)])  # window longer than the log
+@example([], 3, [("close",), ("start_acquisition",), ("burst", 3)])  # closed before it started
 def test_led_window_of_the_edge_log_reads_like_a_listener(before, toggles, ops):
-    """Over any writes, sleeps, acquisitions and closes, the LED double's window
-    of the line's edge log captures what a subscribed listener would have."""
+    """Over any writes, sleeps, bursts, acquisitions and closes, the LED
+    double's window of the line's edge log captures what a subscribed
+    listener would have, and its end-point average is the listener's mean of
+    intervals exactly, or the same NotReadyError text."""
     line, now = GpioLine(), 0
     for level in before:  # edges logged before the LED exists
         line.write(level, now)
@@ -185,10 +196,42 @@ def test_led_window_of_the_edge_log_reads_like_a_listener(before, toggles, ops):
             line.write(arg[0], now)
         elif op == "sleep":
             now += arg[0]
+        elif op == "burst":
+            for _ in range(arg[0]):
+                now += 1
+                line.toggle(now)
         else:
             getattr(led, op)()
             getattr(reference, op)()
         assert _reading(led) == _reading(reference)
+
+
+@pytest.mark.parametrize(
+    "toggles, refusal",
+    [
+        (2, None),
+        (1, "ValueError: expected_toggles must be an int >= 2, got 1"),
+        (2.5, "ValueError: expected_toggles must be an int >= 2, got 2.5"),
+        (4.0, "ValueError: expected_toggles must be an int >= 2, got 4.0"),
+        (True, "ValueError: expected_toggles must be an int >= 2, got True"),
+    ],
+    ids=["2", "1", "2.5", "4.0", "true"],
+)
+def test_led_toggle_count_follows_the_int_rule_on_the_wire(rig, toggles, refusal):
+    """The toggle count indexes the edge log, so NEW refuses a float, a bool
+    or a count under 2, as Blinker refuses its count; 2 is measured."""
+
+    def send(verb, method, *args):
+        return send_command(rig.session.double.endpoint, Command(verb, "l", method, args))
+
+    resp = send("NEW", "Led", DOUBLE_LED_PIN, toggles)
+    if refusal is not None:
+        assert (resp.code, resp.message) == ("EXEC", refusal)
+        return
+    assert resp.ok and send("CALL", "start_acquisition").ok
+    rig.led_line.toggle(10)
+    rig.led_line.toggle(30)
+    assert send("CALL", "get_avg_blink_ms").payload == 20.0
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +629,67 @@ class TestGpsSentences:
             _config(link, f"PDBL,RATE,{period}")
             sched.advance_by(window)
             assert gps.get_emit_count() == (window - period) // period + 1
+
+
+_FIXES = [
+    ("4807.038", "N", "01131.000", "E"),
+    ("2233.500", "S", "04312.250", "W"),
+    ("0000.000", "N", "18000.000", "W"),
+]
+_GPS_OPS = st.lists(
+    st.tuples(st.just("fix"), st.sampled_from(_FIXES))
+    | st.tuples(st.just("sel"), st.sampled_from(["GGA", "RMC"]), st.sampled_from("01"))
+    # 125, 200, 250 and 1000 divide a second; the others do not
+    | st.tuples(st.just("rate"), st.sampled_from([7, 125, 200, 250, 300, 333, 700, 1000, 1500]))
+    | st.tuples(st.just("sleep"), st.integers(0, 1500)),
+    max_size=12,
+)
+
+
+def _gps_line(stype, fix, at_ms):
+    """A sentence built from scratch: stdlib clock field, XOR-fold checksum."""
+    lat, ns, lon, ew = fix
+    hhmmss = time.strftime("%H%M%S", time.gmtime(at_ms // 1000))
+    if stype == "GGA":
+        body = f"GPGGA,{hhmmss},{lat},{ns},{lon},{ew},1,08,0.9,10.0,M,0.0,M,,"
+    else:
+        body = f"GPRMC,{hhmmss},A,{lat},{ns},{lon},{ew},0.0,0.0,010100,,"
+    return f"${body}*{oracle_checksum(body):02X}\r\n".encode("ascii")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.just(0) | st.integers(86_398_000, 86_400_000), _GPS_OPS)
+@example(0, [("rate", 250), ("sleep", 1100), ("fix", _FIXES[1]), ("sel", "RMC", "1"), ("sleep", 900)])
+@example(86_399_000, [("rate", 300), ("sel", "RMC", "1"), ("sleep", 1500)])  # wraps at 86,400 s
+@example(998, [("rate", 1), ("sleep", 2)])  # a second boundary between two emits
+def test_every_emitted_sentence_is_a_fresh_build(start, ops):
+    """Whatever fixes, selections and rates change inside one simulated
+    second or across seconds, and across the wrap at 86,400 s, each emitted
+    line is the sentence built from scratch for its type, the fix at that
+    moment and its second of day, in sorted type order."""
+    sched = Scheduler()
+    sched.advance_to(start)
+    link = UartLink(sched)
+    gps = GpsDouble(link.b, sched)
+    fix, enabled, armed, period, expected = gps.fix, {"GGA"}, None, None, []
+    for op, *arg in ops:
+        if op == "fix":
+            gps.set_fix(*arg[0])
+            fix = arg[0]
+        elif op == "sel":
+            _config(link, f"PDBL,SEL,{arg[0]},{arg[1]}")
+            (enabled.add if arg[1] == "1" else enabled.discard)(arg[0])
+        elif op == "rate":
+            _config(link, f"PDBL,RATE,{arg[0]}")
+            armed, period = sched.now, arg[0]
+        else:
+            if period is not None:  # emits due in (now, now + sleep], from the last arming
+                first = sched.now + period - (sched.now - armed) % period
+                for at in range(first, sched.now + arg[0] + 1, period):
+                    expected += [_gps_line(stype, fix, at) for stype in sorted(enabled)]
+            sched.advance_by(arg[0])
+    assert link.a.pending() == b"".join(expected)
+    assert gps.get_emit_count() == len(expected)
 
 
 class TestNmeaHelpers:

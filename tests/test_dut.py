@@ -1,8 +1,10 @@
 """Reference drivers, with and without their deliberate faults armed."""
 
 import datetime
+import operator
 import random
 from decimal import Decimal
+from functools import reduce
 
 import pytest
 
@@ -406,6 +408,60 @@ class TestGpsDriverLatitude:
         driver = GpsDriver(link.a, sched)
         with pytest.raises(UartTimeoutError):
             driver.get_latitude(100)
+
+
+def _nmea(body, lead="$"):
+    """A line with its checksum from an XOR fold, not from the double."""
+    cs = reduce(operator.xor, map(ord, body), 0)
+    return f"{lead}{body}*{cs:02X}\r\n".encode("ascii")
+
+
+def _gga(lat, lead="$"):
+    return _nmea(f"GPGGA,000001,{lat},N,01131.000,E,1,08,0.9,10.0,M,0.0,M,,", lead)
+
+
+@pytest.fixture
+def gps_drv(rig):
+    assert _send_dut(rig, "NEW", "g", "GpsDriver").ok
+    return rig
+
+
+def test_gps_send_refuses_a_body_with_del_on_the_wire(gps_drv):
+    """DEL (0x7f) is not printable: the command is refused and no byte moves."""
+    resp = _send_dut(gps_drv, "CALL", "g", "send_command", "PDBL,RATE,1000\x7f")
+    assert (resp.code, resp.message) == ("EXEC", "ValueError: body must be printable ASCII")
+    assert gps_drv.uart.b.pending() == b""
+
+
+def test_gps_latitude_with_no_time_left_still_reads_a_buffered_line(gps_drv):
+    """A zero timeout takes a GGA that is already buffered; it does not time out."""
+    gps_drv.uart.b.send(_gga("4807.038"))
+    resp = _send_dut(gps_drv, "CALL", "g", "get_latitude", 0)
+    assert resp.ok and abs(resp.payload - ddmm_oracle("4807.038", "N")) < 1e-9
+    assert gps_drv.scheduler.now == 0
+
+
+def test_gps_latitude_reads_a_gga_cut_after_the_hemisphere(gps_drv):
+    """Latitude and hemisphere are all get_latitude needs: four fields are enough."""
+    gps_drv.uart.b.send(_nmea("GPGGA,000001,4807.038,S"))
+    resp = _send_dut(gps_drv, "CALL", "g", "get_latitude", 0)
+    assert resp.ok and abs(resp.payload - ddmm_oracle("4807.038", "S")) < 1e-9
+    assert _send_dut(gps_drv, "CALL", "g", "get_parse_errors").payload == 0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [_gga("4807.038", lead="#"), _gga("4860.000"), _nmea("GPGGA,000001,4807.038")],
+    ids=["no-dollar-valid-checksum", "60-minutes", "no-hemisphere"],
+)
+def test_gps_latitude_counts_a_bad_line_and_reads_the_next(gps_drv, bad):
+    """A line that does not start with '$', even with a checksum valid over its
+    body, a minutes field of 60 and a GGA without a hemisphere field are
+    parse errors; the next GGA is read."""
+    gps_drv.uart.b.send(bad + _gga("4859.999"))
+    resp = _send_dut(gps_drv, "CALL", "g", "get_latitude", 1000)
+    assert resp.ok and abs(resp.payload - ddmm_oracle("4859.999", "N")) < 1e-9
+    assert _send_dut(gps_drv, "CALL", "g", "get_parse_errors").payload == 1
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from double_harness import transport
-from double_harness.harness import PASS, run_suite
+from double_harness import harness, transport
+from double_harness.harness import PASS, CaseError, run_suite
 from double_harness.simcore import Scheduler
 from double_harness.suites import SUITE_ORDER, SUITES, build_virtual_rig
 from double_harness.transport import (
@@ -690,6 +690,20 @@ class TestOneFramePerCommand:
         transport._check_depth("[" * wrap + text + "]" * wrap)
         with pytest.raises(ValueError, match=_TOO_DEEP):
             transport._check_depth("[" * (wrap + 1) + text + "]" * (wrap + 1))
+
+    @pytest.mark.parametrize("depth", [600, 1500])
+    def test_args_nested_too_deep_are_refused_before_a_frame_is_sent(self, rig, depth):
+        """The controller keeps the depth rule too, on every Python: 600 levels
+        encode but break the rule, 1500 levels pass the interpreter's own
+        limit on 3.10 and 3.11. Both are a ProtocolError, and no frame leaves."""
+        entries = len(rig.session.log.entries)
+        cmd = Command("CALL", "b", "x", (_nested(depth),))
+        with pytest.raises(ProtocolError, match=f"^bad JSON args: {_TOO_DEEP}$"):
+            send_command(rig.session.dut.endpoint, cmd)
+        with pytest.raises(CaseError, match=f"^bad JSON args: {_TOO_DEEP}$") as info:
+            harness._send(rig.session.dut, cmd)
+        assert info.value.code == "PROTOCOL"
+        assert len(rig.session.log.entries) == entries
 
     def test_bad_args_echo_of_non_ascii_args(self):
         (reply,) = _wire_reply(r'CALL b.two ["\u00e9"]')
