@@ -3,7 +3,8 @@
 The controller injects commands and gathers results over a line-oriented
 text protocol; the device side hosts an object registry that instantiates
 classes, invokes methods, and returns results. Wire grammar (LF-terminated
-ASCII lines, one response per command, in order):
+ASCII lines, one response per command, in order; every <json> and
+<json-array>, `OK <json>` included, is RFC 8259 JSON, with no NaN or Infinity):
 
     NEW <Class> <name> <json-array>
     CALL <name>.<method> <json-array>
@@ -31,7 +32,7 @@ import time
 from collections import deque
 from itertools import accumulate
 from types import FunctionType, MethodType
-from typing import Any, Callable, NamedTuple, Protocol
+from typing import Any, Callable, NamedTuple, NoReturn, Protocol
 
 from .simcore import Scheduler
 
@@ -47,11 +48,15 @@ def _wire_value(value: Any) -> list[int]:  # the encoder's `default` hook
     raise TypeError(f"value of type {type(value).__name__} is not wire-encodable")
 
 
-# One compact encoder and one decoder per process; json.dumps with separators
-# builds a fresh encoder on every call. The encoder owns the conversion of a
-# Python value to wire JSON, for commands and results alike.
-_encode = json.JSONEncoder(separators=(",", ":"), default=_wire_value).encode
-_decode = json.JSONDecoder().decode
+def _not_json(constant: str) -> NoReturn:  # the decoder's `parse_constant` hook
+    raise ValueError(f"{constant} is not JSON compliant")
+
+
+# One compact encoder and one decoder per process, used only by _to_json and
+# _from_json, the one gate for wire JSON. The encoder owns the value model for
+# commands and results alike; both refuse NaN and Infinity, as RFC 8259 does.
+_encode = json.JSONEncoder(separators=(",", ":"), default=_wire_value, allow_nan=False).encode
+_decode = json.JSONDecoder(parse_constant=_not_json).decode
 
 # One nesting rule on every supported Python: JSON nested deeper than this is
 # refused. The interpreters' own limits differ (about 990 levels on 3.10 and
@@ -66,20 +71,31 @@ _NOT_NESTING = r'"[^"]*"|[^"\[\]{}]+'
 _NESTING_STEP = {"[": 1, "{": 1, "]": -1, "}": -1, '"': 0}  # '"': an unclosed string
 
 
-def _check_depth(text: str) -> None:
-    """Raise ValueError when JSON text nests deeper than MAX_JSON_DEPTH."""
+def _check_depth(text: str) -> str:
+    """Return JSON text, or raise ValueError when it nests deeper than MAX_JSON_DEPTH."""
     # Each level takes two chars and one opening bracket: a flat array of
     # any length passes without a scan.
-    if len(text) <= 2 * MAX_JSON_DEPTH or text.count("[") + text.count("{") <= MAX_JSON_DEPTH:
-        return
-    nesting = re.sub(_NOT_NESTING, "", re.sub(_ESCAPE, "", text))
-    if nesting and max(accumulate(map(_NESTING_STEP.__getitem__, nesting))) > MAX_JSON_DEPTH:
-        raise ValueError(_TOO_DEEP)
+    if len(text) > 2 * MAX_JSON_DEPTH and text.count("[") + text.count("{") > MAX_JSON_DEPTH:
+        nesting = re.sub(_NOT_NESTING, "", re.sub(_ESCAPE, "", text))
+        if nesting and max(accumulate(map(_NESTING_STEP.__getitem__, nesting))) > MAX_JSON_DEPTH:
+            raise ValueError(_TOO_DEEP)
+    return text
 
 
-def _depth_rule(exc: Exception) -> Exception:
-    """The depth rule's error in place of an interpreter RecursionError."""
-    return ValueError(_TOO_DEEP) if isinstance(exc, RecursionError) else exc
+def _to_json(value: Any) -> str:
+    """The wire JSON of a value; TypeError or ValueError if the wire cannot carry it."""
+    try:
+        return _check_depth(_encode(value))
+    except RecursionError as exc:  # the depth rule, whatever the interpreter's own limit
+        raise ValueError(_TOO_DEEP) from exc
+
+
+def _from_json(text: str) -> Any:
+    """The value of wire JSON text; ValueError if it is not wire JSON."""
+    try:
+        return _decode(_check_depth(text))  # JSONDecodeError is a ValueError
+    except RecursionError as exc:
+        raise ValueError(_TOO_DEEP) from exc
 
 
 DEFAULT_TIMEOUT_MS = 5000  # simulated ms on the virtual channel
@@ -150,25 +166,18 @@ def format_command(cmd: Command) -> str:
         if isinstance(args, (tuple, list)) and not args:
             text = "[]"
         else:
-            try:  # the depth rule on every Python, whatever the interpreter's own limit
-                text = _encode(args)
-            except RecursionError as exc:
-                raise ProtocolError(f"bad JSON args: {_TOO_DEEP}") from exc
             try:
-                _check_depth(text)
-            except ValueError as exc:
+                text = _to_json(args)
+            except (TypeError, ValueError) as exc:
                 raise ProtocolError(f"bad JSON args: {exc}") from exc
         if verb == "CALL":  # half of all traffic: test it first
-            line = f"CALL {cmd.obj}.{cmd.method} {text}"
-        else:
-            line = f"NEW {cmd.method} {cmd.obj} {text}"
-    elif verb == "DEL":
-        line = f"DEL {cmd.obj}"
-    elif verb in ("PING", "RESET"):
-        line = verb
-    else:
-        raise ProtocolError(f"unknown verb {verb!r}")
-    return line
+            return f"CALL {cmd.obj}.{cmd.method} {text}"
+        return f"NEW {cmd.method} {cmd.obj} {text}"
+    if verb == "DEL":
+        return f"DEL {cmd.obj}"
+    if verb in ("PING", "RESET"):
+        return verb
+    raise ProtocolError(f"unknown verb {verb!r}")
 
 
 def parse_command(line: str) -> Command:
@@ -206,10 +215,9 @@ def _parse_args(text: str) -> tuple:
     if text == "[]":  # half of all CALLs and NEWs: no decoder needed
         return ()
     try:
-        _check_depth(text)
-        args = _decode(text)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        raise ProtocolError(f"bad JSON args: {_depth_rule(exc)}") from exc
+        args = _from_json(text)
+    except ValueError as exc:
+        raise ProtocolError(f"bad JSON args: {exc}") from exc
     if not isinstance(args, list):
         raise ProtocolError("args must be a JSON array")
     return tuple(args)
@@ -221,18 +229,16 @@ def format_response(resp: Response) -> str:
     encoder refuses, or whose line outgrows a frame, becomes ERR EXEC. An ERR
     line is cut to the frame limit with every character outside printable
     ASCII made a space."""
-    # No check_frame: _encode escapes all but printable ASCII, and the rest is above.
+    # No check_frame: the encoder escapes all but printable ASCII, and the rest is above.
     if resp.status == "OK":
         if resp.payload is None:  # most replies: no encoder needed
             return "OK null"
-        try:  # refused: an unknown type, an int too long to print, a cycle, deep nesting
-            line = "OK " + _encode(resp.payload)
-            _check_depth(line)
+        try:  # refused: an unknown type, an int too long to print, a cycle, NaN, deep nesting
+            line = "OK " + _to_json(resp.payload)
             if len(line) <= MAX_FRAME_LEN:
                 return line
             resp = err("EXEC", f"result too long for one frame: {len(line)} > {MAX_FRAME_LEN}")
-        except (TypeError, ValueError, RecursionError) as exc:
-            exc = _depth_rule(exc)
+        except (TypeError, ValueError) as exc:
             resp = err("EXEC", f"{type(exc).__name__}: {exc}")
     line = f"ERR {resp.code} {resp.message}"[:MAX_FRAME_LEN]
     if not (line.isascii() and line.isprintable()):
@@ -248,10 +254,9 @@ def parse_response(line: str) -> Response:
         if not space:
             raise ProtocolError("OK response missing payload")
         try:
-            _check_depth(rest)
-            return Response("OK", _decode(rest))
-        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-            raise ProtocolError(f"bad JSON payload: {_depth_rule(exc)}") from exc
+            return Response("OK", _from_json(rest))
+        except ValueError as exc:
+            raise ProtocolError(f"bad JSON payload: {exc}") from exc
     if status == "ERR":
         code, _, message = rest.partition(" ")
         if not code:

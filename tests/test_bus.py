@@ -6,6 +6,7 @@ import pytest
 
 from double_harness.bus import (
     BleAir,
+    BusError,
     CsNotAssertedError,
     GpioLine,
     I2cBus,
@@ -295,6 +296,29 @@ class TestBleAir:
         air.advertise("TempSensor", {"temp": 0.0})
         air.attach_central("phone")
         with pytest.raises(NotConnectedError):
+            air.read("phone", "TempSensor", "temp")
+
+    def test_dropping_a_peripheral_keeps_the_other_connections(self, sched):
+        air = BleAir(sched)
+        air.advertise("TempSensor", {"temp": 20.0})
+        air.advertise("Clock", {"time": 7})
+        air.attach_central("phone")
+        air.connect("phone", "TempSensor")
+        air.connect("phone", "Clock")
+        air.drop_peripheral("TempSensor")
+        assert air.read("phone", "Clock", "time") == 7
+        with pytest.raises(NotConnectedError):
+            air.read("phone", "TempSensor", "temp")
+
+    def test_reading_a_characteristic_the_peripheral_lacks_is_a_bus_error(self, sched):
+        air = BleAir(sched)
+        air.advertise("TempSensor", {"temp": 20.0})
+        air.attach_central("phone")
+        air.connect("phone", "TempSensor")
+        with pytest.raises(BusError, match="no characteristic 'humidity'"):
+            air.read("phone", "TempSensor", "humidity")
+        air.stop_advertising("TempSensor")  # still connected, but the store is gone
+        with pytest.raises(BusError, match="no characteristic 'temp'"):
             air.read("phone", "TempSensor", "temp")
 
     def test_notify_reaches_exactly_the_connected_centrals(self, sched):

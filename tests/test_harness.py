@@ -35,6 +35,12 @@ from double_harness.transport import (
 )
 
 
+def _circular():
+    value = [1]
+    value.append(value)
+    return value
+
+
 def make_suite(*cases, name="demo"):
     return Suite(
         name=name,
@@ -332,6 +338,20 @@ class TestTransportFailuresAreResults:
 
         (result,) = run_suite(make_suite(TestCase("test_long", body)), rig.session)
         assert result.verdict == ERROR and result.message.startswith("PROTOCOL: frame too long")
+        assert not any("blink" in line for _, _, _, line, _ in rig.session.log.entries)
+
+    @pytest.mark.parametrize(
+        "make",
+        [_circular, lambda: 10**5000, lambda: {1, 2}, object, lambda: float("nan")],
+        ids=["circular-list", "5000-digit-int", "set", "object", "nan"],
+    )
+    def test_a_call_with_args_the_wire_cannot_carry_is_a_protocol_error(self, rig, make):
+        def body(ctx):
+            ctx.call(ctx.new_on_dut("Blinker", "b", 13, 100, 1), "blink", make())
+
+        (result,) = run_suite(make_suite(TestCase("test_unencodable", body)), rig.session)
+        assert result.verdict == ERROR
+        assert result.message.startswith("PROTOCOL: bad JSON args: "), result.message
         assert not any("blink" in line for _, _, _, line, _ in rig.session.log.entries)
 
 

@@ -3,6 +3,7 @@
 import functools
 import inspect
 import json
+import math
 import operator
 import random
 import string
@@ -11,7 +12,7 @@ import weakref
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from double_harness import harness, transport
@@ -493,8 +494,9 @@ def _wire_reply(line, hosted=None):
 
 
 _IDENT = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True)
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=20),
+_JSON = st.recursive(  # wire JSON, so finite floats only
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=20),
     lambda inner: st.lists(inner, max_size=3),
     max_leaves=8,
 )
@@ -558,7 +560,10 @@ def _hosted_reply(value):
 
 def _reference(value):
     """Oracle for the wire's value model: bytes become int arrays, tuples
-    lists, dict keys str(); any other type is refused."""
+    lists, dict keys str(); NaN and the infinities (not RFC 8259 JSON) and
+    any other type are refused."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(_OUT_OF_RANGE)
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, (bytes, bytearray)):
@@ -618,6 +623,8 @@ class TestOneFramePerCommand:
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(_RESULTS)
+    @example(float("inf"))
+    @example([1, {"a": float("nan")}, object()])
     def test_any_hosted_result_answers_exactly_one_frame(self, value):
         (reply,) = _hosted_reply(value)
         assert check_frame(reply) == reply
@@ -626,6 +633,9 @@ class TestOneFramePerCommand:
             expected = "OK " + _compact(_reference(value))
         except TypeError:
             assert resp.code == "EXEC" and "is not wire-encodable" in resp.message
+            return
+        except ValueError:
+            assert resp.code == "EXEC" and resp.message.startswith(f"ValueError: {_OUT_OF_RANGE}")
             return
         if len(expected) <= MAX_FRAME_LEN:
             assert reply == expected
@@ -705,6 +715,28 @@ class TestOneFramePerCommand:
         assert info.value.code == "PROTOCOL"
         assert len(rig.session.log.entries) == entries
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (_circular, "Circular reference detected"),
+            (lambda: 10**5000, "Exceeds the limit"),
+            (lambda: {1, 2}, "value of type set is not wire-encodable"),
+            (object, "value of type object is not wire-encodable"),
+        ],
+        ids=["circular-list", "5000-digit-int", "set", "object"],
+    )
+    def test_args_the_encoder_refuses_are_refused_before_a_frame_is_sent(self, rig, make, message):
+        """Every refusal of the encoder, not only the depth rule, is a
+        ProtocolError on the controller, and no frame leaves."""
+        entries = len(rig.session.log.entries)
+        cmd = Command("CALL", "b", "x", (make(),))
+        with pytest.raises(ProtocolError, match=f"^bad JSON args: {message}"):
+            send_command(rig.session.dut.endpoint, cmd)
+        with pytest.raises(CaseError, match=f"^bad JSON args: {message}") as info:
+            harness._send(rig.session.dut, cmd)
+        assert info.value.code == "PROTOCOL"
+        assert len(rig.session.log.entries) == entries
+
     def test_bad_args_echo_of_non_ascii_args(self):
         (reply,) = _wire_reply(r'CALL b.two ["\u00e9"]')
         assert check_frame(reply) == reply
@@ -744,6 +776,47 @@ class TestOneFramePerCommand:
     @given(_COMMANDS)
     def test_parse_inverts_format(self, cmd):
         assert parse_command(format_command(cmd)) == cmd
+
+
+_NON_FINITE = pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"]
+)
+# The encoder's message; 3.13 appends the value (": nan"), 3.11 does not.
+_OUT_OF_RANGE = "Out of range float values are not JSON compliant"
+
+
+class TestStrictJson:
+    """NaN, Infinity and -Infinity are not RFC 8259 JSON: no frame carries one,
+    in either direction."""
+
+    @_NON_FINITE
+    def test_the_controller_refuses_to_send_one(self, rig, value):
+        entries = len(rig.session.log.entries)
+        for args in [(value,), (1, [{"a": value}])]:
+            cmd = Command("CALL", "b", "x", args)
+            with pytest.raises(ProtocolError, match=f"^bad JSON args: {_OUT_OF_RANGE}"):
+                format_command(cmd)
+            with pytest.raises(ProtocolError, match=f"^bad JSON args: {_OUT_OF_RANGE}"):
+                send_command(rig.session.dut.endpoint, cmd)
+        assert len(rig.session.log.entries) == entries
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_a_device_answers_a_command_holding_one_as_malformed(self, constant):
+        (reply,) = _wire_reply(f"CALL b.x [{constant}]")
+        assert reply.startswith("ERR BAD_ARGS malformed command: bad JSON args: "), reply
+        (reply,) = _wire_reply(f'CALL b.two [0,{{"a":[{constant}]}}]')
+        assert reply.startswith("ERR BAD_ARGS malformed command: bad JSON args: "), reply
+
+    @_NON_FINITE
+    def test_a_hosted_result_holding_one_gets_one_exec_frame(self, value):
+        for result in [value, [1, {"a": value}]]:
+            (reply,) = _hosted_reply(result)
+            assert reply.startswith(f"ERR EXEC ValueError: {_OUT_OF_RANGE}"), reply
+
+    @pytest.mark.parametrize("payload", ["NaN", "[NaN]", "[1,Infinity]", '{"a":[-Infinity]}'])
+    def test_a_reply_holding_one_is_a_protocol_error(self, payload):
+        with pytest.raises(ProtocolError, match="^bad JSON payload: "):
+            parse_response("OK " + payload)
 
 
 class TestIdentifiers:
@@ -791,7 +864,7 @@ _ARGS_SEQUENCES = st.sampled_from([(), []]) | _ARG_LISTS | _ARG_LISTS.map(tuple)
 
 
 def _compact(value):
-    return json.dumps(value, separators=(",", ":"))
+    return json.dumps(value, separators=(",", ":"), allow_nan=False)
 
 
 class TestCodecBytes:
@@ -801,19 +874,32 @@ class TestCodecBytes:
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_IDENT, _IDENT, _ARGS_SEQUENCES)
+    @example("o", "m", (1, [float("-inf")]))
     def test_format_command_bytes(self, obj, name, args):
+        try:
+            text = _compact(args)
+        except ValueError:  # NaN or an infinity: no frame holds one
+            with pytest.raises(ProtocolError, match=f"^bad JSON args: {_OUT_OF_RANGE}"):
+                format_command(Command("CALL", obj, name, args))
+            return
         call = format_command(Command("CALL", obj, name, args))
-        assert call == f"CALL {obj}.{name} {_compact(args)}"
+        assert call == f"CALL {obj}.{name} {text}"
         assert format_command(parse_command(call)) == call
         new = format_command(Command("NEW", obj, name, args))
-        assert new == f"NEW {name} {obj} {_compact(args)}"
+        assert new == f"NEW {name} {obj} {text}"
         assert format_command(parse_command(new)) == new
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_PAYLOADS)
+    @example({"a": [float("nan")]})
     def test_format_response_bytes(self, payload):
         line = format_response(Response("OK", payload))
-        assert line == f"OK {_compact(payload)}"
+        try:
+            expected = f"OK {_compact(payload)}"
+        except ValueError:  # NaN or an infinity: no frame holds one
+            assert line.startswith(f"ERR EXEC ValueError: {_OUT_OF_RANGE}")
+            return
+        assert line == expected
         assert format_response(parse_response(line)) == line
 
     @pytest.mark.parametrize("args", [None, 0, False, "", {}], ids=repr)
