@@ -43,15 +43,17 @@ class NotConnectedError(BusError):
 
 
 class GpioLine:
-    """A single digital line. Records every level change as (time, level).
+    """A single digital line. Records the time of every level change.
 
-    Writing the current level again is a no-op, so consecutive logged edges
-    always alternate and their timestamps never decrease.
+    Writing the current level again is a no-op and the line starts low, so
+    consecutive edges alternate and each edge's level follows from its index
+    in the log: edge k (from 0) rises when k is even and falls when k is odd.
+    The log therefore keeps times only, and they never decrease.
     """
 
     def __init__(self) -> None:
         self.level: int = 0
-        self.edges: list[tuple[SimTime, int]] = []
+        self.edges: list[SimTime] = []
         self._last_at: float = float("-inf")
         # Replaced, never mutated, by (un)subscribe: an edge is delivered to
         # the listeners subscribed when it was written.
@@ -66,7 +68,7 @@ class GpioLine:
             return
         self.level = level
         self._last_at = at
-        self.edges.append((at, level))
+        self.edges.append(at)
         for listener in self._listeners:
             listener(at, level)
 

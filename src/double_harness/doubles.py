@@ -65,7 +65,7 @@ class LedDouble:
     def captured(self) -> list[int]:
         """Times of the edges captured by the last acquisition, oldest first."""
         first, n = self._window()
-        return [at for at, _level in self.line.edges[first : first + n]]
+        return self.line.edges[first : first + n]
 
     def start_acquisition(self) -> None:
         self._first = len(self.line.edges)
@@ -80,7 +80,7 @@ class LedDouble:
         if n < self.expected_toggles:
             raise NotReadyError(f"captured {n} of {self.expected_toggles} edges")
         edges = self.line.edges
-        return (edges[first + n - 1][0] - edges[first][0]) / (n - 1)
+        return (edges[first + n - 1] - edges[first]) / (n - 1)
 
     def close(self) -> None:
         # A closed LED sees no later edge, whatever is started after.

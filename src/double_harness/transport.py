@@ -158,9 +158,18 @@ def err(code: str, message: str) -> Response:
     return Response("ERR", code=code, message=message)
 
 
+def _name(value: Any) -> str:
+    """A name for the wire, or ProtocolError before any frame is built."""
+    if type(value) is str and _is_ident(value):
+        return value
+    raise ProtocolError(f"bad identifier {value!r}")
+
+
 def format_command(cmd: Command) -> str:
     verb = cmd.verb
     if verb == "CALL" or verb == "NEW":
+        obj = _name(cmd.obj)
+        method = _name(cmd.method)
         args = cmd.args
         # Empty args need no encoder; anything else, None included, goes to it.
         if isinstance(args, (tuple, list)) and not args:
@@ -171,10 +180,10 @@ def format_command(cmd: Command) -> str:
             except (TypeError, ValueError) as exc:
                 raise ProtocolError(f"bad JSON args: {exc}") from exc
         if verb == "CALL":  # half of all traffic: test it first
-            return f"CALL {cmd.obj}.{cmd.method} {text}"
-        return f"NEW {cmd.method} {cmd.obj} {text}"
+            return f"CALL {obj}.{method} {text}"
+        return f"NEW {method} {obj} {text}"
     if verb == "DEL":
-        return f"DEL {cmd.obj}"
+        return f"DEL {_name(cmd.obj)}"
     if verb in ("PING", "RESET"):
         return verb
     raise ProtocolError(f"unknown verb {verb!r}")

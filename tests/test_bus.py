@@ -22,20 +22,22 @@ class TestGpioLine:
         line = GpioLine()
         line.write(1, 0)
         line.write(0, 100)
-        assert line.edges == [(0, 1), (100, 0)]
+        assert line.edges == [0, 100]
+        assert line.level == 0
 
     def test_writing_same_level_is_a_noop(self):
         line = GpioLine()
         line.write(1, 0)
         line.write(1, 50)
-        assert line.edges == [(0, 1)]
+        assert line.edges == [0]
+        assert line.level == 1
 
     def test_ten_toggles_at_fixed_spacing(self):
         line = GpioLine()
         for i in range(1, 11):
             line.toggle(i * 100)
         assert len(line.edges) == 10
-        deltas = [b[0] - a[0] for a, b in zip(line.edges, line.edges[1:])]
+        deltas = [b - a for a, b in zip(line.edges, line.edges[1:])]
         assert deltas == [100] * 9
 
     def test_time_regression_rejected(self):
@@ -47,7 +49,8 @@ class TestGpioLine:
         with pytest.raises(ValueError, match="edge time regression: 99 < 100"):
             line.write(1, 99)
         line.write(1, 100)  # the same ms is not a regression
-        assert line.edges == [(100, 1)]
+        assert line.edges == [100]
+        assert line.level == 1
 
     def test_listeners_see_each_edge(self):
         line = GpioLine()
@@ -93,21 +96,34 @@ class TestGpioLine:
         line = WatchedLine()
         for at in (1, 2, 3):
             line.toggle(at)
-        assert writes == line.edges == [(1, 1), (2, 0), (3, 1)]
+        assert writes == [(1, 1), (2, 0), (3, 1)]
+        assert line.edges == [1, 2, 3]
 
     def test_alternation_and_monotonicity_hold_for_random_sequences(self):
-        """Property: any mix of writes keeps the edge log alternating."""
+        """Property: against a model that keeps (time, level) per change, the
+        log holds exactly the change times, and the levels it drops start at 1
+        and alternate, so edge k rises when k is even."""
         rng = random.Random(7)
         for _ in range(50):
             line = GpioLine()
+            changes = []  # the model: (time, level) of every level change
+            level = 0
             t = 0
             for _ in range(rng.randrange(1, 40)):
-                t += rng.randrange(0, 10)
-                line.write(rng.randint(0, 1), t)
-            levels = [lv for _, lv in line.edges]
-            times = [at for at, _ in line.edges]
-            assert all(a != b for a, b in zip(levels, levels[1:]))
-            assert times == sorted(times)
+                t = max(0, t + rng.randrange(-3, 10))  # some writes go back in time
+                new = rng.randint(0, 1)
+                if changes and t < changes[-1][0]:
+                    with pytest.raises(ValueError, match="edge time regression"):
+                        line.write(new, t)
+                    t = changes[-1][0]
+                    continue
+                line.write(new, t)
+                if new != level:
+                    level = new
+                    changes.append((t, level))
+            assert line.edges == [at for at, _ in changes]
+            assert [lv for _, lv in changes] == [(k + 1) % 2 for k in range(len(changes))]
+            assert line.level == level
 
 
 class TestI2cBus:

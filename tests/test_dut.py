@@ -52,7 +52,8 @@ class TestBlinker:
         """Period 2000, count 2: edges at 2000, 4000, 6000, 8000."""
         line = GpioLine()
         Blinker(line, 2000, 2, sched).blink("blocking")
-        assert [t for t, _ in line.edges] == [2000, 4000, 6000, 8000]
+        assert line.edges == [2000, 4000, 6000, 8000]
+        assert line.level == 0
         assert sched.now == 8000
 
     def test_isr_mode_produces_identical_edge_times(self):
@@ -62,7 +63,8 @@ class TestBlinker:
         blinker = Blinker(line_b, 300, 3, sched_b)
         blinker.blink("isr")
         sched_b.advance_to(sched_a.now)
-        assert line_a.edges == line_b.edges
+        assert line_a.edges == line_b.edges == [300 * k for k in range(1, 7)]
+        assert line_a.level == line_b.level == 0
 
     def test_edge_count_is_twice_the_blink_count(self, sched):
         line = GpioLine()
@@ -80,7 +82,7 @@ class TestBlinker:
 
         line = GpioLine()
         Blinker(line, 2000, 2, sched, FaultConfig(period_skew_ms=5)).blink("blocking")
-        intervals = [b[0] - a[0] for a, b in zip(line.edges, line.edges[1:])]
+        intervals = [b - a for a, b in zip(line.edges, line.edges[1:])]
         average = sum(intervals) / len(intervals)
         assert average == 2005.0
         assert not close_to(2000, 1).check(average)
@@ -101,7 +103,7 @@ class TestBlinker:
         sched.advance_by(250)
         blinker.blink("isr")
         sched.advance_by(10_000)
-        assert [t for t, _ in line.edges] == [100, 200] + [250 + 100 * k for k in range(1, 7)]
+        assert line.edges == [100, 200] + [250 + 100 * k for k in range(1, 7)]
         assert sched.next_due() is None
 
     def test_bad_mode_rejected(self, sched):
@@ -130,7 +132,7 @@ def test_blinker_period_and_count_boundaries_on_the_wire(rig, period_ms, count, 
         return
     assert resp.ok
     assert _send_dut(rig, "CALL", "b", "blink", "blocking").ok
-    assert [t for t, _ in rig.led_line.edges] == [1, 2]
+    assert rig.led_line.edges == [1, 2]
 
 
 @pytest.mark.parametrize("mode", ["blocking", "isr"])
@@ -149,7 +151,7 @@ def test_blinker_period_skew_boundary_on_the_wire(monkeypatch, mode, skew, edges
         else:
             assert resp.ok
         rig.scheduler.advance_by(10)
-        assert [t for t, _ in rig.led_line.edges] == (edges or [])
+        assert rig.led_line.edges == (edges or [])
     finally:
         rig.close()
 

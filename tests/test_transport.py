@@ -849,6 +849,31 @@ class TestIdentifiers:
         assert "x" in server.registry.objects
         assert server.handle_line("DEL x") == "OK null"
 
+    @pytest.mark.parametrize(
+        "cmd, name",
+        [
+            (Command("CALL", "a b", "m", ()), "'a b'"),
+            (Command("CALL", "a", "m.n", ()), "'m.n'"),
+            (Command("DEL", "x y"), "'x y'"),
+            (Command("NEW", "b", "Bl inker", ()), "'Bl inker'"),
+            (Command("NEW", "b\n", "Blinker", ()), "'b\\\\n'"),
+            (Command("DEL"), "None"),
+            (Command("CALL", "b", None, ()), "None"),
+            (Command("CALL", b"b", "m", ()), "b'b'"),
+        ],
+        ids=["call-obj", "call-method", "del", "new-class", "new-newline", "del-none", "call-none", "bytes"],
+    )
+    def test_the_controller_refuses_a_name_before_a_frame_is_sent(self, rig, cmd, name):
+        """The device could only refuse such a name, so the controller sends
+        nothing: a ProtocolError, which a case reports as PROTOCOL."""
+        entries = len(rig.session.log.entries)
+        with pytest.raises(ProtocolError, match=f"^bad identifier {name}$"):
+            send_command(rig.session.dut.endpoint, cmd)
+        with pytest.raises(CaseError, match=f"^bad identifier {name}$") as info:
+            harness._send(rig.session.dut, cmd)
+        assert info.value.code == "PROTOCOL"
+        assert len(rig.session.log.entries) == entries
+
 
 # Empty arrays and objects, alone or nested, are what the coder-free branches
 # for `[]` args and `OK null` replies must tell apart.
