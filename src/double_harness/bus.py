@@ -75,6 +75,20 @@ class GpioLine:
     def toggle(self, at: SimTime) -> None:
         self.write(1 - self.level, at)
 
+    def toggle_train(self, first: SimTime, period: int, n: int) -> bool:
+        """Toggle n times, at first, first + period, ..., as n toggle() calls
+        would, and return True. A line with listeners does nothing and
+        returns False: they must see each edge as it happens."""
+        if self._listeners:
+            return False
+        if first < self._last_at:
+            raise ValueError(f"edge time regression: {first} < {self._last_at}")
+        last = first + (n - 1) * period
+        self.edges.extend(range(first, last + 1, period))
+        self.level ^= n & 1
+        self._last_at = last
+        return True
+
     def subscribe(self, listener: Callable[[SimTime, int], None]) -> None:
         if listener not in self._listeners:
             self._listeners += (listener,)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import re
 import sys
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 from typing import Any
 
 from . import bus as _bus
@@ -235,10 +236,9 @@ class RtcDouble:
 
 def nmea_checksum(body: str) -> int:
     """XOR of all characters between '$' and '*'."""
-    cs = 0
-    for ch in body:
-        cs ^= ord(ch)
-    return cs
+    if body.isascii():  # one byte per character, so the same fold
+        return reduce(xor, body.encode(), 0)
+    return reduce(xor, map(ord, body), 0)
 
 
 def wrap_sentence(body: str) -> str:

@@ -97,6 +97,20 @@ class Blinker:
             self._scheduler.cancel(self._isr_handle)
             self._isr_handle = None
 
+    def _isr_train(self, first: int, period: int, k: int) -> int:
+        """The next n = min(k, remaining) toggles in one call; 0 when the line
+        has listeners. See Scheduler.advance_to's train rule."""
+        n = min(k, self._isr_remaining)
+        if not self.line.toggle_train(first, period, n):
+            return 0
+        remaining = self._isr_remaining = self._isr_remaining - n
+        if remaining <= 0 and self._isr_handle is not None:
+            self._scheduler.cancel(self._isr_handle)
+            self._isr_handle = None
+        return n
+
+    _isr_toggle.train = _isr_train
+
 
 # ---------------------------------------------------------------------------
 # RTC driver (I2C)

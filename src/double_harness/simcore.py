@@ -16,6 +16,9 @@ SimTime = int
 
 Action = Callable[[], None]
 
+# Most firings per train call, which bounds what one call allocates; runs loop.
+TRAIN_MAX = 4096
+
 
 class ScheduleError(ValueError):
     """Invalid scheduling request: a non-int time, negative delay, zero period,
@@ -25,13 +28,18 @@ class ScheduleError(ValueError):
 class EventHandle:
     """One queued action, as Scheduler.schedule() returns it; pass it to
     Scheduler.cancel(). Its (due, seq) key lives in the heap entry. A
-    cancelled event drops its action: it may wait in the heap until its due
-    time, and must not keep the object that scheduled it alive meanwhile."""
+    cancelled event drops its action and train: it may wait in the heap until
+    its due time, and must not keep the object that scheduled it alive meanwhile."""
 
-    __slots__ = ("action", "period", "cancelled", "done")
+    __slots__ = ("action", "train", "period", "cancelled", "done")
 
     def __init__(self, action: Action | None, period: int | None):
         self.action = action
+        # A periodic action's train form (Scheduler.advance_to), bound like it.
+        train = getattr(action, "train", None) if period is not None else None
+        if train is not None and hasattr(action, "__self__"):
+            train = train.__get__(action.__self__)
+        self.train = train
         self.period = period
         self.cancelled = False
         self.done = False
@@ -81,7 +89,7 @@ class Scheduler:
         if handle.cancelled or handle.done:
             return False
         handle.cancelled = True
-        handle.action = None
+        handle.action = handle.train = None
         return True
 
     def advance_to(self, to: SimTime) -> int:
@@ -99,6 +107,18 @@ class Scheduler:
         again without the push and pop that would return it to the same
         place. Fire order, fire times and seq numbers are those of the
         plain heap loop.
+
+        Train rule: a periodic action may offer a train form as its `train`
+        attribute, train(due, period, k) -> n, which does the first n <= k
+        of the firings at due, due + period, ... in one call, exactly as n
+        calls of the action would, and returns n (0: none, fire plainly).
+        Before such an event fires, the scheduler counts the k firings the
+        head-run would do from here: those <= `to` and strictly before the
+        head of the heap, the first always, at most TRAIN_MAX. When k >= 2
+        it calls the train, adds n to the count fired and takes n fresh seqs
+        (n - 1 if the train cancelled the event), then re-arms or finishes
+        as after one firing at the last due time. A wrapped action has no
+        `train` attribute, so it fires one call at a time.
 
         Nesting: an action may call advance_to itself; time still never
         runs backwards. Now stays where a nested call left it, and a
@@ -119,11 +139,22 @@ class Scheduler:
             due, _seq, event = heapq.heappop(heap)
             if event.cancelled:
                 continue
-            action, period = event.action, event.period
+            action, period, train = event.action, event.period, event.train
             while True:
                 self.now = due
                 try:
-                    action()
+                    if train is not None and due + period <= to:  # room for a run
+                        last = heap[0][0] - 1 if heap and heap[0][0] <= to else to
+                        k = (last - due) // period + 1
+                        n = train(due, period, min(k, TRAIN_MAX)) if k > 1 else 0
+                        if n:  # carry on as after the run's last firing
+                            fired += n - 1
+                            due += (n - 1) * period
+                            self._seq += n - 1
+                        else:
+                            action()
+                    else:
+                        action()
                 except BaseException:
                     event.done = True  # out of the heap for good: no longer pending
                     raise

@@ -85,6 +85,36 @@ class TestGpioLine:
         line.toggle(20)
         assert seen[2:] == [("late", 20)]
 
+    @pytest.mark.parametrize("start_level", [0, 1])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_a_toggle_train_is_that_many_toggles(self, start_level, n):
+        plain, train = GpioLine(), GpioLine()
+        for line in (plain, train):
+            line.write(start_level, 3)
+        for k in range(n):
+            plain.toggle(10 + 7 * k)
+        assert train.toggle_train(10, 7, n) is True
+        assert (train.edges, train.level) == (plain.edges, plain.level)
+        last = 10 + 7 * (n - 1)
+        with pytest.raises(ValueError, match=f"edge time regression: {last - 1} < {last}"):
+            train.write(1 - train.level, last - 1)
+
+    def test_a_toggle_train_refuses_a_time_regression_and_writes_nothing(self):
+        line = GpioLine()
+        line.toggle(100)
+        with pytest.raises(ValueError, match="edge time regression: 99 < 100"):
+            line.toggle_train(99, 5, 3)
+        assert (line.edges, line.level) == ([100], 1)
+        assert line.toggle_train(100, 5, 2)  # the same ms is not a regression
+        assert (line.edges, line.level) == ([100, 100, 105], 1)
+
+    def test_a_line_with_listeners_declines_a_toggle_train(self):
+        line = GpioLine()
+        seen = []
+        line.subscribe(lambda t, level: seen.append((t, level)))
+        assert line.toggle_train(10, 5, 4) is False
+        assert (line.edges, line.level, seen) == ([], 0, [])
+
     def test_toggle_goes_through_write(self):
         writes = []
 

@@ -697,6 +697,19 @@ class TestNmeaHelpers:
         for body in ("GPGGA,123519,4807.038,N", "PDBL,RATE,1000", ""):
             assert nmea_checksum(body) == oracle_checksum(body)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.text())
+    @example("\x7f")
+    @example("caf\u00e9")
+    @example("EUR \u20ac")
+    @example("GPGGA,\x00\x7f\u00e9\u20ac\U0001f600")
+    def test_checksum_is_the_xor_fold_of_any_text(self, body):
+        """ASCII and non-ASCII text alike: the fold of every code point."""
+        expected = 0
+        for ch in body:
+            expected ^= ord(ch)
+        assert nmea_checksum(body) == expected
+
     def test_wrap_produces_two_uppercase_hex_digits(self):
         sentence = wrap_sentence("PDBL,RATE,1000")
         assert sentence == f"$PDBL,RATE,1000*{oracle_checksum('PDBL,RATE,1000'):02X}"

@@ -30,7 +30,7 @@ from double_harness.dut import (
     RtcDriver,
     SpiMaster,
 )
-from double_harness.simcore import Scheduler
+from double_harness.simcore import TRAIN_MAX, Scheduler
 from double_harness.transport import Command, send_command
 
 
@@ -109,6 +109,65 @@ class TestBlinker:
     def test_bad_mode_rejected(self, sched):
         with pytest.raises(ValueError):
             Blinker(GpioLine(), 100, 1, sched).blink("turbo")
+
+    def test_isr_trains_stop_while_the_line_has_a_listener(self, sched):
+        """Each edge reaches a listener subscribed mid-run; the log is the same."""
+        line = GpioLine()
+        Blinker(line, 3, 50, sched).blink("isr")
+        heard = []
+
+        def listener(at, level):
+            heard.append((at, level))
+
+        sched.schedule(30, lambda: line.subscribe(listener))
+        sched.schedule(60, lambda: line.unsubscribe(listener))
+        assert sched.advance_by(1000) == 100 + 2
+        assert line.edges == [3 * k for k in range(1, 101)]
+        assert heard == [(3 * k, k % 2) for k in range(10, 20)]
+        assert line.level == 0 and sched.next_due() is None
+
+
+@pytest.mark.parametrize("spied", [False, True], ids=["train", "plain"])
+def test_an_isr_edge_before_the_last_edge_ends_the_blink_alike(spied):
+    """A line written ahead of the blink refuses the first isr edge, in a
+    train or alone: the event ends and the clock rests at its due time."""
+    sched, line = Scheduler(), GpioLine()
+    line.write(1, 50)
+    blinker = Blinker(line, 10, 5, sched)
+    if spied:
+        schedule = sched.schedule
+        sched.schedule = lambda delay, action, periodic=None: schedule(delay, lambda: action(), periodic)
+    blinker.blink("isr")
+    with pytest.raises(ValueError, match="edge time regression: 10 < 50"):
+        sched.advance_to(100)
+    assert (sched.now, line.edges, line.level) == (10, [50], 1)
+    assert not blinker._isr_handle.pending and sched.next_due() is None
+
+
+def test_an_endless_isr_blink_is_written_in_bounded_trains(rig, monkeypatch):
+    """A 1 ms blink with no end, advanced 100,000 ms: one edge per ms, written
+    by a few train calls of at most TRAIN_MAX edges each."""
+    runs = []
+    toggle_train = GpioLine.toggle_train
+
+    def spy(line, first, period, n):
+        runs.append(n)
+        return toggle_train(line, first, period, n)
+
+    monkeypatch.setattr(GpioLine, "toggle_train", spy)
+    assert _send_dut(rig, "NEW", "b", "Blinker", 13, 1, 10**18).ok
+    assert _send_dut(rig, "CALL", "b", "blink", "isr").ok
+    assert rig.scheduler.advance_by(100_000) == 100_000
+    assert rig.led_line.edges == list(range(1, 100_001))
+    assert rig.led_line.level == 0
+    assert max(runs) == TRAIN_MAX and sum(runs) == 100_000
+    assert len(runs) == -(-100_000 // TRAIN_MAX)
+
+
+def test_the_isr_train_is_not_served_on_the_wire(rig):
+    assert _send_dut(rig, "NEW", "b", "Blinker", 13, 1, 5).ok
+    assert not _send_dut(rig, "CALL", "b", "_isr_train", 1, 1, 2).ok
+    assert rig.led_line.edges == []
 
 
 def _send_dut(rig, verb, obj, method=None, *args):

@@ -91,6 +91,16 @@ class TestMatchers:
         assert within(1, 3).check(3)  # inclusive
         assert not within(1, 3).check(3.1)
 
+    def test_within_lower_bound_is_inclusive(self):
+        assert within(1, 3).check(1)
+        assert within(-2.5, 0).check(-2.5)
+        assert not within(1, 3).check(0.9)
+
+    def test_zero_tolerance_is_accepted_and_means_exact(self):
+        matcher = close_to(5, 0)
+        assert matcher.check(5) and matcher.check(5.0)
+        assert not matcher.check(5.001) and not matcher.check(4.999)
+
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             close_to(0, -1)
@@ -221,6 +231,16 @@ class TestRunSuite:
         result = run_suite(make_suite(TestCase("test_dup", body)), rig.session)[0]
         assert "led.start_acquisition" in result.inputs
         assert "led.start_acquisition#2" in result.inputs
+
+    def test_a_third_repeat_records_under_key_3(self, rig):
+        def body(ctx):
+            led = ctx.new_on_double("Led", "led", 4, 2)
+            for _ in range(3):
+                ctx.call(led, "start_acquisition")
+
+        result = run_suite(make_suite(TestCase("test_trio", body)), rig.session)[0]
+        keys = ["led.start_acquisition", "led.start_acquisition#2", "led.start_acquisition#3"]
+        assert list(result.inputs) == ["Led led", *keys]
 
     def test_missing_class_fails_setup_with_one_error_result(self, rig):
         suite = Suite(

@@ -2,11 +2,16 @@
 
 import heapq
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from double_harness import simcore
+from double_harness.bus import GpioLine, I2cBus, UartLink
+from double_harness.doubles import GpsDouble, RtcDouble, wrap_sentence
+from double_harness.dut import Blinker
 from double_harness.simcore import ScheduleError, Scheduler
 
 
@@ -153,15 +158,20 @@ class TestCancel:
 
 
     def test_cancel_drops_the_action(self, sched):
-        """A cancelled event left in the heap must not pin its action."""
+        """A cancelled event left in the heap must not pin its action or train."""
+
+        def tick():
+            pass
+
+        tick.train = lambda due, period, k: 0
         oneshot = sched.schedule(5, lambda: None)
-        periodic = sched.schedule(1, lambda: None, periodic=1)
+        periodic = sched.schedule(1, tick, periodic=1)
         sched.advance_to(2)
         sched.cancel(oneshot)
         assert oneshot.action is None
-        assert periodic.action is not None
+        assert periodic.action is not None and periodic.train is tick.train
         sched.cancel(periodic)
-        assert periodic.action is None
+        assert periodic.action is None and periodic.train is None
 
 
 class TestRaisingAction:
@@ -276,12 +286,24 @@ class _HeapLoopScheduler(Scheduler):
 _OP = st.tuples(
     st.integers(0, 3),
     st.sampled_from(
-        ["cancel_self", "cancel_other", "at_now", "at_next_due", "before_next_due", "periodic_child", "nest"]
+        [
+            "cancel_self",
+            "cancel_other",
+            "at_now",
+            "at_next_due",
+            "before_next_due",
+            "periodic_child",
+            "nest",
+            "watch",
+            "unwatch",
+        ]
     ),
     st.integers(0, 7),
 )
-# (delay, period or None, ops)
-_EVENT = st.tuples(st.integers(0, 12), st.none() | st.integers(1, 4), st.lists(_OP, max_size=3))
+# (delay, period or None, ops, most firings per train call or None for no train)
+_EVENT = st.tuples(
+    st.integers(0, 12), st.none() | st.integers(1, 4), st.lists(_OP, max_size=3), st.none() | st.integers(1, 5)
+)
 _SCENARIO = st.tuples(
     st.lists(_EVENT, min_size=1, max_size=6), st.lists(st.integers(0, 15), min_size=1, max_size=4)
 )
@@ -290,16 +312,25 @@ _SCENARIO = st.tuples(
 def _play(sched, scenario):
     """Run a scenario; return everything observable about the run.
 
+    An event with a train cap offers a train, as an isr blinker does: each
+    firing is also seen by every watcher subscribed at the time, so the
+    train declines while anyone watches, and it stops before a firing whose
+    ops would touch the scheduler other than by cancelling its own event.
     Also checks that the clock never ran backwards in between.
     """
     events, steps = scenario
-    log, handles, fires, depth, seen = [], [], {}, [0], []
+    log, handles, fires, depth, seen, watchers = [], [], {}, [0], [], []
 
-    def spawn(label, delay, period, ops=()):
-        def action():
+    def spawn(label, delay, period, ops=(), cap=None):
+        def fire(at):
             n = fires[label] = fires.get(label, -1) + 1
-            seen.append(sched.now)
-            log.append((label, n, sched.now))
+            seen.append(at)
+            log.append((label, n, at))
+            if cap is not None:
+                log.extend((watcher, label, n, at) for watcher in watchers)
+            return n
+
+        def act(n):
             for j, (on, op, arg) in enumerate(ops):
                 if on != n:
                     continue
@@ -315,18 +346,41 @@ def _play(sched, scenario):
                 elif op == "before_next_due":
                     spawn(child, arg % (period or 1), None)
                 elif op == "periodic_child":
-                    spawn(child, arg % 3, 1)
+                    spawn(child, arg % 3, 1, cap=arg % 4 or None)
+                elif op == "watch":
+                    watchers.append(child)
+                elif op == "unwatch":
+                    del watchers[-1:]
                 elif depth[0] < 2:  # nest
                     depth[0] += 1
                     log.append((child, sched.advance_to(sched.now + arg % 5), sched.now))
                     seen.append(sched.now)
                     depth[0] -= 1
 
+        def action():
+            act(fire(sched.now))
+
+        def train(due, step, k):
+            if watchers:
+                return 0
+            done = 0
+            for at in range(due, due + min(k, cap) * step, step):
+                upcoming = {op for on, op, _ in ops if on == fires.get(label, -1) + 1}
+                if upcoming - {"cancel_self"}:
+                    break
+                act(fire(at))
+                done += 1
+                if handle.cancelled:
+                    break
+            return done
+
+        if cap is not None:
+            action.train = train
         handle = sched.schedule(delay, action, periodic=period)
         handles.append(handle)
 
-    for i, (delay, period, ops) in enumerate(events):
-        spawn(f"e{i}", delay, period, ops)
+    for i, (delay, period, ops, cap) in enumerate(events):
+        spawn(f"e{i}", delay, period, ops, cap)
     counts = []
     for step in steps:
         counts.append(sched.advance_by(step))
@@ -336,6 +390,7 @@ def _play(sched, scenario):
         log,
         counts,
         sched.now,
+        sched._seq,
         [h.pending for h in handles],
         sched.next_due(),
         sorted((due, seq) for due, seq, _ in sched._heap),
@@ -346,7 +401,16 @@ class TestHeadRunMatchesHeapLoop:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(_SCENARIO)
     def test_same_run_as_the_plain_heap_loop(self, scenario):
+        """Trains, plain actions, watchers and cancels mixed: the run is the
+        heap loop's, which fires every action one call at a time."""
         assert _play(Scheduler(), scenario) == _play(_HeapLoopScheduler(), scenario)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_SCENARIO)
+    def test_same_run_when_a_train_call_is_capped_at_two_firings(self, scenario):
+        """The scheduler loops over a run longer than TRAIN_MAX firings."""
+        with mock.patch.object(simcore, "TRAIN_MAX", 2):
+            assert _play(Scheduler(), scenario) == _play(_HeapLoopScheduler(), scenario)
 
     def test_rearmed_event_yields_to_an_older_event_at_the_same_ms(self, sched):
         """The tick re-armed for 3 ms takes a newer seq than `once`, queued at 0."""
@@ -355,6 +419,58 @@ class TestHeadRunMatchesHeapLoop:
         sched.schedule(3, lambda: order.append(("once", sched.now)))
         assert sched.advance_to(4) == 5
         assert order == [("tick", 1), ("tick", 2), ("once", 3), ("tick", 3), ("tick", 4)]
+
+
+class _CountingLine(GpioLine):
+    trains = 0
+
+    def toggle_train(self, first, period, n):
+        self.trains += 1
+        return super().toggle_train(first, period, n)
+
+
+def _soak_mix(spy_on_blink: bool):
+    """An isr blink that ends mid-run, a GPS emitter with both sentences and a
+    dynamic RTC on one clock, each periodic action but the blink's (and the
+    blink's too when asked) wrapped by a spy that logs its firings."""
+    sched = Scheduler()
+    line, link = _CountingLine(), UartLink(sched)
+    fires = []
+    schedule = sched.schedule
+
+    def spied(delay, action, periodic=None):
+        name = action.__qualname__
+        if spy_on_blink or name != "Blinker._isr_toggle":
+            inner = action
+
+            def action():
+                fires.append((name, sched.now, len(line.edges)))
+                inner()
+
+        return schedule(delay, action, periodic)
+
+    sched.schedule = spied
+    Blinker(line, 3, 3000, sched).blink("isr")
+    GpsDouble(link.b, sched)
+    for body in ("PDBL,SEL,RMC,1", "PDBL,RATE,250"):
+        link.a.send((wrap_sentence(body) + "\r\n").encode("ascii"))
+    RtcDouble(I2cBus(), sched, mode="dynamic")
+    fired = sched.advance_by(20_000)
+    blinks = [at for name, at, _ in fires if name == "Blinker._isr_toggle"]
+    others = [fire for fire in fires if fire[0] != "Blinker._isr_toggle"]
+    return (others, line.edges, line.level, sched.now, sched._seq, fired), blinks, line.trains
+
+
+def test_a_soak_mix_runs_the_same_whether_the_blink_is_spied_on_or_not():
+    """Trains run only for the bare blink action; everything seen is the same."""
+    bare, bare_blinks, bare_trains = _soak_mix(spy_on_blink=False)
+    spied, blinks, spied_trains = _soak_mix(spy_on_blink=True)
+    assert bare == spied
+    others, edges, level, now, _seq, fired = bare
+    assert blinks == edges == [3 * k for k in range(1, 6001)] and level == 0
+    assert fired == 6000 + 20_000 // 250 + 20_000 // 1000 == len(others) + len(edges)
+    assert now == 20_000
+    assert bare_blinks == [] and spied_trains == 0 and bare_trains > 0
 
 
 class TestRunUntil:

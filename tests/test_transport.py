@@ -169,6 +169,16 @@ class TestVirtualChannel:
         with pytest.raises(TransportTimeout):
             a.read_frame(500)
 
+    def test_a_silent_device_costs_the_whole_budget_in_sim_time(self, sched):
+        """The clock rests at now + timeout_ms, and an event after it stays due."""
+        a, _b = open_virtual_pair(sched)
+        sched.advance_to(100)
+        later = sched.schedule(251, lambda: None)
+        with pytest.raises(TransportTimeout, match="no frame within 250 ms"):
+            a.read_frame(250)
+        assert sched.now == 350
+        assert later.pending and sched.next_due() == 351
+
 
 class _Thing:
     """Device-side scratch object for dispatch tests."""
