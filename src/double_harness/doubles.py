@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import re
 import sys
-from functools import lru_cache, reduce
-from operator import xor
+from functools import lru_cache
 from typing import Any
 
 from . import bus as _bus
@@ -236,9 +235,10 @@ class RtcDouble:
 
 def nmea_checksum(body: str) -> int:
     """XOR of all characters between '$' and '*'."""
-    if body.isascii():  # one byte per character, so the same fold
-        return reduce(xor, body.encode(), 0)
-    return reduce(xor, map(ord, body), 0)
+    cs = 0
+    for ch in body:
+        cs ^= ord(ch)
+    return cs
 
 
 def wrap_sentence(body: str) -> str:

@@ -92,10 +92,7 @@ class Blinker:
     def _isr_toggle(self) -> None:
         line = self.line  # toggle() inlined: this runs on every edge
         line.write(1 - line.level, self._scheduler.now)
-        remaining = self._isr_remaining = self._isr_remaining - 1
-        if remaining <= 0 and self._isr_handle is not None:
-            self._scheduler.cancel(self._isr_handle)
-            self._isr_handle = None
+        self._count_down(1)
 
     def _isr_train(self, first: int, period: int, k: int) -> int:
         """The next n = min(k, remaining) toggles in one call; 0 when the line
@@ -103,11 +100,15 @@ class Blinker:
         n = min(k, self._isr_remaining)
         if not self.line.toggle_train(first, period, n):
             return 0
+        self._count_down(n)
+        return n
+
+    def _count_down(self, n: int) -> None:
+        """n isr edges written: the timer cancels itself after the last."""
         remaining = self._isr_remaining = self._isr_remaining - n
         if remaining <= 0 and self._isr_handle is not None:
             self._scheduler.cancel(self._isr_handle)
             self._isr_handle = None
-        return n
 
     _isr_toggle.train = _isr_train
 

@@ -35,11 +35,10 @@ class EventHandle:
 
     def __init__(self, action: Action | None, period: int | None):
         self.action = action
-        # A periodic action's train form (Scheduler.advance_to), bound like it.
-        train = getattr(action, "train", None) if period is not None else None
-        if train is not None and hasattr(action, "__self__"):
-            train = train.__get__(action.__self__)
-        self.train = train
+        # A periodic bound method's train (Scheduler.advance_to). Only its own
+        # function is asked: functools.wraps copies `train` onto a wrapper.
+        train = getattr(getattr(action, "__func__", None), "train", None) if period else None
+        self.train = train.__get__(action.__self__) if train else None
         self.period = period
         self.cancelled = False
         self.done = False
@@ -108,17 +107,18 @@ class Scheduler:
         place. Fire order, fire times and seq numbers are those of the
         plain heap loop.
 
-        Train rule: a periodic action may offer a train form as its `train`
-        attribute, train(due, period, k) -> n, which does the first n <= k
-        of the firings at due, due + period, ... in one call, exactly as n
-        calls of the action would, and returns n (0: none, fire plainly).
+        Train rule: a periodic action that is a bound method may offer a
+        train form, a `train` attribute on its function, bound to the same
+        object: train(due, period, k) -> n does the first n <= k of the
+        firings at due, due + period, ... in one call, exactly as n calls
+        of the action would, and returns n (0: none, fire plainly).
         Before such an event fires, the scheduler counts the k firings the
         head-run would do from here: those <= `to` and strictly before the
         head of the heap, the first always, at most TRAIN_MAX. When k >= 2
         it calls the train, adds n to the count fired and takes n fresh seqs
         (n - 1 if the train cancelled the event), then re-arms or finishes
-        as after one firing at the last due time. A wrapped action has no
-        `train` attribute, so it fires one call at a time.
+        as after one firing at the last due time. Any other action, a
+        wrapper around such a method included, fires one call at a time.
 
         Nesting: an action may call advance_to itself; time still never
         runs backwards. Now stays where a nested call left it, and a

@@ -1,5 +1,6 @@
 """Scheduler semantics: ordering, periodic events, cancellation, determinism."""
 
+import functools
 import heapq
 import random
 from unittest import mock
@@ -160,18 +161,77 @@ class TestCancel:
     def test_cancel_drops_the_action(self, sched):
         """A cancelled event left in the heap must not pin its action or train."""
 
-        def tick():
-            pass
-
-        tick.train = lambda due, period, k: 0
+        tick = _Trained(lambda: None, lambda due, period, k: 0)
         oneshot = sched.schedule(5, lambda: None)
-        periodic = sched.schedule(1, tick, periodic=1)
+        periodic = sched.schedule(1, tick.fire, periodic=1)
         sched.advance_to(2)
         sched.cancel(oneshot)
         assert oneshot.action is None
-        assert periodic.action is not None and periodic.train is tick.train
+        assert periodic.action is not None and periodic.train == tick._train
         sched.cancel(periodic)
         assert periodic.action is None and periodic.train is None
+
+
+class _Trained:
+    """`fire` is a bound method that offers a train, as an isr Blinker's
+    timer action does: a `train` attribute on its function."""
+
+    def __init__(self, action, train):
+        self._action, self._run = action, train
+
+    def fire(self):
+        self._action()
+
+    def _train(self, due, period, k):
+        return self._run(due, period, k)
+
+    fire.train = _train
+
+
+class TestTrainForm:
+    """Only a bound method's own function offers a train; every other action,
+    a wrapper around such a method included, fires one call at a time."""
+
+    def test_a_bound_method_offers_its_train(self, sched):
+        fired, runs = [], []
+
+        def run(due, period, k):
+            runs.append((due, period, k))
+            fired.extend(range(due, due + k * period, period))
+            return k
+
+        handle = sched.schedule(1, _Trained(lambda: fired.append(sched.now), run).fire, periodic=1)
+        assert sched.advance_to(10) == 10
+        assert fired == list(range(1, 11)) and runs == [(1, 1, 10)]
+        assert handle.pending and sched.next_due() == 11
+
+    def test_a_plain_function_with_a_train_attribute_fires_plainly(self, sched):
+        fired = []
+
+        def tick():
+            fired.append(sched.now)
+
+        tick.train = lambda due, period, k: pytest.fail("train called")
+        sched.schedule(1, tick, periodic=1)
+        assert sched._heap[0][2].train is None
+        assert sched.advance_to(10) == 10 and fired == list(range(1, 11))
+
+    def test_a_functools_wraps_spy_sees_every_firing(self, sched):
+        """functools.wraps copies the method's `train` onto the spy; the spy
+        still gets no train, and every firing goes through it."""
+        fired, spied = [], []
+        trained = _Trained(lambda: fired.append(sched.now), lambda due, period, k: pytest.fail("train called"))
+
+        @functools.wraps(trained.fire)
+        def spy():
+            spied.append(sched.now)
+            trained.fire()
+
+        assert spy.train is _Trained._train
+        handle = sched.schedule(1, spy, periodic=1)
+        assert handle.train is None
+        assert sched.advance_to(10) == 10
+        assert spied == fired == list(range(1, 11))
 
 
 class TestRaisingAction:
@@ -375,7 +435,7 @@ def _play(sched, scenario):
             return done
 
         if cap is not None:
-            action.train = train
+            action = _Trained(action, train).fire
         handle = sched.schedule(delay, action, periodic=period)
         handles.append(handle)
 
@@ -432,7 +492,8 @@ class _CountingLine(GpioLine):
 def _soak_mix(spy_on_blink: bool):
     """An isr blink that ends mid-run, a GPS emitter with both sentences and a
     dynamic RTC on one clock, each periodic action but the blink's (and the
-    blink's too when asked) wrapped by a spy that logs its firings."""
+    blink's too when asked) wrapped by a functools.wraps spy that logs its
+    firings."""
     sched = Scheduler()
     line, link = _CountingLine(), UartLink(sched)
     fires = []
@@ -443,6 +504,7 @@ def _soak_mix(spy_on_blink: bool):
         if spy_on_blink or name != "Blinker._isr_toggle":
             inner = action
 
+            @functools.wraps(inner)
             def action():
                 fires.append((name, sched.now, len(line.edges)))
                 inner()
