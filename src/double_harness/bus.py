@@ -173,8 +173,11 @@ class UartEnd:
 
     def send(self, data: bytes) -> None:
         """Transmit bytes toward the other end (dropped once the link is closed)."""
-        if self._peer is not None:
-            self._peer._deliver(bytes(data))
+        peer = self._peer
+        if peer is not None:
+            peer._rx += data  # copies: a later change to data is not received
+            if peer._line_listener is not None:
+                peer._drain_lines()
 
     def recv_line(self, timeout_ms: int) -> bytes:
         """Return buffered bytes up to and including the next LF.
@@ -199,10 +202,6 @@ class UartEnd:
     def subscribe_lines(self, listener: Callable[[bytes], None] | None) -> None:
         """Deliver each complete received line to `listener` as it forms."""
         self._line_listener = listener
-        self._drain_lines()
-
-    def _deliver(self, data: bytes) -> None:
-        self._rx.extend(data)
         self._drain_lines()
 
     def _drain_lines(self) -> None:

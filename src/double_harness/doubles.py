@@ -268,18 +268,37 @@ GGA = "GGA"
 RMC = "RMC"
 
 
+# Two-digit fields of hhmmss as ASCII, the XOR of each field's two
+# characters, and each checksum as its "*CS" tail's two hex digits plus CRLF.
+_DIGITS2 = tuple(b"%02d" % n for n in range(100))
+_XOR2 = tuple(digits[0] ^ digits[1] for digits in _DIGITS2)
+_HEX2_CRLF = tuple(b"%02X\r\n" % cs for cs in range(256))
+
+
+@lru_cache(maxsize=8)
+def _template(stype: str, fix: tuple[str, str, str, str]) -> tuple[bytes, bytes, int]:
+    """The text of a (type, fix) line before and after its hhmmss field, and
+    the XOR of the body's fixed characters: hhmmss is 000000 here, and six
+    equal characters XOR to 0."""
+    lat, ns, lon, ew = fix
+    if stype == GGA:
+        body = f"GPGGA,000000,{lat},{ns},{lon},{ew},1,08,0.9,10.0,M,0.0,M,,"
+    else:
+        body = f"GPRMC,000000,A,{lat},{ns},{lon},{ew},0.0,0.0,010100,,"
+    line = f"${body}*".encode("ascii")  # a non-ASCII fix fails as the whole line would
+    return line[:7], line[13:], nmea_checksum(body)
+
+
 @lru_cache(maxsize=8)  # a second's sentences are reused by every emit within it
 def _sentence(stype: str, fix: tuple[str, str, str, str], second: int) -> bytes:
-    """One NMEA line, CRLF included: a pure function of type, fix and second of day."""
-    lat, ns, lon, ew = fix
+    """One NMEA line, CRLF included: a pure function of type, fix and second
+    of day. The second's hhmmss goes between the template's two texts, and
+    only its six digits are XORed into the template's checksum."""
+    head, tail, fixed = _template(stype, fix)
     h, rem = divmod(second, 3600)
     m, s = divmod(rem, 60)
-    hhmmss = f"{h:02d}{m:02d}{s:02d}"
-    if stype == GGA:
-        body = f"GPGGA,{hhmmss},{lat},{ns},{lon},{ew},1,08,0.9,10.0,M,0.0,M,,"
-    else:
-        body = f"GPRMC,{hhmmss},A,{lat},{ns},{lon},{ew},0.0,0.0,010100,,"
-    return wrap_sentence(body).encode("ascii") + b"\r\n"
+    cs = fixed ^ _XOR2[h] ^ _XOR2[m] ^ _XOR2[s]
+    return b"".join((head, _DIGITS2[h], _DIGITS2[m], _DIGITS2[s], tail, _HEX2_CRLF[cs]))
 
 
 class GpsDouble:

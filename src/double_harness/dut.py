@@ -97,10 +97,14 @@ class Blinker:
     def _isr_train(self, first: int, period: int, k: int) -> int:
         """The next n = min(k, remaining) toggles in one call; 0 when the line
         has listeners. See Scheduler.advance_to's train rule."""
-        n = min(k, self._isr_remaining)
+        remaining = self._isr_remaining
+        n = min(k, remaining)
         if not self.line.toggle_train(first, period, n):
             return 0
-        self._count_down(n)
+        if n < remaining:
+            self._isr_remaining = remaining - n
+        else:
+            self._count_down(n)
         return n
 
     def _count_down(self, n: int) -> None:

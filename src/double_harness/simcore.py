@@ -104,8 +104,10 @@ class Scheduler:
         When its new due time is <= `to` and strictly before the head of
         the heap, it is still the earliest pending event, and it fires
         again without the push and pop that would return it to the same
-        place. Fire order, fire times and seq numbers are those of the
-        plain heap loop.
+        place. Otherwise it goes back on the heap, and when the head is due
+        by `to` one heappushpop re-arms it and takes the head off, where the
+        plain loop pushes and then pops. Fire order, fire times and seq
+        numbers are those of the plain heap loop.
 
         Train rule: a periodic action that is a bound method may offer a
         train form, a `train` attribute on its function, bound to the same
@@ -140,7 +142,7 @@ class Scheduler:
             if event.cancelled:
                 continue
             action, period, train = event.action, event.period, event.train
-            while True:
+            while True:  # fire `event` at `due`, re-arm it, and go on with the earliest
                 self.now = due
                 try:
                     if train is not None and due + period <= to:  # room for a run
@@ -166,7 +168,12 @@ class Scheduler:
                 if due < self.now:  # the action advanced the clock past it
                     due = self.now
                 self._seq += 1
-                if due > to or (heap and heap[0][0] <= due):
+                if heap and heap[0][0] <= due and heap[0][0] <= to:  # the head goes first
+                    due, _seq, event = heapq.heappushpop(heap, (due, self._seq, event))
+                    if event.cancelled:
+                        break
+                    action, period, train = event.action, event.period, event.train
+                elif due > to:
                     heapq.heappush(heap, (due, self._seq, event))
                     break
         if self.now < to:

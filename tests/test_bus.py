@@ -208,6 +208,32 @@ class TestUartLink:
         assert link.a.recv_line(10) == b"\n"
         assert link.a.recv_line(10) == b"abc\n"
 
+    def test_a_sent_bytearray_changed_afterwards_is_received_as_sent(self, sched):
+        """Both ways, with and without a line listener: the receiver keeps
+        the bytes of the send, not the sender's buffer."""
+        link = UartLink(sched)
+        lines = []
+        link.b.subscribe_lines(lines.append)
+        buf = bytearray(b"one\ntw")
+        link.a.send(buf)
+        link.b.send(buf)
+        buf[:] = b"XXXXXXX\n"
+        assert lines == [b"one\n"] and link.b.pending() == b"tw"
+        assert link.a.recv_line(0) == b"one\n" and link.a.pending() == b"tw"
+
+    def test_a_line_listener_gets_each_line_within_the_send_that_ends_it(self, sched):
+        """Each line is delivered as it forms, before the next send, and the
+        listener sees the bytes after it still buffered."""
+        link = UartLink(sched)
+        seen = []
+        link.b.subscribe_lines(lambda line: seen.append((line, link.b.pending())))
+        link.a.send(b"$A")
+        assert seen == []
+        link.a.send(b"*1\r\n$B*2\r\n$C")
+        assert seen == [(b"$A*1\r\n", b"$B*2\r\n$C"), (b"$B*2\r\n", b"$C")]
+        link.a.send(b"*3\n")
+        assert seen[2:] == [(b"$C*3\n", b"")]
+
     def test_two_lines_arrive_in_order(self, sched):
         link = UartLink(sched)
         link.a.send(b"one\n")

@@ -27,6 +27,7 @@ from double_harness.doubles import (
     NotReadyError,
     RtcDouble,
     SpiSlaveDouble,
+    _sentence,
     nmea_checksum,
     split_sentence,
     wrap_sentence,
@@ -574,6 +575,104 @@ class TestGpsConfig:
         assert gps.get_emit_count() == 1 + 5
 
 
+class TestGpsOnTheWire:
+    """Config sentences framed by the DUT's GpsDriver, or raw bytes, on the
+    rig's UART; what the double made of them is read over its command
+    channel. Each case names the mutant of the double that it kills."""
+
+    @pytest.fixture
+    def gps(self, rig):
+        dut, double = rig.session.dut.endpoint, rig.session.double.endpoint
+        assert send_command(double, Command("NEW", "gps", "Gps", ())).ok
+        assert send_command(dut, Command("NEW", "drv", "GpsDriver", ())).ok
+
+        def config(body):
+            resp = send_command(dut, Command("CALL", "drv", "send_command", (body,)))
+            assert resp.ok, resp
+
+        def ask(method, *args):
+            return send_command(double, Command("CALL", "gps", method, args))
+
+        def state():
+            return tuple(ask(m).payload for m in ("get_reject_count", "get_update_period", "get_enabled"))
+
+        return config, ask, state, rig.uart.a
+
+    @pytest.mark.parametrize(
+        "body, rejects, period, enabled",
+        [
+            ("PDBL,RATE,250", 0, 250, ["GGA"]),
+            ("PDBL,RATE,1", 0, 1, ["GGA"]),  # period < 1 to <= 1
+            ("PDBL,RATE,abc", 1, None, ["GGA"]),  # not an int: += 1 to -= 1
+            ("PDBL,RATE,0", 1, None, ["GGA"]),  # below 1 ms: += 1 to -= 1
+            ("PDBL,RATE,-5", 1, None, ["GGA"]),
+            ("PDBL,SEL,XYZ,1", 1, None, ["GGA"]),  # += 1 to -= 1; its guard's or to and
+            ("PDBL,SEL,RMC,2", 1, None, ["GGA"]),  # the same guard's or to and
+            ("PDBL,SEL,RMC,1", 0, None, ["GGA", "RMC"]),
+            ("PDBL,SEL,GGA,0", 0, None, []),
+            ("PDBL", 0, None, ["GGA"]),  # the talker guard's or to and: fields[1] raises
+            ("GPXXX,RATE,250", 0, None, ["GGA"]),  # the talker guard's or to and
+            ("PDBL,RATE,250,9", 0, None, ["GGA"]),  # RATE guard's and to or: arms
+            ("PDBL,SEL,GGA", 0, None, ["GGA"]),  # RATE guard's and to or: rejects
+            ("PDBL,SEL,RMC,1,9", 0, None, ["GGA"]),  # SEL guard's and to or: enables
+            ("PDBL,FOO,RMC,1", 0, None, ["GGA"]),  # SEL guard's and to or: enables
+        ],
+    )
+    def test_a_config_sentence_changes_what_it_should_and_counts_its_reject(
+        self, gps, body, rejects, period, enabled
+    ):
+        config, _, state, _ = gps
+        config(body)
+        assert state() == (rejects, period, enabled)
+
+    def test_rejects_add_up_and_leave_the_armed_rate(self, gps):
+        config, _, state, _ = gps
+        config("PDBL,RATE,250")
+        for body in ("PDBL,RATE,abc", "PDBL,RATE,0", "PDBL,SEL,XYZ,1"):
+            config(body)
+        assert state() == (3, 250, ["GGA"])
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"$PDBL,SEL,RMC,1*1\r\n",  # its checksum is 0x01: a one-digit tail
+            b"$PDBL,SEL,RMC,1*001\r\n",  # three digits of the right value
+            b"$PDBL,SEL,RMC,1*ZZ\r\n",  # not hex: split_sentence must not raise
+            b"$PDBL,SEL,RMC,1*\r\n",
+        ],
+    )
+    def test_a_checksum_tail_that_is_not_two_hex_digits_is_a_reject(self, gps, raw):
+        """The tail-length check's `!= 2` to any other comparison accepts the
+        one-digit or the three-digit tail; without the non-hex check the
+        double raises."""
+        _, _, state, wire = gps
+        wire.send(raw)
+        assert state() == (1, None, ["GGA"])
+        wire.send(b"$PDBL,SEL,RMC,1*01\r\n")
+        assert state() == (1, None, ["GGA", "RMC"])
+
+    @pytest.mark.parametrize(
+        "fix, error",
+        [
+            (("9000.000", "N", "18000.000", "W"), None),  # > 90 and > 180 to >=
+            (("9100.000", "N", "01131.000", "E"), "bad latitude '9100.000'"),  # > 90 to < 90 etc.
+            (("4859.999", "S", "01159.999", "E"), None),  # > 59 to >= 59, both
+            (("4860.000", "N", "01131.000", "E"), "bad latitude '4860.000'"),
+            (("4807.038", "N", "18100.000", "E"), "bad longitude '18100.000'"),
+            (("4807.038", "N", "01160.000", "E"), "bad longitude '01160.000'"),
+            (("4807.038", "N", "1131.000", "E"), "bad longitude '1131.000'"),  # four degree digits
+            (("4807.038", "N", "01131", "E"), "bad longitude '01131'"),
+        ],
+    )
+    def test_set_fix_takes_the_bounds_and_refuses_past_them(self, gps, fix, error):
+        _, ask, _, _ = gps
+        resp = ask("set_fix", *fix)
+        if error is None:
+            assert resp.ok, resp
+        else:
+            assert (resp.code, resp.message) == ("EXEC", f"FixFormatError: {error}")
+
+
 class TestGpsSentences:
     def test_emitted_gga_carries_the_fix_verbatim(self, gps_setup):
         link, gps, sched = gps_setup
@@ -646,14 +745,18 @@ _GPS_OPS = st.lists(
 )
 
 
+def _gps_body(stype, fix, second):
+    """A sentence body with its clock field from the stdlib."""
+    lat, ns, lon, ew = fix
+    hhmmss = time.strftime("%H%M%S", time.gmtime(second))
+    if stype == "GGA":
+        return f"GPGGA,{hhmmss},{lat},{ns},{lon},{ew},1,08,0.9,10.0,M,0.0,M,,"
+    return f"GPRMC,{hhmmss},A,{lat},{ns},{lon},{ew},0.0,0.0,010100,,"
+
+
 def _gps_line(stype, fix, at_ms):
     """A sentence built from scratch: stdlib clock field, XOR-fold checksum."""
-    lat, ns, lon, ew = fix
-    hhmmss = time.strftime("%H%M%S", time.gmtime(at_ms // 1000))
-    if stype == "GGA":
-        body = f"GPGGA,{hhmmss},{lat},{ns},{lon},{ew},1,08,0.9,10.0,M,0.0,M,,"
-    else:
-        body = f"GPRMC,{hhmmss},A,{lat},{ns},{lon},{ew},0.0,0.0,010100,,"
+    body = _gps_body(stype, fix, at_ms // 1000)
     return f"${body}*{oracle_checksum(body):02X}\r\n".encode("ascii")
 
 
@@ -690,6 +793,30 @@ def test_every_emitted_sentence_is_a_fresh_build(start, ops):
             sched.advance_by(arg[0])
     assert link.a.pending() == b"".join(expected)
     assert gps.get_emit_count() == len(expected)
+
+
+@pytest.mark.parametrize("stype", ["GGA", "RMC"])
+def test_the_sentence_template_is_exact_at_every_second_of_the_day(gps_setup, stype):
+    """Each second's line from the (type, fix) template and its six digits is
+    the wrapped full body, and the double's own check accepts it."""
+    fix = gps_setup[1].fix
+    for second in range(86_400):
+        body = _gps_body(stype, fix, second)
+        line = _sentence(stype, fix, second).decode("ascii")
+        assert line == wrap_sentence(body) + "\r\n"
+        assert split_sentence(line) == body
+
+
+@pytest.mark.parametrize("fix", _FIXES[1:])
+@pytest.mark.parametrize("stype", ["GGA", "RMC"])
+def test_the_sentence_template_is_exact_for_other_fixes(stype, fix):
+    """Sampled seconds, the hour and day ends among them, checked against
+    the XOR-fold oracle."""
+    for second in [*range(0, 86_400, 997), 59, 3599, 43_199, 86_399]:
+        line = _sentence(stype, fix, second)
+        body = _gps_body(stype, fix, second)
+        assert line == f"${body}*{oracle_checksum(body):02X}\r\n".encode("ascii")
+        assert split_sentence(line.decode("ascii")) == body
 
 
 class TestNmeaHelpers:

@@ -368,6 +368,50 @@ _SCENARIO = st.tuples(
     st.lists(_EVENT, min_size=1, max_size=6), st.lists(st.integers(0, 15), min_size=1, max_size=4)
 )
 
+# A periodic event whose first firing cancels a one-shot event due `gap` ms
+# later, so one of its re-arms can meet that event at the head of the heap.
+_CANCELLED_HEAD = st.builds(
+    lambda delay, period, cap, gap, more, steps: (
+        [(delay, period, [(0, "cancel_other", 1)], cap), (delay + gap, None, [], None), *more],
+        [*steps, 16],
+    ),
+    st.integers(0, 3),
+    st.integers(1, 4),
+    st.none() | st.integers(1, 5),
+    st.integers(1, 12),
+    st.lists(_EVENT, max_size=3),
+    st.lists(st.integers(0, 15), max_size=3),
+)
+# A periodic event and one-shot events due at some of its re-arm times.
+_SAME_MS = st.builds(
+    lambda delay, period, cap, ops, multiples, more, steps: (
+        [(delay, period, ops, cap), *((delay + m * period, None, [], None) for m in multiples), *more],
+        [*steps, 16],
+    ),
+    st.integers(0, 3),
+    st.integers(1, 4),
+    st.none() | st.integers(1, 5),
+    st.lists(_OP, max_size=2),
+    st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    st.lists(_EVENT, max_size=2),
+    st.lists(st.integers(0, 15), max_size=3),
+)
+
+
+class _PushPopSpy:
+    """Counts the heappushpop calls that hand advance_to a cancelled event,
+    and those that hand it a one-shot event due in the ms of the re-armed
+    event that went in."""
+
+    def __init__(self):
+        self.cancelled = self.same_ms = 0
+
+    def __call__(self, heap, item, pushpop=heapq.heappushpop):
+        got = pushpop(heap, item)
+        self.cancelled += got[2].cancelled
+        self.same_ms += got[0] == item[0] and got[2].period is None
+        return got
+
 
 def _play(sched, scenario):
     """Run a scenario; return everything observable about the run.
@@ -471,6 +515,23 @@ class TestHeadRunMatchesHeapLoop:
         """The scheduler loops over a run longer than TRAIN_MAX firings."""
         with mock.patch.object(simcore, "TRAIN_MAX", 2):
             assert _play(Scheduler(), scenario) == _play(_HeapLoopScheduler(), scenario)
+
+    @pytest.mark.parametrize("mix, seen", [(_CANCELLED_HEAD, "cancelled"), (_SAME_MS, "same_ms")])
+    def test_same_run_when_a_rearm_swaps_with_the_head(self, mix, seen):
+        """The head that a re-arm's heappushpop takes off is a cancelled event,
+        or a one-shot event due in the same ms as the re-armed one: both mixes
+        hit their case in most examples."""
+        spy = _PushPopSpy()
+
+        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @given(mix)
+        def same_run(scenario):
+            with mock.patch.object(simcore.heapq, "heappushpop", spy):
+                ours = _play(Scheduler(), scenario)
+            assert ours == _play(_HeapLoopScheduler(), scenario)
+
+        same_run()
+        assert getattr(spy, seen) >= 50, vars(spy)
 
     def test_rearmed_event_yields_to_an_older_event_at_the_same_ms(self, sched):
         """The tick re-armed for 3 ms takes a newer seq than `once`, queued at 0."""

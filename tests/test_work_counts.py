@@ -1,9 +1,10 @@
 """Interpreter-independent work counts, pinned.
 
 One clean five-suite pass on a fresh rig makes a fixed number of command
-round trips, scheduler events and GPIO edges, whatever Python runs it. The
-counts come from wrapping module functions inside the test, as the traced
-benchmark does. A change that moves one updates the pin and says why.
+round trips, scheduler events, GPIO edges, UART bytes and I2C transactions,
+whatever Python runs it. The counts come from wrapping module functions
+inside the test, as the traced benchmark does. A change that moves one
+updates the pin and says why.
 """
 
 import datetime
@@ -19,10 +20,13 @@ SOAK_MS = 20_000
 @pytest.fixture
 def counts(monkeypatch):
     """Round trips, events fired (summed over advance_to calls, so a train's
-    firings count one each) and GPIO edges, whether write or a train adds them."""
-    tally = {"round_trips": 0, "events": 0, "edges": 0}
+    firings count one each), GPIO edges, whether write or a train adds them,
+    bytes sent on either UART end and I2C transactions."""
+    tally = {"round_trips": 0, "events": 0, "edges": 0, "uart_bytes": 0, "i2c_txns": 0}
     send_command = transport.send_command
     advance_to = simcore.Scheduler.advance_to
+    uart_send = bus.UartEnd.send
+    write_then_read = bus.I2cBus.write_then_read
 
     def counted_send(*args, **kwargs):
         tally["round_trips"] += 1
@@ -43,7 +47,17 @@ def counts(monkeypatch):
 
         return counted
 
+    def counted_uart_send(end, data):
+        tally["uart_bytes"] += len(data)
+        return uart_send(end, data)
+
+    def counted_txn(i2c, *args):
+        tally["i2c_txns"] += 1
+        return write_then_read(i2c, *args)
+
     monkeypatch.setattr(transport, "send_command", counted_send)
+    monkeypatch.setattr(bus.UartEnd, "send", counted_uart_send)
+    monkeypatch.setattr(bus.I2cBus, "write_then_read", counted_txn)
     monkeypatch.setattr(simcore.Scheduler, "advance_to", counted_advance)
     for name in ("write", "toggle_train"):
         monkeypatch.setattr(bus.GpioLine, name, edge_counter(getattr(bus.GpioLine, name)))
@@ -62,15 +76,18 @@ def _five_suite_pass(fault=None):
 def test_one_five_suite_pass(counts):
     results, edges = _five_suite_pass()
     assert all(r.verdict == harness.PASS for r in results)
-    assert counts == {"round_trips": 131, "events": 43, "edges": 8} and edges == 8
+    assert edges == 8
+    assert counts == {"round_trips": 131, "events": 43, "edges": 8, "uart_bytes": 450, "i2c_txns": 5}
 
 
 def test_one_pass_clean_and_one_per_shipped_fault(counts):
-    """The benchmark's suite_matrix set: 6 x 8 edges, and fewer round trips and
-    events where a fault fails a case early."""
+    """The benchmark's suite_matrix set: 6 x 8 edges and 6 x 5 I2C
+    transactions, fewer round trips and events where a fault fails a case
+    early, and 5 x 450 + 51 UART bytes: the GPS double rejects the config
+    sentences that omit_checksum sends, so it never emits."""
     for fault in (None, *suites.SHIPPED_FAULTS):
         _five_suite_pass(fault)
-    assert counts == {"round_trips": 782, "events": 252, "edges": 48}
+    assert counts == {"round_trips": 782, "events": 252, "edges": 48, "uart_bytes": 2301, "i2c_txns": 30}
 
 
 def _registers(moment: datetime.datetime) -> list[int]:
@@ -113,6 +130,10 @@ def test_a_soak_case_fires_the_closed_form_count(counts, period, rate, rmc):
         assert fired == 2 * count + SOAK_MS // rate + SOAK_MS // 1000
         assert counts["events"] - events_before == fired
         assert counts["edges"] == 2 * count
+        config = len(f"$PDBL,SEL,RMC,{int(rmc)}*CS\r\n") + len(f"$PDBL,RATE,{rate}*CS\r\n")
+        gga, rmc_line = 65, 60  # "$GPGGA,hhmmss,4807.038,...*CS\r\n" and its RMC twin
+        assert counts["uart_bytes"] == config + SOAK_MS // rate * (gga + rmc * rmc_line)
+        assert counts["i2c_txns"] == 1  # set_datetime; the image is read over the command channel
         assert send(double, "CALL", "led", "get_avg_blink_ms") == float(period)
         assert send(double, "CALL", "gps", "get_emit_count") == (1 + rmc) * (SOAK_MS // rate)
         image = send(double, "CALL", "rtc", "read_registers")
