@@ -286,7 +286,7 @@ def _template(stype: str, fix: tuple[str, str, str, str]) -> tuple[bytes, bytes,
     else:
         body = f"GPRMC,000000,A,{lat},{ns},{lon},{ew},0.0,0.0,010100,,"
     line = f"${body}*".encode("ascii")  # a non-ASCII fix fails as the whole line would
-    return line[:7], line[13:], nmea_checksum(body)
+    return line[:7], line[13:], nmea_checksum(body)  # hhmmss follows "$GPxxx,"
 
 
 @lru_cache(maxsize=8)  # a second's sentences are reused by every emit within it
