@@ -83,10 +83,10 @@ class GpioLine:
             return False
         if first < self._last_at:
             raise ValueError(f"edge time regression: {first} < {self._last_at}")
-        last = first + (n - 1) * period
-        self.edges.extend(range(first, last + 1, period))
+        stop = first + n * period
+        self.edges.extend(range(first, stop, period))
         self.level ^= n & 1
-        self._last_at = last
+        self._last_at = stop - period
         return True
 
     def subscribe(self, listener: Callable[[SimTime, int], None]) -> None:

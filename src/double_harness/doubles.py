@@ -106,6 +106,14 @@ def _bcd_decode(byte: int) -> int:
     return (byte >> 4) * 10 + (byte & 0x0F)
 
 
+# The tick's fast path (RtcDouble._tick): the seconds byte one second on, 0
+# where that step would carry into the minutes; and 1 at each minute or hour
+# byte that advance_seconds writes back as it was, the canonical BCD bytes.
+_NEXT_SECOND = bytes(_bcd_encode(_bcd_decode(b) + 1) if _bcd_decode(b) < 59 else 0 for b in range(256))
+_MINUTE_KEPT = bytes(_bcd_decode(b) < 60 and _bcd_encode(_bcd_decode(b)) == b for b in range(256))
+_HOUR_KEPT = bytes(_bcd_decode(b) < 24 and _bcd_encode(_bcd_decode(b)) == b for b in range(256))
+
+
 def _days_in_month(month: int, year2: int) -> int:
     # year2 is the two-digit register value, i.e. 2000..2099; every fourth
     # year in that window is a leap year (2100 is out of range by design).
@@ -208,7 +216,14 @@ class RtcDouble:
         self._i2c.remove_device(self.addr)
 
     def _tick(self) -> None:
-        self.advance_seconds(1)
+        """advance_seconds(1): a seconds step that does not carry, beside
+        canonical minute and hour bytes, stores one byte; the rest go the long way."""
+        regs = self.regs
+        second = _NEXT_SECOND[regs[0]]
+        if second and _MINUTE_KEPT[regs[1]] and _HOUR_KEPT[regs[2]]:
+            regs[0] = second
+        else:
+            self.advance_seconds(1)
 
     def _advance_one_day(self) -> None:
         weekday = _bcd_decode(self.regs[3])
@@ -245,24 +260,23 @@ def wrap_sentence(body: str) -> str:
     return f"${body}*{nmea_checksum(body):02X}"
 
 
+_HEX2_RE = re.compile(r"[0-9A-Fa-f]{2}")  # int(tail, 16) alone also takes "+1" and " 1"
+
+
 def split_sentence(line: str) -> str | None:
     """Return the sentence body iff framing and checksum are valid."""
     text = line.strip()
     if not text.startswith("$") or "*" not in text:
         return None
     body, _, tail = text[1:].rpartition("*")
-    if len(tail) != 2:
-        return None
-    try:
-        stated = int(tail, 16)
-    except ValueError:
-        return None
-    if stated != nmea_checksum(body):
+    if _HEX2_RE.fullmatch(tail) is None or int(tail, 16) != nmea_checksum(body):
         return None
     return body
 
-_LAT_RE = re.compile(r"^(\d{4})\.(\d+)$")
-_LON_RE = re.compile(r"^(\d{5})\.(\d+)$")
+
+# ASCII digits only: \d and int() take any Unicode digit, which no sentence may carry.
+_LAT_RE = re.compile(r"[0-9]{4}\.[0-9]+")
+_LON_RE = re.compile(r"[0-9]{5}\.[0-9]+")
 
 GGA = "GGA"
 RMC = "RMC"
@@ -289,7 +303,6 @@ def _template(stype: str, fix: tuple[str, str, str, str]) -> tuple[bytes, bytes,
     return line[:7], line[13:], nmea_checksum(body)  # hhmmss follows "$GPxxx,"
 
 
-@lru_cache(maxsize=8)  # a second's sentences are reused by every emit within it
 def _sentence(stype: str, fix: tuple[str, str, str, str], second: int) -> bytes:
     """One NMEA line, CRLF included: a pure function of type, fix and second
     of day. The second's hhmmss goes between the template's two texts, and
@@ -311,6 +324,10 @@ class GpsDouble:
 
     Sentences with a bad checksum are dropped silently (real modules do the
     same) and counted, so a test can see that its command never landed.
+
+    An emit sends the burst of its second: the lines of the enabled types,
+    joined in sorted type order. It is built by the first emit of each
+    simulated second and by the first after a SEL or set_fix.
     """
 
     def __init__(self, uart_end: _bus.UartEnd, scheduler: Scheduler) -> None:
@@ -322,6 +339,9 @@ class GpsDouble:
         self.reject_count = 0
         self.emit_count = 0
         self._emit_handle: EventHandle | None = None
+        self._burst = b""
+        self._burst_lines = 0
+        self._burst_end = 0  # the clock time from which the burst must be rebuilt
         uart_end.subscribe_lines(self.on_uart_line)
 
     def on_uart_line(self, raw: bytes) -> None:
@@ -352,10 +372,11 @@ class GpsDouble:
                 self.enabled.add(stype)
             else:
                 self.enabled.discard(stype)
+            self._burst_end = 0
 
     def set_fix(self, lat_ddmm: str, ns: str, lon_dddmm: str, ew: str) -> None:
-        lat_m = _LAT_RE.match(lat_ddmm)
-        lon_m = _LON_RE.match(lon_dddmm)
+        lat_m = _LAT_RE.fullmatch(lat_ddmm)
+        lon_m = _LON_RE.fullmatch(lon_dddmm)
         if lat_m is None or int(lat_ddmm[:2]) > 90 or int(lat_ddmm[2:4]) > 59:
             raise FixFormatError(f"bad latitude {lat_ddmm!r}")
         if lon_m is None or int(lon_dddmm[:3]) > 180 or int(lon_dddmm[3:5]) > 59:
@@ -363,6 +384,7 @@ class GpsDouble:
         if ns not in ("N", "S") or ew not in ("E", "W"):
             raise FixFormatError(f"bad hemisphere {ns!r}/{ew!r}")
         self.fix = (lat_ddmm, ns, lon_dddmm, ew)
+        self._burst_end = 0
 
     def get_reject_count(self) -> int:
         return self.reject_count
@@ -388,10 +410,15 @@ class GpsDouble:
         self._emit_handle = self._scheduler.schedule(period, self._emit, periodic=period)
 
     def _emit(self) -> None:
-        second = (self._scheduler.now // 1000) % 86400
-        for stype in sorted(self.enabled):
-            self._uart.send(_sentence(stype, self.fix, second))
-            self.emit_count += 1
+        now = self._scheduler.now
+        if now >= self._burst_end:  # the clock never runs back, so the burst is this second's
+            second = now // 1000
+            lines = [_sentence(stype, self.fix, second % 86400) for stype in sorted(self.enabled)]
+            self._burst, self._burst_lines = b"".join(lines), len(lines)
+            self._burst_end = (second + 1) * 1000
+        if self._burst_lines:
+            self._uart.send(self._burst)
+            self.emit_count += self._burst_lines
 
 
 # ---------------------------------------------------------------------------

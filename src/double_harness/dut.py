@@ -274,15 +274,13 @@ class GpsDriver:
         if not text.startswith("$") or "*" not in text:
             return None
         body, _, tail = text[1:].rpartition("*")
-        if len(tail) != 2:
+        # two hex digits: strip() leaves what is not one, int() alone takes "+1"
+        if len(tail) != 2 or tail.strip("0123456789ABCDEFabcdef"):
             return None
         cs = 0
         for ch in body:
             cs ^= ord(ch)
-        try:
-            if int(tail, 16) != cs:
-                return None
-        except ValueError:
+        if int(tail, 16) != cs:
             return None
         return body
 

@@ -121,6 +121,8 @@ class Scheduler:
         (n - 1 if the train cancelled the event), then re-arms or finishes
         as after one firing at the last due time. Any other action, a
         wrapper around such a method included, fires one call at a time.
+        So each step of the loop is n firings, n = 1 for a plain call, and
+        moves the count fired, the seq and the re-arm time once, by n.
 
         Nesting: an action may call advance_to itself; time still never
         runs backwards. Now stays where a nested call left it, and a
@@ -142,33 +144,31 @@ class Scheduler:
             if event.cancelled:
                 continue
             action, period, train = event.action, event.period, event.train
-            while True:  # fire `event` at `due`, re-arm it, and go on with the earliest
+            while True:  # fire `event` at `due` (n times when a train runs), re-arm it, go on
                 self.now = due
                 try:
-                    if train is not None and due + period <= to:  # room for a run
-                        last = heap[0][0] - 1 if heap and heap[0][0] <= to else to
-                        k = (last - due) // period + 1
-                        n = train(due, period, min(k, TRAIN_MAX)) if k > 1 else 0
-                        if n:  # carry on as after the run's last firing
-                            fired += n - 1
-                            due += (n - 1) * period
-                            self._seq += n - 1
-                        else:
-                            action()
-                    else:
+                    if train is None:
                         action()
+                        n = 1
+                    else:  # k: the later firings that come before the heap's head and by `to`
+                        k = ((heap[0][0] - 1 if heap and heap[0][0] <= to else to) - due) // period
+                        n = train(due, period, k + 1 if k < TRAIN_MAX else TRAIN_MAX) if k > 0 else 0
+                        if not n:  # no run: one plain firing
+                            action()
+                            n = 1
                 except BaseException:
                     event.done = True  # out of the heap for good: no longer pending
                     raise
-                fired += 1
+                fired += n
                 if period is None or event.cancelled:
+                    self._seq += n - 1  # a run's later firings took seqs; 0 for one call
                     event.done = True
                     break
-                due += period
+                due += n * period
                 if due < self.now:  # the action advanced the clock past it
                     due = self.now
-                self._seq += 1
-                if heap and heap[0][0] <= due and heap[0][0] <= to:  # the head goes first
+                self._seq += n
+                if heap and heap[0][0] <= (due if due < to else to):  # the head goes first
                     due, _seq, event = heapq.heappushpop(heap, (due, self._seq, event))
                     if event.cancelled:
                         break

@@ -19,6 +19,7 @@ from double_harness.bus import (
     UartLink,
 )
 from double_harness.doubles import (
+    RTC_ADDR,
     BleCentralDouble,
     FixFormatError,
     GpsDouble,
@@ -506,6 +507,101 @@ def test_set_mode_dynamic_rearms_a_tick_that_a_garbage_year_ended(rig):
     assert send("read_registers").payload == [5, 0, 0, 1, 1, 1, 36]
 
 
+class TestRtcOnTheWire:
+    """An RTC double on the rig: its registers loaded and read over the
+    command channel, or clocked on the rig's I2C bus as a driver would."""
+
+    IMAGE = [0x10, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16]
+
+    @pytest.fixture
+    def rtc(self, rig):
+        def send(method, *args):
+            return send_command(rig.session.double.endpoint, Command("CALL", "rtc", method, args))
+
+        assert send_command(rig.session.double.endpoint, Command("NEW", "rtc", "Rtc", ("static",))).ok
+        assert send("load_registers", self.IMAGE).ok
+        return send, rig.i2c
+
+    def test_advance_by_zero_seconds_is_a_no_op(self, rtc):
+        """`n < 0` to `<= 0` refuses it."""
+        send, _ = rtc
+        assert send("advance_seconds", 0).ok
+        assert send("read_registers").payload == self.IMAGE
+
+    @pytest.mark.parametrize(
+        "wbytes, nread, then, expected",
+        [
+            ([3], 0, 2, [0x13, 0x14]),  # a pointer-only write leaves the pointer there
+            ([6, 0xA6, 0xA0, 0xA1], 0, 2, [0x12, 0x13]),  # past the write: (6 + 3) % 7
+            ([5], 4, 3, [0x12, 0x13, 0x14]),  # past the read: (5 + 4) % 7
+            ([6, 0xA6], 3, 1, [0x13]),  # past both: (6 + 1 + 3) % 7
+        ],
+    )
+    def test_the_next_read_goes_on_from_the_register_pointer(self, rtc, wbytes, nread, then, expected):
+        """A transaction that writes no pointer reads on from where the last
+        one left it, as on the real part, wrapping past register 6. The
+        pointer moves past every byte written and read, modulo 7."""
+        send, i2c = rtc
+        i2c.write_then_read(RTC_ADDR, bytes(wbytes), nread)
+        assert list(i2c.write_then_read(RTC_ADDR, b"", then)) == expected
+        written = {(wbytes[0] + i) % 7: v for i, v in enumerate(wbytes[1:])}
+        assert send("read_registers").payload == [written.get(i, v) for i, v in enumerate(self.IMAGE)]
+
+    @pytest.mark.parametrize("mode", ["static", "dynamic"])
+    def test_a_bad_mode_is_refused_and_the_clock_keeps_its_mode(self, rtc, rig, mode):
+        send, _ = rtc
+        assert send("set_mode", mode).ok
+        resp = send("set_mode", "Dynamic")
+        assert resp.code == "EXEC"
+        assert resp.message == "ValueError: mode must be static or dynamic, got 'Dynamic'"
+        rig.scheduler.advance_by(2000)
+        assert send("read_registers").payload[0] == (0x12 if mode == "dynamic" else 0x10)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([0] * 6, "expected 7 bytes, got 6"),
+            ([0] * 8, "expected 7 bytes, got 8"),
+            ([0, 0, 0, 1, 1, 1, 256], "byte out of range: 256"),
+            ([-1, 0, 0, 1, 1, 1, 0], "byte out of range: -1"),
+        ],
+    )
+    def test_a_bad_register_image_is_refused_whole(self, rtc, values, message):
+        send, _ = rtc
+        resp = send("load_registers", values)
+        assert (resp.code, resp.message) == ("EXEC", f"ValueError: {message}")
+        assert send("read_registers").payload == self.IMAGE
+
+    def test_the_byte_bounds_load(self, rtc):
+        send, _ = rtc
+        assert send("load_registers", [0, 0xFF, 0, 0xFF, 0, 0xFF, 0]).ok
+        assert send("read_registers").payload == [0, 0xFF, 0, 0xFF, 0, 0xFF, 0]
+
+
+def _tick(rtc, n):
+    assert n == 1
+    rtc._tick()
+
+
+class TestRtcTickFastPath:
+    """A tick is advance_seconds(1), whatever the register bytes: the fast
+    path's byte store and the long way agree, errors and all."""
+
+    def test_every_seconds_byte_beside_every_minute_byte(self):
+        """23:mm:ss on 2024-02-28, so a carry out of a valid minute ends the day."""
+        for second in range(256):
+            for minute in range(256):
+                image = [second, minute, 0x23, 3, 0x28, 0x02, 0x24]
+                assert _outcome(_tick, image, 1) == _outcome(RtcDouble.advance_seconds, image, 1), image
+
+    @pytest.mark.parametrize("year", [0x24, 0xFF])  # a garbage year refuses the day step
+    def test_every_hour_byte(self, year):
+        for hour in range(256):
+            for second, minute in ((0x00, 0x00), (0x58, 0x59), (0x59, 0x00), (0x59, 0x59)):
+                image = [second, minute, hour, 7, 0x31, 0x12, year]
+                assert _outcome(_tick, image, 1) == _outcome(RtcDouble.advance_seconds, image, 1), image
+
+
 def _month_len(year, month):
     if month == 12:
         return 31
@@ -639,12 +735,14 @@ class TestGpsOnTheWire:
             b"$PDBL,SEL,RMC,1*001\r\n",  # three digits of the right value
             b"$PDBL,SEL,RMC,1*ZZ\r\n",  # not hex: split_sentence must not raise
             b"$PDBL,SEL,RMC,1*\r\n",
+            b"$PDBL,SEL,RMC,1*+1\r\n",  # int(tail, 16) reads a sign or a space as 0x01
+            b"$PDBL,SEL,RMC,1* 1\r\n",
         ],
     )
     def test_a_checksum_tail_that_is_not_two_hex_digits_is_a_reject(self, gps, raw):
         """The tail-length check's `!= 2` to any other comparison accepts the
         one-digit or the three-digit tail; without the non-hex check the
-        double raises."""
+        double raises, and `int(tail, 16)` alone takes "+1" and " 1"."""
         _, _, state, wire = gps
         wire.send(raw)
         assert state() == (1, None, ["GGA"])
@@ -671,6 +769,31 @@ class TestGpsOnTheWire:
             assert resp.ok, resp
         else:
             assert (resp.code, resp.message) == ("EXEC", f"FixFormatError: {error}")
+
+    @pytest.mark.parametrize(
+        "lat, lon, message",
+        [
+            # Arabic-Indic digits, which \d takes; the reply shows each as a space
+            ("\u0664\u066807.038", "01131.000", "bad latitude '  07.038'"),
+            ("4807.038", "\u0660\u0661131.000", "bad longitude '  131.000'"),
+            # `$` matches before a final newline
+            ("4807.038\n", "01131.000", "bad latitude '4807.038\\n'"),
+            ("4807.038", "01131.000\n", "bad longitude '01131.000\\n'"),
+        ],
+    )
+    def test_set_fix_refuses_text_no_sentence_may_carry_and_the_emitter_runs_on(
+        self, gps, rig, lat, lon, message
+    ):
+        """Such a fix would end the emitter on its next emit (a non-ASCII digit)
+        or split each GGA in two (a newline). It is refused, and the driver
+        goes on reading the fix that was there."""
+        config, ask, _, _ = gps
+        resp = ask("set_fix", lat, "N", lon, "E")
+        assert (resp.code, resp.message) == ("EXEC", f"FixFormatError: {message}")
+        config("PDBL,RATE,1000")
+        for _ in range(2):
+            resp = send_command(rig.session.dut.endpoint, Command("CALL", "drv", "get_latitude", (3000,)))
+            assert resp.ok and abs(resp.payload - 48.1173) < 1e-9, resp
 
 
 class TestGpsSentences:
@@ -793,6 +916,34 @@ def test_every_emitted_sentence_is_a_fresh_build(start, ops):
             sched.advance_by(arg[0])
     assert link.a.pending() == b"".join(expected)
     assert gps.get_emit_count() == len(expected)
+
+
+@pytest.mark.parametrize(
+    "change, fix, types",
+    [
+        ("PDBL,SEL,RMC,1", _FIXES[0], ["GGA", "RMC"]),
+        ("PDBL,SEL,GGA,0", _FIXES[0], []),
+        (_FIXES[1], _FIXES[1], ["GGA"]),
+    ],
+)
+def test_a_sel_or_set_fix_inside_a_second_changes_the_next_emit(gps_setup, monkeypatch, change, fix, types):
+    """The burst built by the emit at 100 ms would serve the rest of second 0.
+    A SEL or set_fix at 150 ms makes the emit at 200 ms build its own: one
+    send of its lines, or none when no type is enabled."""
+    link, gps, sched = gps_setup
+    _config(link, "PDBL,RATE,100")
+    sched.advance_by(150)
+    assert link.a.pending() == _gps_line("GGA", _FIXES[0], 100)
+    link.a.flush()
+    if isinstance(change, tuple):
+        gps.set_fix(*change)
+    else:
+        _config(link, change)
+    sends = []
+    monkeypatch.setattr(link.b, "send", sends.append)
+    sched.advance_by(50)
+    assert sends == ([b"".join(_gps_line(stype, fix, 200) for stype in types)] if types else [])
+    assert gps.get_emit_count() == 1 + len(types)
 
 
 @pytest.mark.parametrize("stype", ["GGA", "RMC"])

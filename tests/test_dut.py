@@ -510,15 +510,38 @@ def test_gps_latitude_reads_a_gga_cut_after_the_hemisphere(gps_drv):
     assert _send_dut(gps_drv, "CALL", "g", "get_parse_errors").payload == 0
 
 
+# Its checksum is 0x04, one hex digit, so "*+4", "* 4", "*4" and "*004" all
+# state its value to int(tail, 16).
+_GGA_CS_04 = "GPGGA,000001,4807.038,N,AB"
+assert reduce(operator.xor, map(ord, _GGA_CS_04), 0) == 0x04
+
+
 @pytest.mark.parametrize(
     "bad",
-    [_gga("4807.038", lead="#"), _gga("4860.000"), _nmea("GPGGA,000001,4807.038")],
-    ids=["no-dollar-valid-checksum", "60-minutes", "no-hemisphere"],
+    [
+        _gga("4807.038", lead="#"),
+        _gga("4860.000"),
+        _nmea("GPGGA,000001,4807.038"),
+        f"${_GGA_CS_04}*+4\r\n".encode("ascii"),
+        f"${_GGA_CS_04}* 4\r\n".encode("ascii"),
+        f"${_GGA_CS_04}*4\r\n".encode("ascii"),
+        f"${_GGA_CS_04}*004\r\n".encode("ascii"),
+    ],
+    ids=[
+        "no-dollar-valid-checksum",
+        "60-minutes",
+        "no-hemisphere",
+        "signed-tail",
+        "space-tail",
+        "one-digit-tail",
+        "three-digit-tail",
+    ],
 )
 def test_gps_latitude_counts_a_bad_line_and_reads_the_next(gps_drv, bad):
     """A line that does not start with '$', even with a checksum valid over its
-    body, a minutes field of 60 and a GGA without a hemisphere field are
-    parse errors; the next GGA is read."""
+    body, a minutes field of 60, a GGA without a hemisphere field and a
+    checksum tail that is not two hex digits are parse errors; the next GGA
+    is read."""
     gps_drv.uart.b.send(bad + _gga("4859.999"))
     resp = _send_dut(gps_drv, "CALL", "g", "get_latitude", 1000)
     assert resp.ok and abs(resp.payload - ddmm_oracle("4859.999", "N")) < 1e-9

@@ -205,6 +205,24 @@ class TestTrainForm:
         assert fired == list(range(1, 11)) and runs == [(1, 1, 10)]
         assert handle.pending and sched.next_due() == 11
 
+    def test_a_train_is_offered_two_to_train_max_firings(self, sched):
+        """A run of one firing, before the head of the heap or at the target,
+        is a plain call; a longer run is offered whole up to TRAIN_MAX."""
+        fired, offered = [], []
+
+        def run(due, period, k):
+            offered.append(k)
+            fired.extend(range(due, due + k * period, period))
+            return k
+
+        sched.schedule(1, _Trained(lambda: fired.append(sched.now), run).fire, periodic=1)
+        sched.schedule(5, lambda: fired.append(-5))
+        end = 5 + simcore.TRAIN_MAX  # from 5, TRAIN_MAX firings after the first are due by it
+        assert sched.advance_to(end) == end + 1
+        assert sched.advance_to(end + 1) == 1
+        assert offered == [4, simcore.TRAIN_MAX]
+        assert fired == [1, 2, 3, 4, -5, *range(5, end + 2)]
+
     def test_a_plain_function_with_a_train_attribute_fires_plainly(self, sched):
         fired = []
 

@@ -1,7 +1,8 @@
 """Interpreter-independent work counts, pinned.
 
 One clean five-suite pass on a fresh rig makes a fixed number of command
-round trips, scheduler events, GPIO edges, UART bytes and I2C transactions,
+round trips, frames, frame checks, JSON encodes and decodes, clock
+advances, scheduler events, GPIO edges, UART bytes and I2C transactions,
 whatever Python runs it. The counts come from wrapping module functions
 inside the test, as the traced benchmark does. A change that moves one
 updates the pin and says why.
@@ -19,20 +20,26 @@ SOAK_MS = 20_000
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Round trips, events fired (summed over advance_to calls, so a train's
-    firings count one each), GPIO edges, whether write or a train adds them,
-    bytes sent on either UART end and I2C transactions."""
-    tally = {"round_trips": 0, "events": 0, "edges": 0, "uart_bytes": 0, "i2c_txns": 0}
-    send_command = transport.send_command
+    """Round trips; frames written on the virtual channel, each way, and
+    check_frame calls; JSON texts through the wire gate, encoded and
+    decoded; advance_to calls, nested ones included, and events fired
+    (summed over them, so a train's firings count one each); GPIO edges,
+    whether write or a train adds them; bytes sent on either UART end and
+    I2C transactions."""
+    keys = "round_trips frames frame_checks json_out json_in advances events edges uart_bytes i2c_txns"
+    tally = dict.fromkeys(keys.split(), 0)
     advance_to = simcore.Scheduler.advance_to
     uart_send = bus.UartEnd.send
-    write_then_read = bus.I2cBus.write_then_read
 
-    def counted_send(*args, **kwargs):
-        tally["round_trips"] += 1
-        return send_command(*args, **kwargs)
+    def tallied(key, fn):
+        def counted(*args, **kwargs):
+            tally[key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
 
     def counted_advance(scheduler, to):
+        tally["advances"] += 1
         fired = advance_to(scheduler, to)
         tally["events"] += fired
         return fired
@@ -51,13 +58,14 @@ def counts(monkeypatch):
         tally["uart_bytes"] += len(data)
         return uart_send(end, data)
 
-    def counted_txn(i2c, *args):
-        tally["i2c_txns"] += 1
-        return write_then_read(i2c, *args)
-
-    monkeypatch.setattr(transport, "send_command", counted_send)
+    monkeypatch.setattr(transport, "send_command", tallied("round_trips", transport.send_command))
+    write_line = transport.VirtualEndpoint.write_line
+    monkeypatch.setattr(transport.VirtualEndpoint, "write_line", tallied("frames", write_line))
+    monkeypatch.setattr(transport, "check_frame", tallied("frame_checks", transport.check_frame))
+    monkeypatch.setattr(transport, "_to_json", tallied("json_out", transport._to_json))
+    monkeypatch.setattr(transport, "_from_json", tallied("json_in", transport._from_json))
     monkeypatch.setattr(bus.UartEnd, "send", counted_uart_send)
-    monkeypatch.setattr(bus.I2cBus, "write_then_read", counted_txn)
+    monkeypatch.setattr(bus.I2cBus, "write_then_read", tallied("i2c_txns", bus.I2cBus.write_then_read))
     monkeypatch.setattr(simcore.Scheduler, "advance_to", counted_advance)
     for name in ("write", "toggle_train"):
         monkeypatch.setattr(bus.GpioLine, name, edge_counter(getattr(bus.GpioLine, name)))
@@ -77,17 +85,41 @@ def test_one_five_suite_pass(counts):
     results, edges = _five_suite_pass()
     assert all(r.verdict == harness.PASS for r in results)
     assert edges == 8
-    assert counts == {"round_trips": 131, "events": 43, "edges": 8, "uart_bytes": 450, "i2c_txns": 5}
+    assert counts == {
+        "round_trips": 131,
+        "frames": 262,  # a command and its reply: each is checked once, when written
+        "frame_checks": 262,
+        "json_out": 50,  # 31 CALL/NEW args and 19 replies; the rest are [] or null, or carry no JSON
+        "json_in": 50,
+        "advances": 12,
+        "events": 43,
+        "edges": 8,
+        "uart_bytes": 450,
+        "i2c_txns": 5,
+    }
 
 
 def test_one_pass_clean_and_one_per_shipped_fault(counts):
     """The benchmark's suite_matrix set: 6 x 8 edges and 6 x 5 I2C
     transactions, fewer round trips and events where a fault fails a case
     early, and 5 x 450 + 51 UART bytes: the GPS double rejects the config
-    sentences that omit_checksum sends, so it never emits."""
+    sentences that omit_checksum sends, so it never emits. One reply is
+    encoded and never decoded: with ble_init_delay_ms, scan_connect's `OK
+    true` comes later than its budget and the controller drops it unread."""
     for fault in (None, *suites.SHIPPED_FAULTS):
         _five_suite_pass(fault)
-    assert counts == {"round_trips": 782, "events": 252, "edges": 48, "uart_bytes": 2301, "i2c_txns": 30}
+    assert counts == {
+        "round_trips": 782,
+        "frames": 1564,
+        "frame_checks": 1564,
+        "json_out": 299,
+        "json_in": 298,
+        "advances": 72,
+        "events": 252,
+        "edges": 48,
+        "uart_bytes": 2301,
+        "i2c_txns": 30,
+    }
 
 
 def _registers(moment: datetime.datetime) -> list[int]:
