@@ -48,27 +48,30 @@ class GpioLine:
     Writing the current level again is a no-op and the line starts low, so
     consecutive edges alternate and each edge's level follows from its index
     in the log: edge k (from 0) rises when k is even and falls when k is odd.
-    The log therefore keeps times only, and they never decrease.
+    The log therefore keeps times only, and they never decrease. It is the
+    line's one record: the level is read from it, as the parity of its length.
     """
 
     def __init__(self) -> None:
-        self.level: int = 0
         self.edges: list[SimTime] = []
-        self._last_at: float = float("-inf")
         # Replaced, never mutated, by (un)subscribe: an edge is delivered to
         # the listeners subscribed when it was written.
         self._listeners: tuple[Callable[[SimTime, int], None], ...] = ()
 
+    @property
+    def level(self) -> int:
+        """The level after the last edge: the parity of the edge count."""
+        return len(self.edges) & 1
+
     def write(self, level: int, at: SimTime) -> None:
         if level not in (0, 1):
             raise ValueError(f"level must be 0 or 1, got {level!r}")
-        if at < self._last_at:
-            raise ValueError(f"edge time regression: {at} < {self._last_at}")
-        if level == self.level:
+        edges = self.edges
+        if edges and at < edges[-1]:
+            raise ValueError(f"edge time regression: {at} < {edges[-1]}")
+        if level == len(edges) & 1:
             return
-        self.level = level
-        self._last_at = at
-        self.edges.append(at)
+        edges.append(at)
         for listener in self._listeners:
             listener(at, level)
 
@@ -81,12 +84,10 @@ class GpioLine:
         returns False: they must see each edge as it happens."""
         if self._listeners:
             return False
-        if first < self._last_at:
-            raise ValueError(f"edge time regression: {first} < {self._last_at}")
-        stop = first + n * period
-        self.edges.extend(range(first, stop, period))
-        self.level ^= n & 1
-        self._last_at = stop - period
+        edges = self.edges
+        if edges and first < edges[-1]:
+            raise ValueError(f"edge time regression: {first} < {edges[-1]}")
+        edges.extend(range(first, first + n * period, period))
         return True
 
     def subscribe(self, listener: Callable[[SimTime, int], None]) -> None:

@@ -86,7 +86,3 @@ def main(argv: list[str] | None = None) -> int:
             human_chunks.append("--- transport log ---\n" + rig.session.log.render())
         print("\n\n".join(human_chunks))
     return 0 if all_pass else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -206,6 +206,14 @@ class RtcDriver:
 # GPS driver (UART)
 
 
+def _nmea_xor(body: str) -> int:
+    """The NMEA checksum of a sentence body: the XOR of its characters."""
+    cs = 0
+    for ch in body:
+        cs ^= ord(ch)
+    return cs
+
+
 class GpsDriver:
     """Configures a GPS module and parses the NMEA stream it sends back."""
 
@@ -229,10 +237,7 @@ class GpsDriver:
         if self._faults.omit_checksum:
             line = f"${body}\r\n"
         else:
-            cs = 0
-            for ch in body:
-                cs ^= ord(ch)
-            line = f"${body}*{cs:02X}\r\n"
+            line = f"${body}*{_nmea_xor(body):02X}\r\n"
         self.uart.send(line.encode("ascii"))
 
     def get_latitude(self, timeout_ms: int) -> float:
@@ -277,10 +282,7 @@ class GpsDriver:
         # two hex digits: strip() leaves what is not one, int() alone takes "+1"
         if len(tail) != 2 or tail.strip("0123456789ABCDEFabcdef"):
             return None
-        cs = 0
-        for ch in body:
-            cs ^= ord(ch)
-        if int(tail, 16) != cs:
+        if int(tail, 16) != _nmea_xor(body):
             return None
         return body
 

@@ -269,9 +269,6 @@ class ObjectHandle:
         self.link = link
         self.live = True
 
-    def __repr__(self) -> str:
-        return f"<{self.cls} {self.name}@{self.link.label}>"
-
 
 class CaseContext:
     """What a case body sees: init, inject, gather, assert, decommission."""

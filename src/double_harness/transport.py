@@ -281,7 +281,12 @@ LineLogger = Callable[[str, str, int | None], None]  # (direction, line, sim_ms)
 
 
 class Endpoint:
-    """One side of a duplex command channel."""
+    """One side of a duplex command channel.
+
+    Subclasses implement the raw line operations: write_line(line),
+    read_frame(timeout_ms), which returns (line, arrival stamp) with virtual
+    stamps in simulated ms, and close().
+    """
 
     role: str
     timeout_ms: int
@@ -292,18 +297,6 @@ class Endpoint:
         self.role = role
         self.timeout_ms = timeout_ms
         self.logger: LineLogger | None = None  # a Session sets it to record every line
-
-    # Subclasses implement the raw line operations.
-
-    def write_line(self, line: str) -> None:
-        raise NotImplementedError
-
-    def read_frame(self, timeout_ms: int) -> tuple[str, int | None]:
-        """Return (line, arrival-stamp). Virtual stamps are simulated ms."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
 
     def sim_now(self) -> int | None:
         return None
@@ -362,10 +355,6 @@ class VirtualEndpoint(Endpoint):
             self._peer._server = None
         self._peer = None
         self._server = None
-
-    def attach_server(self, server: "CommandServer") -> None:
-        self._server = server
-        self._drain()
 
     def _drain(self) -> None:
         assert self._server is not None
@@ -637,7 +626,8 @@ def serve(ep: Endpoint, registry: ObjectRegistry) -> CommandServer:
         raise TransportError("serve requires a device endpoint")
     server = CommandServer(registry)
     if isinstance(ep, VirtualEndpoint):
-        ep.attach_server(server)
+        ep._server = server
+        ep._drain()
         return server
     # Physical transport: block on the port and answer in order.
     while True:

@@ -1,6 +1,7 @@
 """Virtual media: GPIO edge log, I2C transactions, UART lines, SPI, BLE air."""
 
 import random
+import re
 
 import pytest
 
@@ -51,6 +52,23 @@ class TestGpioLine:
         line.write(1, 100)  # the same ms is not a regression
         assert line.edges == [100]
         assert line.level == 1
+
+    @pytest.mark.parametrize("level", [2, -1, "1", None])
+    def test_a_level_other_than_0_or_1_is_refused_and_writes_nothing(self, level):
+        line = GpioLine()
+        line.write(1, 5)
+        with pytest.raises(ValueError, match=re.escape(f"level must be 0 or 1, got {level!r}")):
+            line.write(level, 10)
+        assert (line.edges, line.level) == ([5], 1)
+
+    def test_the_level_is_read_from_the_edge_log(self):
+        line = GpioLine()
+        line.toggle_train(10, 5, 3)
+        assert line.level == 1
+        line.write(0, 30)
+        assert (line.edges, line.level) == ([10, 15, 20, 30], 0)
+        with pytest.raises(AttributeError):
+            line.level = 1
 
     def test_listeners_see_each_edge(self):
         line = GpioLine()
@@ -179,6 +197,21 @@ class TestI2cBus:
         bus = I2cBus()
         bus.add_device(0x30, lambda w, n: b"")
         assert bus.write_then_read(0x30, b"", 0) == b""
+
+    def test_a_negative_read_length_is_refused_before_the_device_is_reached(self):
+        bus = I2cBus()
+        calls = []
+        bus.add_device(0x68, lambda w, n: calls.append((w, n)) or bytes(n))
+        with pytest.raises(ValueError, match="nread must be >= 0, got -1"):
+            bus.write_then_read(0x68, b"\x00", -1)
+        assert calls == []
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_a_reply_of_another_length_than_clocked_is_a_bus_error(self, length):
+        bus = I2cBus()
+        bus.add_device(0x68, lambda w, n: bytes(length))
+        with pytest.raises(BusError, match=f"device 0x68 returned {length} of 3 bytes"):
+            bus.write_then_read(0x68, b"\x00", 3)
 
     def test_address_bounds_and_uniqueness(self):
         bus = I2cBus()
@@ -318,6 +351,15 @@ class TestSpiBus:
         bus.clear_slave(slave.handle)
         assert bus.transfer(b"\x00") == b"\x00"
 
+    @pytest.mark.parametrize("miso", [b"\x01", b"\x01\x02\x03"])
+    def test_a_slave_reply_of_another_length_is_a_bus_error_and_not_logged(self, sched, miso):
+        bus = SpiBus(sched)
+        bus.set_slave(lambda mosi: miso)
+        bus.assert_cs()
+        with pytest.raises(BusError, match=f"slave returned {len(miso)} bytes for 2 clocked"):
+            bus.transfer(b"\xaa\xbb")
+        assert bus.transfers == []
+
     def test_zero_length_transfer(self, sched):
         bus = SpiBus(sched)
         bus.assert_cs()
@@ -369,6 +411,29 @@ class TestBleAir:
         air.attach_central("phone")
         with pytest.raises(NotConnectedError):
             air.read("phone", "TempSensor", "temp")
+
+    def test_connect_needs_an_advertiser_and_a_known_central(self, sched):
+        air = BleAir(sched)
+        air.attach_central("phone")
+        with pytest.raises(NotConnectedError, match="'TempSensor' is not advertising"):
+            air.connect("phone", "TempSensor")
+        air.advertise("TempSensor", {"temp": 0.0})
+        with pytest.raises(NotConnectedError, match="unknown central 'tablet'"):
+            air.connect("tablet", "TempSensor")
+        assert air.notify("TempSensor", "temp", 1.0) == 0
+
+    def test_disconnect_ends_only_that_connection(self, sched):
+        air = BleAir(sched)
+        air.advertise("TempSensor", {"temp": 0.0})
+        for central in ("a", "b"):
+            air.attach_central(central)
+            air.connect(central, "TempSensor")
+        air.disconnect("a", "TempSensor")
+        air.disconnect("a", "TempSensor")  # no longer connected: ignored
+        assert air.notify("TempSensor", "temp", 5.0) == 1
+        assert (list(air.inbox("a")), list(air.inbox("b"))) == ([], [5.0])
+        with pytest.raises(NotConnectedError):
+            air.read("a", "TempSensor", "temp")
 
     def test_dropping_a_peripheral_keeps_the_other_connections(self, sched):
         air = BleAir(sched)

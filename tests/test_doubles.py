@@ -14,6 +14,7 @@ from double_harness.bus import (
     GpioLine,
     I2cBus,
     I2cNackError,
+    NotConnectedError,
     ScanTimeoutError,
     SpiBus,
     UartLink,
@@ -33,6 +34,7 @@ from double_harness.doubles import (
     split_sentence,
     wrap_sentence,
 )
+from double_harness.dut import BleTempSensor
 from double_harness.simcore import Scheduler
 from double_harness.suites import DOUBLE_LED_PIN
 from double_harness.transport import Command, send_command
@@ -1070,8 +1072,6 @@ class TestBleCentralDouble:
         assert central.read("temp") == 23.5
 
     def test_read_before_connect_is_an_error(self, sched):
-        from double_harness.bus import NotConnectedError
-
         central = BleCentralDouble(BleAir(sched), "phone")
         with pytest.raises(NotConnectedError):
             central.read("temp")
@@ -1085,6 +1085,47 @@ class TestBleCentralDouble:
         air.notify("TempSensor", "temp", 2.5)
         assert central.await_notify(10) == 1.5
         assert central.await_notify(10) == 2.5
+
+    @pytest.mark.parametrize("at", [300, 500], ids=["inside", "at-deadline"])
+    def test_await_notify_waits_in_sim_time_for_a_later_notification(self, sched, at):
+        air = BleAir(sched)
+        air.advertise("TempSensor", {"temp": 0.0})
+        central = BleCentralDouble(air, "phone")
+        central.scan_connect("TempSensor", 10)
+        start = sched.now
+        sched.schedule(at, lambda: air.notify("TempSensor", "temp", 7.5))
+        assert central.await_notify(500) == 7.5
+        assert sched.now == start + at
+
+    def test_disconnect_stops_the_sensors_notifications_reaching_the_central(self, sched):
+        air = BleAir(sched)
+        sensor = BleTempSensor(air, sched)
+        sensor.start()
+        central = BleCentralDouble(air, "phone")
+        central.scan_connect("TempSensor", 10)
+        assert sensor.notify() == 1
+        central.disconnect()
+        assert sensor.notify() == 0
+        assert (central.state, central.peripheral) == ("idle", None)
+        with pytest.raises(NotConnectedError):
+            central.read("temp")
+        central.disconnect()  # not connected: nothing to do
+        assert central.state == "idle"
+
+    def test_a_failed_rescan_leaves_a_connected_central_refusing_reads(self, sched):
+        """The old connection is still on the air, but the central is no
+        longer connected: it refuses read and await_notify."""
+        air = BleAir(sched)
+        air.advertise("TempSensor", {"temp": 21.0})
+        central = BleCentralDouble(air, "phone")
+        central.scan_connect("TempSensor", 10)
+        with pytest.raises(ScanTimeoutError):
+            central.scan_connect("Clock", 100)
+        assert (central.state, central.peripheral) == ("idle", "TempSensor")
+        with pytest.raises(NotConnectedError, match="central is not connected"):
+            central.read("temp")
+        with pytest.raises(NotConnectedError, match="central is not connected"):
+            central.await_notify(10)
 
     def test_await_notify_times_out_quietly_connected(self, sched):
         air = BleAir(sched)

@@ -502,6 +502,17 @@ def test_gps_latitude_with_no_time_left_still_reads_a_buffered_line(gps_drv):
     assert gps_drv.scheduler.now == 0
 
 
+def test_gps_latitude_with_a_negative_timeout_times_out_unread(gps_drv):
+    """Less than no time left: the call times out before it reads, and the
+    buffered GGA waits for the next call."""
+    gps_drv.uart.b.send(_gga("4807.038"))
+    resp = _send_dut(gps_drv, "CALL", "g", "get_latitude", -1)
+    assert (resp.code, resp.message) == ("EXEC", "UartTimeoutError: no valid GGA within -1 ms")
+    assert gps_drv.scheduler.now == 0
+    resp = _send_dut(gps_drv, "CALL", "g", "get_latitude", 0)
+    assert resp.ok and abs(resp.payload - ddmm_oracle("4807.038", "N")) < 1e-9
+
+
 def test_gps_latitude_reads_a_gga_cut_after_the_hemisphere(gps_drv):
     """Latitude and hemisphere are all get_latitude needs: four fields are enough."""
     gps_drv.uart.b.send(_nmea("GPGGA,000001,4807.038,S"))
@@ -522,6 +533,7 @@ assert reduce(operator.xor, map(ord, _GGA_CS_04), 0) == 0x04
         _gga("4807.038", lead="#"),
         _gga("4860.000"),
         _nmea("GPGGA,000001,4807.038"),
+        _nmea("GPGGA,000001,4807.038,X,01131.000,E,1,08,0.9,10.0,M,0.0,M,,"),
         f"${_GGA_CS_04}*+4\r\n".encode("ascii"),
         f"${_GGA_CS_04}* 4\r\n".encode("ascii"),
         f"${_GGA_CS_04}*4\r\n".encode("ascii"),
@@ -531,6 +543,7 @@ assert reduce(operator.xor, map(ord, _GGA_CS_04), 0) == 0x04
         "no-dollar-valid-checksum",
         "60-minutes",
         "no-hemisphere",
+        "bad-hemisphere",
         "signed-tail",
         "space-tail",
         "one-digit-tail",
@@ -539,9 +552,9 @@ assert reduce(operator.xor, map(ord, _GGA_CS_04), 0) == 0x04
 )
 def test_gps_latitude_counts_a_bad_line_and_reads_the_next(gps_drv, bad):
     """A line that does not start with '$', even with a checksum valid over its
-    body, a minutes field of 60, a GGA without a hemisphere field and a
-    checksum tail that is not two hex digits are parse errors; the next GGA
-    is read."""
+    body, a minutes field of 60, a GGA without a hemisphere field or with
+    one that is neither N nor S, and a checksum tail that is not two hex
+    digits are parse errors; the next GGA is read."""
     gps_drv.uart.b.send(bad + _gga("4859.999"))
     resp = _send_dut(gps_drv, "CALL", "g", "get_latitude", 1000)
     assert resp.ok and abs(resp.payload - ddmm_oracle("4859.999", "N")) < 1e-9
@@ -699,6 +712,16 @@ class TestBleTempSensor:
             sensor.set_temperature(20.0)
         with pytest.raises(NotStartedError):
             sensor.notify()
+
+    def test_a_second_start_keeps_the_one_pending_bringup(self, sched):
+        air = BleAir(sched)
+        sensor = BleTempSensor(air, sched, init_delay_ms=500)
+        sensor.start()
+        sched.advance_by(200)
+        sensor.start()
+        assert sched.next_due() == 500
+        assert sched.advance_by(1000) == 1
+        assert air.is_advertising("TempSensor")
 
     def test_close_cancels_pending_bringup(self, sched):
         air = BleAir(sched)

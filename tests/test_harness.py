@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -254,12 +255,49 @@ class TestRunSuite:
         assert results[0].verdict == ERROR
         assert results[0].message.startswith("NO_CLASS")
 
+    def test_a_body_that_raises_is_an_internal_error_and_the_next_case_runs(self, rig):
+        def broken(ctx):
+            raise ValueError("no such pin map")
+
+        suite = make_suite(TestCase("test_broken", broken), TestCase("test_ok", lambda ctx: None))
+        results = run_suite(suite, rig.session)
+        assert [(r.verdict, r.message) for r in results] == [
+            (ERROR, "INTERNAL: ValueError: no such pin map"),
+            (PASS, ""),
+        ]
+
+    def test_step_5_passes_over_an_object_the_body_deleted_out_of_band(self, rig):
+        """The left-over handle's DEL gets NO_OBJECT, and the case still passes."""
+
+        def body(ctx):
+            ctx.new_on_double("Led", "led", 4, 2)
+            assert send_command(rig.session.double.endpoint, Command("DEL", obj="led")).ok
+            ctx.expect(True, is_true())
+
+        (result,) = run_suite(make_suite(TestCase("test_gone", body)), rig.session)
+        assert (result.verdict, result.message) == (PASS, "")
+        assert [entry[2:4] for entry in rig.session.log.entries[-2:]] == [
+            ("send", "DEL led"),
+            ("recv", "ERR NO_OBJECT unknown object 'led'"),
+        ]
+
     def test_sim_duration_is_tracked_per_case(self, rig):
         def body(ctx):
             ctx.sleep(1234)
 
         result = run_suite(make_suite(TestCase("test_sleep", body)), rig.session)[0]
         assert result.sim_ms == 1234
+
+
+class TestSession:
+    def test_without_a_scheduler_sleep_is_wall_clock_and_sim_time_stays_0(self, sched):
+        links = [DeviceLink(label, open_virtual_pair(sched)[0]) for label in ("dut", "double")]
+        session = Session(*links)
+        started = time.perf_counter()
+        session.sleep(0)
+        session.sleep(5)
+        assert time.perf_counter() - started >= 0.005
+        assert (session.sim_now(), sched.now) == (0, 0)
 
 
 class _SlowClose:

@@ -6,7 +6,9 @@ import json
 import math
 import operator
 import random
+import re
 import string
+import time
 import types
 import weakref
 from collections import deque
@@ -29,7 +31,9 @@ from double_harness.transport import (
     ProtocolError,
     Response,
     SerialEndpoint,
+    TransportError,
     TransportTimeout,
+    VirtualEndpoint,
     check_frame,
     err,
     format_command,
@@ -60,6 +64,37 @@ class TestGrammar:
         parsed = parse_response("ERR NO_OBJECT unknown object 'foo'")
         assert parsed.code == "NO_OBJECT"
         assert parsed.message == "unknown object 'foo'"
+
+    def test_an_unknown_verb_is_refused_before_a_frame_exists(self):
+        with pytest.raises(ProtocolError, match="^unknown verb 'FROB'$"):
+            format_command(Command("FROB"))
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("OK", "OK response missing payload"),
+            ("ERR", "ERR response missing code"),
+            ("ERR  no code", "ERR response missing code"),
+            ("", "bad response line: ''"),
+            ("ok null", "bad response line: 'ok null'"),
+            ("NOPE 1", "bad response line: 'NOPE 1'"),
+        ],
+    )
+    def test_a_reply_outside_the_grammar_is_refused(self, line, message):
+        with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
+            parse_response(line)
+
+    def test_an_ok_line_of_exactly_a_frame_is_carried(self):
+        fits = "x" * (MAX_FRAME_LEN - len('OK ""'))
+        assert format_response(Response("OK", fits)) == f'OK "{fits}"'
+        resp = parse_response(format_response(Response("OK", fits + "x")))
+        too_long = f"result too long for one frame: {MAX_FRAME_LEN + 1} > {MAX_FRAME_LEN}"
+        assert (resp.code, resp.message) == ("EXEC", too_long)
+
+    def test_err_line_cleanup_keeps_every_printable_character(self):
+        printable = "".join(map(chr, range(32, 127)))
+        line = format_response(err("EXEC", "a\x7fb\tc\u00e9" + printable))
+        assert line == "ERR EXEC a b c " + printable
 
     def test_args_may_contain_spaces(self):
         cmd = Command("CALL", obj="gps", method="set_fix", args=("4807.038 N",))
@@ -179,6 +214,16 @@ class TestVirtualChannel:
         assert sched.now == 350
         assert later.pending and sched.next_due() == 351
 
+    def test_an_endpoint_is_a_controller_or_a_device(self, sched):
+        with pytest.raises(ValueError, match="role must be controller or device, got 'observer'"):
+            VirtualEndpoint(sched, "observer", 100)
+
+    def test_serve_needs_a_device_endpoint(self, sched):
+        controller, _device = open_virtual_pair(sched)
+        with pytest.raises(TransportError, match="serve requires a device endpoint"):
+            serve(controller, ObjectRegistry())
+        assert controller._server is None
+
 
 class _Thing:
     """Device-side scratch object for dispatch tests."""
@@ -209,7 +254,33 @@ def served(sched):
     return controller, registry
 
 
+class _StuckClose(_Thing):
+    """A _Thing whose close() raises once it has closed."""
+
+    def close(self):
+        self.closed = True
+        raise RuntimeError("stuck")
+
+
 class TestDispatch:
+    def test_a_verb_the_registry_does_not_know_answers_bad_args(self):
+        assert ObjectRegistry().execute(Command("FOO")) == err("BAD_ARGS", "unhandled verb 'FOO'")
+
+    def test_reset_answers_ok_and_forgets_every_object_when_a_close_raises(self, served):
+        controller, registry = served
+        things = [_Thing(), _StuckClose(), _Thing()]
+        registry.objects.update(zip("abc", things))
+        assert send_command(controller, Command("RESET")) == Response("OK")
+        assert registry.objects == {}
+        assert [thing.closed for thing in things] == [True, True, True]
+
+    def test_del_and_new_answer_ok_when_the_old_objects_close_raises(self, served):
+        controller, registry = served
+        registry.objects["a"] = registry.objects["b"] = _StuckClose()
+        assert send_command(controller, Command("DEL", obj="a")) == Response("OK")
+        assert send_command(controller, Command("NEW", obj="b", method="Thing")) == Response("OK")
+        assert list(registry.objects) == ["b"] and type(registry.objects["b"]) is _Thing
+
     def test_new_call_del_happy_path(self, served):
         controller, _ = served
         assert send_command(controller, Command("NEW", obj="t", method="Thing", args=(10,))).ok
@@ -678,6 +749,17 @@ class TestOneFramePerCommand:
         with pytest.raises(ProtocolError):
             parse_response("OK " + "[" * 1000 + "]" * 1000)
 
+    def test_a_decoder_out_of_stack_gives_the_depth_rules_answer(self, monkeypatch):
+        """An interpreter whose own limit is under MAX_JSON_DEPTH levels runs
+        out of stack inside the decoder; the reply is still the depth rule's."""
+
+        def out_of_stack(text):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(transport, "_decode", out_of_stack)
+        with pytest.raises(ProtocolError, match=f"^bad JSON payload: {_TOO_DEEP}$"):
+            parse_response("OK [[1]]")
+
     @pytest.mark.parametrize("depth", [MAX_JSON_DEPTH, MAX_JSON_DEPTH + 1], ids=["at-limit", "one-over"])
     def test_one_nesting_rule_for_args_replies_and_results(self, depth):
         """JSON MAX_JSON_DEPTH levels deep is carried and one level more is
@@ -1104,6 +1186,23 @@ class TestSerialEndpoint:
         SerialEndpoint(port, "controller").close()
         assert port.closed
 
+    def test_a_read_whose_budget_is_spent_times_out_without_reading(self, monkeypatch):
+        """The wall clock reads 100.0 s when the 500 ms read starts and 100.5 s
+        at its first check: no time is left, so the buffered line stays."""
+        times = [100.0, 100.5]
+        clock = types.SimpleNamespace(monotonic=lambda: times.pop(0) if len(times) > 1 else times[0])
+        monkeypatch.setattr(transport, "time", clock)
+        port = _FakePort()
+        port.lines.append("OK null")
+        with pytest.raises(TransportTimeout, match="no frame within 500 ms"):
+            SerialEndpoint(port, "controller").read_frame(500)
+        assert port.lines == ["OK null"]
+
+    def test_a_device_answers_after_a_silent_read_budget(self):
+        port = _ScriptedPort([None, "PING"])
+        serve(SerialEndpoint(port, "device", timeout_ms=5), ObjectRegistry())
+        assert port.written == ["OK null"]
+
     def test_device_answers_a_line_that_is_not_a_frame(self):
         port = _ScriptedPort(["caf\u00e9", "PING\r\n", "x" * 5000, "PING\n"])
         serve(SerialEndpoint(port, "device", timeout_ms=10), ObjectRegistry())
@@ -1119,7 +1218,8 @@ class TestSerialEndpoint:
 
 
 class _ScriptedPort:
-    """SerialPortLike that delivers a fixed script of lines, then hangs up."""
+    """SerialPortLike that delivers a fixed script of lines, then hangs up.
+    A None in the script is silence: that read waits out its timeout."""
 
     def __init__(self, lines):
         self.lines = deque(lines)
@@ -1131,7 +1231,10 @@ class _ScriptedPort:
     def read_line(self, timeout_s):
         if not self.lines:
             raise ChannelClosedError("script ended")
-        return self.lines.popleft()
+        line = self.lines.popleft()
+        if line is None:
+            time.sleep(timeout_s)
+        return line
 
     def close(self):
         pass
@@ -1184,12 +1287,25 @@ class TestSerialLateReply:
     """After a timeout the controller fences off the reply it gave up on."""
 
     def test_late_reply_is_not_read_as_the_next_answer(self):
+        """The fence and the late frames it drops are logged too."""
         ep, port = _late_endpoint(held=1)
+        log = []
+        ep.logger = lambda direction, line, stamp: log.append((direction, line, stamp))
         with pytest.raises(TransportTimeout):
             send_command(ep, Command("CALL", "a", "first"))
         assert send_command(ep, Command("CALL", "a", "second")).payload == "second"
         assert send_command(ep, Command("CALL", "a", "first")).payload == "first"
         assert port.sent == ["CALL a.first []", "DEL _resync_1", "CALL a.second []", "CALL a.first []"]
+        assert log == [
+            ("send", "CALL a.first []", None),
+            ("send", "DEL _resync_1", None),
+            ("recv", 'OK "first"', None),
+            ("recv", "ERR NO_OBJECT unknown object '_resync_1'", None),
+            ("send", "CALL a.second []", None),
+            ("recv", 'OK "second"', None),
+            ("send", "CALL a.first []", None),
+            ("recv", 'OK "first"', None),
+        ]
 
     def test_unanswered_fence_is_retried_with_a_new_name(self):
         ep, port = _late_endpoint(held=2)
