@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Any
 
 from . import bus as _bus
-from .simcore import EventHandle, Scheduler
+from .simcore import MAX_SIM_MS, EventHandle, Scheduler, ScheduleError
 
 
 class NotReadyError(Exception):
@@ -151,9 +151,8 @@ class RtcDouble:
             # Arm a tick whenever none is pending: also after a tick that raised.
             if self._tick_handle is None or not self._tick_handle.pending:
                 self._tick_handle = self._scheduler.schedule(1000, self._tick, periodic=1000)
-        elif self._tick_handle is not None:
+        else:
             self._scheduler.cancel(self._tick_handle)
-            self._tick_handle = None
         self.mode = mode
 
     def handle_i2c(self, wbytes: bytes, nread: int) -> bytes:
@@ -210,9 +209,7 @@ class RtcDouble:
         self.regs[0:3] = time_regs
 
     def close(self) -> None:
-        if self._tick_handle is not None:
-            self._scheduler.cancel(self._tick_handle)
-            self._tick_handle = None
+        self._scheduler.cancel(self._tick_handle)
         self._i2c.remove_device(self.addr)
 
     def _tick(self) -> None:
@@ -358,7 +355,7 @@ class GpsDouble:
             except ValueError:
                 self.reject_count += 1
                 return
-            if period < 1:
+            if period < 1 or self._scheduler.now + period > MAX_SIM_MS:  # the clock's horizon
                 self.reject_count += 1
                 return
             self.update_period_ms = period
@@ -399,14 +396,11 @@ class GpsDouble:
         return sorted(self.enabled)
 
     def close(self) -> None:
-        if self._emit_handle is not None:
-            self._scheduler.cancel(self._emit_handle)
-            self._emit_handle = None
+        self._scheduler.cancel(self._emit_handle)
         self._uart.subscribe_lines(None)
 
     def _arm_emitter(self, period: int) -> None:
-        if self._emit_handle is not None:
-            self._scheduler.cancel(self._emit_handle)
+        self._scheduler.cancel(self._emit_handle)
         self._emit_handle = self._scheduler.schedule(period, self._emit, periodic=period)
 
     def _emit(self) -> None:
@@ -480,7 +474,7 @@ class BleCentralDouble:
         self.state = "scanning"
         try:
             self._air.scan(name, timeout_ms)
-        except _bus.ScanTimeoutError:
+        except (_bus.ScanTimeoutError, ScheduleError):  # a window past the clock's horizon
             self.state = "idle"
             raise
         self._air.connect(self.central_id, name)

@@ -79,19 +79,15 @@ class Blinker:
                 self._scheduler.advance_by(period)
                 self.line.toggle(self._scheduler.now)
         else:
-            if self._isr_handle is not None:
-                self._scheduler.cancel(self._isr_handle)
+            self._scheduler.cancel(self._isr_handle)
             self._isr_remaining = 2 * self.count
             self._isr_handle = self._scheduler.schedule(period, self._isr_toggle, periodic=period)
 
     def close(self) -> None:
-        if self._isr_handle is not None:
-            self._scheduler.cancel(self._isr_handle)
-            self._isr_handle = None
+        self._scheduler.cancel(self._isr_handle)
 
     def _isr_toggle(self) -> None:
-        line = self.line  # toggle() inlined: this runs on every edge
-        line.write(1 - line.level, self._scheduler.now)
+        self.line.toggle(self._scheduler.now)
         self._count_down(1)
 
     def _isr_train(self, first: int, period: int, k: int) -> int:
@@ -110,9 +106,8 @@ class Blinker:
     def _count_down(self, n: int) -> None:
         """n isr edges written: the timer cancels itself after the last."""
         remaining = self._isr_remaining = self._isr_remaining - n
-        if remaining <= 0 and self._isr_handle is not None:
+        if remaining <= 0:
             self._scheduler.cancel(self._isr_handle)
-            self._isr_handle = None
 
     _isr_toggle.train = _isr_train
 
@@ -391,8 +386,8 @@ class BleTempSensor:
     def start(self) -> None:
         if self.started:
             return
-        self.started = True
         self._adv_handle = self._scheduler.schedule(self.init_delay_ms, self._go_live)
+        self.started = True  # only once the clock took the bring-up
 
     def set_temperature(self, celsius: float) -> None:
         self._require_started()
@@ -403,14 +398,11 @@ class BleTempSensor:
         return self.air.notify(self.name, "temp", self.characteristics["temp"])
 
     def close(self) -> None:
-        if self._adv_handle is not None:
-            self._scheduler.cancel(self._adv_handle)
-            self._adv_handle = None
+        self._scheduler.cancel(self._adv_handle)
         self.air.drop_peripheral(self.name)
         self.started = False
 
     def _go_live(self) -> None:
-        self._adv_handle = None
         self.air.advertise(self.name, self.characteristics)
 
     def _require_started(self) -> None:

@@ -3,7 +3,8 @@
 Every bus, peripheral double, and reference driver in a virtual rig shares
 one Scheduler, so all observable timestamps are reproducible run to run.
 Time is integer milliseconds and only moves when someone advances it; a
-delay, period or target of any other type, bool included, is a ScheduleError.
+delay, period or target of any other type, bool included, is a ScheduleError,
+and so is a due time, target or deadline past MAX_SIM_MS.
 There is no wall-clock coupling anywhere in this module.
 """
 
@@ -19,33 +20,35 @@ Action = Callable[[], None]
 # Most firings per train call, which bounds what one call allocates; runs loop.
 TRAIN_MAX = 4096
 
+# The clock's horizon: every sim time stays exact in any JSON reader.
+MAX_SIM_MS = 2**53 - 1
+
 
 class ScheduleError(ValueError):
     """Invalid scheduling request: a non-int time, negative delay, zero period,
-    or time reversal."""
+    time reversal, or a time past MAX_SIM_MS."""
 
 
 class EventHandle:
     """One queued action, as Scheduler.schedule() returns it; pass it to
-    Scheduler.cancel(). Its (due, seq) key lives in the heap entry. A
-    cancelled event drops its action and train: it may wait in the heap until
-    its due time, and must not keep the object that scheduled it alive meanwhile."""
+    Scheduler.cancel(). Its (due, seq) key lives in the heap entry. It is
+    pending exactly while it holds its action: cancelling it, its last firing
+    and a raise in its action drop the action and train, so a finished handle
+    never keeps the object that scheduled it alive, in the heap or out of it."""
 
-    __slots__ = ("action", "train", "period", "cancelled", "done")
+    __slots__ = ("action", "train", "period")
 
-    def __init__(self, action: Action | None, period: int | None):
+    def __init__(self, action: Action, period: int | None):
         self.action = action
         # A periodic bound method's train (Scheduler.advance_to). Only its own
         # function is asked: functools.wraps copies `train` onto a wrapper.
         train = getattr(getattr(action, "__func__", None), "train", None) if period else None
         self.train = train.__get__(action.__self__) if train else None
         self.period = period
-        self.cancelled = False
-        self.done = False
 
     @property
     def pending(self) -> bool:
-        return not self.cancelled and not self.done
+        return self.action is not None
 
 
 class Scheduler:
@@ -74,20 +77,24 @@ class Scheduler:
             raise ScheduleError(f"delay must be an int >= 0, got {delay_ms!r}")
         if periodic is not None and (type(periodic) is not int or periodic < 1):
             raise ScheduleError(f"period must be an int >= 1 ms, got {periodic!r}")
+        if not callable(action):
+            raise ScheduleError(f"action must be callable, got {action!r}")
+        due = self.now + delay_ms
+        if due > MAX_SIM_MS:
+            raise ScheduleError(f"due time {due} is past MAX_SIM_MS")
         self._seq += 1
         event = EventHandle(action, periodic)
-        heapq.heappush(self._heap, (self.now + delay_ms, self._seq, event))
+        heapq.heappush(self._heap, (due, self._seq, event))
         return event
 
-    def cancel(self, handle: EventHandle) -> bool:
+    def cancel(self, handle: EventHandle | None) -> bool:
         """Remove a pending event. Returns True iff it was still pending.
 
         Cancelling a periodic event stops all future recurrences. Cancelling
-        an already-fired or already-cancelled handle returns False.
+        a finished handle, or None, returns False.
         """
-        if handle.cancelled or handle.done:
+        if handle is None or handle.action is None:
             return False
-        handle.cancelled = True
         handle.action = handle.train = None
         return True
 
@@ -99,27 +106,17 @@ class Scheduler:
         Time cannot reverse: `to` must be >= now. This is the one method
         that assigns `now`.
 
-        Head-run rule: a periodic event re-armed after firing takes a fresh
-        seq, so it goes after every event already queued for the same ms.
-        When its new due time is <= `to` and strictly before the head of
-        the heap, it is still the earliest pending event, and it fires
-        again without the push and pop that would return it to the same
-        place. Otherwise it goes back on the heap, and when the head is due
-        by `to` one heappushpop re-arms it and takes the head off, where the
-        plain loop pushes and then pops. Fire order, fire times and seq
-        numbers are those of the plain heap loop.
-
         Train rule: a periodic action that is a bound method may offer a
         train form, a `train` attribute on its function, bound to the same
         object: train(due, period, k) -> n does the first n <= k of the
         firings at due, due + period, ... in one call, exactly as n calls
         of the action would, and returns n (0: none, fire plainly).
-        Before such an event fires, the scheduler counts the k firings the
-        head-run would do from here: those <= `to` and strictly before the
-        head of the heap, the first always, at most TRAIN_MAX. When k >= 2
-        it calls the train, adds n to the count fired and takes n fresh seqs
-        (n - 1 if the train cancelled the event), then re-arms or finishes
-        as after one firing at the last due time. Any other action, a
+        Before such an event fires, the scheduler counts the k firings due
+        from here: those <= `to` and strictly before the head of the heap,
+        the first always, at most TRAIN_MAX. When k >= 2 it calls the train,
+        adds n to the count fired and takes n fresh seqs (n - 1 if the train
+        cancelled the event), then re-arms or finishes as after one firing at
+        the last due time. Any other action, a
         wrapper around such a method included, fires one call at a time.
         So each step of the loop is n firings, n = 1 for a plain call, and
         moves the count fired, the seq and the re-arm time once, by n.
@@ -137,14 +134,14 @@ class Scheduler:
             raise ScheduleError(f"time must be an int ms, got {to!r}")
         if to < self.now:
             raise ScheduleError(f"cannot advance backwards: now={self.now}, to={to}")
+        if to > MAX_SIM_MS:
+            raise ScheduleError(f"time {to} is past MAX_SIM_MS")
         heap = self._heap
         fired = 0
         while heap and heap[0][0] <= to:
             due, _seq, event = heapq.heappop(heap)
-            if event.cancelled:
-                continue
-            action, period, train = event.action, event.period, event.train
-            while True:  # fire `event` at `due` (n times when a train runs), re-arm it, go on
+            while event.action is not None:  # fire `event` at `due` (n times when a train runs), re-arm it
+                action, period, train = event.action, event.period, event.train
                 self.now = due
                 try:
                     if train is None:
@@ -157,12 +154,12 @@ class Scheduler:
                             action()
                             n = 1
                 except BaseException:
-                    event.done = True  # out of the heap for good: no longer pending
+                    event.action = event.train = None  # out of the heap for good
                     raise
                 fired += n
-                if period is None or event.cancelled:
+                if period is None or event.action is None:  # a one-shot, or cancelled by itself
                     self._seq += n - 1  # a run's later firings took seqs; 0 for one call
-                    event.done = True
+                    event.action = event.train = None
                     break
                 due += n * period
                 if due < self.now:  # the action advanced the clock past it
@@ -170,10 +167,7 @@ class Scheduler:
                 self._seq += n
                 if heap and heap[0][0] <= (due if due < to else to):  # the head goes first
                     due, _seq, event = heapq.heappushpop(heap, (due, self._seq, event))
-                    if event.cancelled:
-                        break
-                    action, period, train = event.action, event.period, event.train
-                elif due > to:
+                else:
                     heapq.heappush(heap, (due, self._seq, event))
                     break
         if self.now < to:
@@ -190,6 +184,8 @@ class Scheduler:
         """Fire events due time by due time until ready() holds, and return
         whether it did by the deadline. ready() tests what events do; events
         due at the deadline still count. After a miss the clock rests at it."""
+        if deadline > MAX_SIM_MS:
+            raise ScheduleError(f"deadline {deadline} is past MAX_SIM_MS")
         while not ready():
             due = self.next_due()
             if due is None or due > deadline:
@@ -202,6 +198,6 @@ class Scheduler:
     def next_due(self) -> SimTime | None:
         """Due time of the earliest pending event, or None when idle."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
+        while heap and heap[0][2].action is None:
             heapq.heappop(heap)
         return heap[0][0] if heap else None

@@ -35,7 +35,7 @@ from double_harness.doubles import (
     wrap_sentence,
 )
 from double_harness.dut import BleTempSensor
-from double_harness.simcore import Scheduler
+from double_harness.simcore import MAX_SIM_MS, ScheduleError, Scheduler
 from double_harness.suites import DOUBLE_LED_PIN
 from double_harness.transport import Command, send_command
 
@@ -704,6 +704,8 @@ class TestGpsOnTheWire:
             ("PDBL,RATE,abc", 1, None, ["GGA"]),  # not an int: += 1 to -= 1
             ("PDBL,RATE,0", 1, None, ["GGA"]),  # below 1 ms: += 1 to -= 1
             ("PDBL,RATE,-5", 1, None, ["GGA"]),
+            ("PDBL,RATE,9007199254740991", 0, MAX_SIM_MS, ["GGA"]),  # due at the clock's horizon
+            ("PDBL,RATE,9007199254740992", 1, None, ["GGA"]),  # past it: the clock would refuse it
             ("PDBL,SEL,XYZ,1", 1, None, ["GGA"]),  # += 1 to -= 1; its guard's or to and
             ("PDBL,SEL,RMC,2", 1, None, ["GGA"]),  # the same guard's or to and
             ("PDBL,SEL,RMC,1", 0, None, ["GGA", "RMC"]),
@@ -726,9 +728,9 @@ class TestGpsOnTheWire:
     def test_rejects_add_up_and_leave_the_armed_rate(self, gps):
         config, _, state, _ = gps
         config("PDBL,RATE,250")
-        for body in ("PDBL,RATE,abc", "PDBL,RATE,0", "PDBL,SEL,XYZ,1"):
+        for body in ("PDBL,RATE,abc", "PDBL,RATE,0", "PDBL,SEL,XYZ,1", "PDBL,RATE,9007199254740992"):
             config(body)
-        assert state() == (3, 250, ["GGA"])
+        assert state() == (4, 250, ["GGA"])
 
     @pytest.mark.parametrize(
         "raw",
@@ -1063,6 +1065,12 @@ class TestBleCentralDouble:
         with pytest.raises(ScanTimeoutError):
             central.scan_connect("TempSensor", 5000)
         assert central.state == "idle"
+
+    def test_a_scan_window_past_the_horizon_is_refused_and_leaves_it_idle(self, sched):
+        central = BleCentralDouble(BleAir(sched), "phone")
+        with pytest.raises(ScheduleError, match="past MAX_SIM_MS"):
+            central.scan_connect("TempSensor", MAX_SIM_MS + 1)
+        assert central.state == "idle" and sched.now == 0
 
     def test_read_returns_characteristic_value(self, sched):
         air = BleAir(sched)

@@ -30,7 +30,7 @@ from double_harness.dut import (
     RtcDriver,
     SpiMaster,
 )
-from double_harness.simcore import TRAIN_MAX, Scheduler
+from double_harness.simcore import MAX_SIM_MS, TRAIN_MAX, ScheduleError, Scheduler
 from double_harness.transport import Command, send_command
 
 
@@ -386,6 +386,42 @@ def test_a_wire_time_that_is_not_an_int_gets_err_exec_and_leaves_the_clock(rig, 
     assert rig.scheduler.now == now and rig.scheduler.next_due() is None
 
 
+@pytest.mark.parametrize(
+    "setup, step",
+    [
+        ([("dut", "NEW", "b", "Blinker", 13, 10**30, 1)], ("dut", "CALL", "b", "blink", "blocking")),
+        ([("dut", "NEW", "b", "Blinker", 13, 10**300, 1)], ("dut", "CALL", "b", "blink", "isr")),
+        ([("dut", "NEW", "g", "GpsDriver")], ("dut", "CALL", "g", "get_latitude", 10**30)),
+        (
+            [("double", "NEW", "p", "BleCentral")],
+            ("double", "CALL", "p", "scan_connect", "TempSensor", 10**30),
+        ),
+    ],
+    ids=["blocking-blink", "isr-blink", "gps-timeout", "ble-scan"],
+)
+def test_a_wire_time_past_the_horizon_gets_err_exec_and_leaves_the_clock(rig, setup, step):
+    """The clock refuses a time past MAX_SIM_MS before it moves or queues anything."""
+
+    def send(device, verb, obj, method=None, *args):
+        return send_command(getattr(rig.session, device).endpoint, Command(verb, obj, method, args))
+
+    for command in setup:
+        assert send(*command).ok
+    resp = send(*step)
+    assert resp.code == "EXEC" and resp.message.startswith("ScheduleError: "), resp
+    assert "past MAX_SIM_MS" in resp.message
+    assert rig.scheduler.now == 0 and rig.scheduler.next_due() is None
+
+
+def test_a_wire_timeout_that_ends_at_the_horizon_is_waited_out(rig):
+    """A GPS fix with no emitter waits until MAX_SIM_MS exactly, then times out."""
+    dut = rig.session.dut.endpoint
+    assert send_command(dut, Command("NEW", "g", "GpsDriver")).ok
+    resp = send_command(dut, Command("CALL", "g", "get_latitude", (MAX_SIM_MS,)), timeout_ms=MAX_SIM_MS)
+    assert resp.code == "EXEC" and resp.message.startswith("UartTimeoutError: "), resp
+    assert rig.scheduler.now == MAX_SIM_MS
+
+
 # ---------------------------------------------------------------------------
 # GPS driver
 
@@ -722,6 +758,13 @@ class TestBleTempSensor:
         assert sched.next_due() == 500
         assert sched.advance_by(1000) == 1
         assert air.is_advertising("TempSensor")
+
+    @pytest.mark.parametrize("delay", [-1, MAX_SIM_MS + 1])
+    def test_a_bringup_the_clock_refuses_leaves_it_stopped(self, sched, delay):
+        sensor = BleTempSensor(BleAir(sched), sched, init_delay_ms=delay)
+        with pytest.raises(ScheduleError):
+            sensor.start()
+        assert not sensor.started and sched.next_due() is None
 
     def test_close_cancels_pending_bringup(self, sched):
         air = BleAir(sched)

@@ -6,6 +6,8 @@ import weakref
 
 import pytest
 
+from double_harness.bus import BleAir, GpioLine
+from double_harness.dut import Blinker, BleTempSensor
 from double_harness.harness import PASS, run_suite
 from double_harness.suites import (
     DOUBLE_LED_PIN,
@@ -132,6 +134,39 @@ def test_deleted_blinker_armed_twice_leaves_no_timer(rig):
         event for _due, _seq, event in rig.scheduler._heap
         if getattr(event.action, "__self__", None) is blinker
     ] == []
+
+
+def _live_sensor(sched):
+    """A BLE sensor whose one-shot bring-up event has fired."""
+    sensor = BleTempSensor(BleAir(sched), sched)
+    sensor.start()
+    sched.advance_to(0)
+    return sensor, sensor._adv_handle
+
+
+def _failed_blinker(sched):
+    """An isr Blinker whose first edge was refused, which ended its timer."""
+    line = GpioLine()
+    line.write(1, 50)
+    blinker = Blinker(line, 10, 5, sched)
+    blinker.blink("isr")
+    with pytest.raises(ValueError, match="edge time regression"):
+        sched.advance_to(10)
+    return blinker, blinker._isr_handle
+
+
+@pytest.mark.parametrize("make", [_live_sensor, _failed_blinker], ids=["fired", "raised"])
+def test_a_held_handle_that_is_done_does_not_keep_its_owner_alive(sched, make):
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        owner, handle = make(sched)
+        ref = weakref.ref(owner)
+        del owner
+        assert ref() is None and not handle.pending
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_closed_rig_is_freed_by_reference_counting():

@@ -50,6 +50,12 @@ class TestSchedule:
         with pytest.raises(ScheduleError):
             sched.schedule(10, lambda: None, periodic=0)
 
+    def test_an_action_that_is_not_callable_is_rejected(self, sched):
+        """None is what a handle that is not pending holds, so it is no action."""
+        with pytest.raises(ScheduleError, match="action must be callable, got None"):
+            sched.schedule(0, None)
+        assert sched.next_due() is None and sched._seq == 0
+
 
 class TestIntegerTime:
     """Sim time is int ms: a float or bool time is refused even when its value
@@ -135,6 +141,10 @@ class TestCancel:
         sched.advance_to(100)
         assert sched.cancel(handle) is False
 
+    def test_cancel_none_returns_false(self, sched):
+        """An owner that never armed its event cancels its None handle as is."""
+        assert sched.cancel(None) is False
+
     def test_cancel_periodic_after_two_firings(self, sched):
         fired = []
         handle = sched.schedule(100, lambda: fired.append(sched.now), periodic=100)
@@ -170,6 +180,58 @@ class TestCancel:
         assert periodic.action is not None and periodic.train == tick._train
         sched.cancel(periodic)
         assert periodic.action is None and periodic.train is None
+
+
+class TestOneState:
+    """A handle is pending exactly while it holds its action."""
+
+    def test_every_way_an_event_ends_drops_its_action(self, sched):
+        """A fired one-shot, a cancelled periodic, an isr blink that counted
+        down and an RTC tick that raised each leave a handle that holds
+        nothing, so it keeps no owner alive."""
+        oneshot = sched.schedule(1, lambda: None)
+        periodic = sched.schedule(1, lambda: None, periodic=1)
+        blinker = Blinker(GpioLine(), 1, 2, sched)
+        blinker.blink("isr")
+        rtc = RtcDouble(I2cBus(), sched, "dynamic")
+        rtc.load_registers([0x59, 0x59, 0x23, 1, 1, 1, 0xFF])  # year 165 cannot roll over
+        sched.advance_to(999)
+        assert sched.cancel(periodic) is True
+        with pytest.raises(ValueError, match="BCD range"):
+            sched.advance_to(1000)
+        handles = [oneshot, periodic, blinker._isr_handle, rtc._tick_handle]
+        assert [(h.pending, h.action, h.train) for h in handles] == [(False, None, None)] * 4
+        assert sched.next_due() is None
+
+
+class TestHorizon:
+    """MAX_SIM_MS is the last time the clock reaches: a due time, target or
+    deadline past it is refused before anything moves."""
+
+    def test_the_horizon_is_exact_as_a_double(self):
+        assert simcore.MAX_SIM_MS == 2**53 - 1 == int(float(simcore.MAX_SIM_MS))
+
+    def test_every_call_takes_a_time_at_the_horizon(self, sched):
+        fired = []
+        sched.schedule(simcore.MAX_SIM_MS, lambda: fired.append(sched.now))
+        assert sched.run_until(lambda: fired, simcore.MAX_SIM_MS)
+        assert fired == [simcore.MAX_SIM_MS]
+        assert sched.advance_to(simcore.MAX_SIM_MS) == 0 and sched.advance_by(0) == 0
+
+    @pytest.mark.parametrize("call", ["schedule", "advance_to", "advance_by", "run_until"])
+    def test_a_time_past_the_horizon_is_refused(self, sched, call):
+        sched.advance_to(5)
+        handle = sched.schedule(10, lambda: None)
+        past = simcore.MAX_SIM_MS + 1
+        step = {
+            "schedule": lambda: sched.schedule(past - 5, lambda: None),
+            "advance_to": lambda: sched.advance_to(past),
+            "advance_by": lambda: sched.advance_by(past - 5),
+            "run_until": lambda: sched.run_until(lambda: True, past),
+        }[call]
+        with pytest.raises(ScheduleError, match=f"{past} is past MAX_SIM_MS"):
+            step()
+        assert (sched.now, sched._seq, sched.next_due(), handle.pending) == (5, 1, 15, True)
 
 
 class _Trained:
@@ -344,18 +406,18 @@ class _HeapLoopScheduler(Scheduler):
         fired = 0
         while self._heap and self._heap[0][0] <= to:
             due, _seq, event = heapq.heappop(self._heap)
-            if event.cancelled:
+            if event.action is None:
                 continue
             self.now = due
             event.action()
             fired += 1
-            if event.period is not None and not event.cancelled:
+            if event.period is not None and event.action is not None:
                 self._seq += 1
                 heapq.heappush(
                     self._heap, (max(due + event.period, self.now), self._seq, event)
                 )
             else:
-                event.done = True
+                event.action = event.train = None
         self.now = max(self.now, to)
         return fired
 
@@ -426,7 +488,7 @@ class _PushPopSpy:
 
     def __call__(self, heap, item, pushpop=heapq.heappushpop):
         got = pushpop(heap, item)
-        self.cancelled += got[2].cancelled
+        self.cancelled += got[2].action is None
         self.same_ms += got[0] == item[0] and got[2].period is None
         return got
 
@@ -492,7 +554,7 @@ def _play(sched, scenario):
                     break
                 act(fire(at))
                 done += 1
-                if handle.cancelled:
+                if handle.action is None:
                     break
             return done
 
@@ -519,7 +581,7 @@ def _play(sched, scenario):
     )
 
 
-class TestHeadRunMatchesHeapLoop:
+class TestAdvanceMatchesHeapLoop:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(_SCENARIO)
     def test_same_run_as_the_plain_heap_loop(self, scenario):
