@@ -8,8 +8,10 @@ shared Scheduler.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
-from typing import Any, Callable
+from collections.abc import Sequence
+from typing import Any, Callable, Iterator
 
 from .simcore import Scheduler, SimTime
 
@@ -42,18 +44,62 @@ class NotConnectedError(BusError):
 # GPIO
 
 
+class EdgeLog(Sequence):
+    """A GpioLine's edge times, oldest first, kept as arithmetic runs: run r
+    starts at edge index starts[r] and time firsts[r], and steps by
+    periods[r] (-1 until its second edge). New edges extend the last run
+    while each step is its period and above 0, else start a run, so a train
+    costs O(1) time and memory. A read-only sequence of int times: a slice
+    is a list, and like a range it never equals a list."""
+
+    __slots__ = ("starts", "firsts", "periods", "count", "last")
+
+    def __init__(self) -> None:
+        self.starts, self.firsts, self.periods = [], [], []  # one entry per run
+        self.count, self.last = 0, None  # edges (not Sequence.count), and the last one's time or None
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(self.count)[i]]
+        i = range(self.count)[i]  # one index in range, else IndexError or TypeError
+        r = bisect_right(self.starts, i) - 1
+        return self.firsts[r] + (i - self.starts[r]) * self.periods[r]
+
+    def __iter__(self) -> Iterator[SimTime]:
+        ends = self.starts[1:] + [self.count]
+        for start, end, first, period in zip(self.starts, ends, self.firsts, self.periods):
+            yield from range(first, first + (end - start) * period, period)  # period -1: [first]
+
+    def _add(self, first: SimTime, period: int, n: int) -> None:
+        """Append n edges from first, period >= 1 apart, after last."""
+        if n < 1:
+            return
+        step = first - self.last if self.count else 0
+        if step > 0 and (n == 1 or step == period) and self.periods[-1] in (step, -1):
+            self.periods[-1] = period = step
+        else:
+            self.starts.append(self.count)
+            self.firsts.append(first)
+            self.periods.append(period if n > 1 else -1)
+        self.count += n
+        self.last = first + (n - 1) * period
+
+
 class GpioLine:
     """A single digital line. Records the time of every level change.
 
     Writing the current level again is a no-op and the line starts low, so
     consecutive edges alternate and each edge's level follows from its index
     in the log: edge k (from 0) rises when k is even and falls when k is odd.
-    The log therefore keeps times only, and they never decrease. It is the
-    line's one record: the level is read from it, as the parity of its length.
+    So `edges`, an EdgeLog, keeps times only, as runs, and they never
+    decrease. It is the line's one record: the level is its length's parity.
     """
 
     def __init__(self) -> None:
-        self.edges: list[SimTime] = []
+        self.edges = EdgeLog()
         # Replaced, never mutated, by (un)subscribe: an edge is delivered to
         # the listeners subscribed when it was written.
         self._listeners: tuple[Callable[[SimTime, int], None], ...] = ()
@@ -61,17 +107,17 @@ class GpioLine:
     @property
     def level(self) -> int:
         """The level after the last edge: the parity of the edge count."""
-        return len(self.edges) & 1
+        return self.edges.count & 1
 
     def write(self, level: int, at: SimTime) -> None:
         if level not in (0, 1):
             raise ValueError(f"level must be 0 or 1, got {level!r}")
-        edges = self.edges
-        if edges and at < edges[-1]:
-            raise ValueError(f"edge time regression: {at} < {edges[-1]}")
-        if level == len(edges) & 1:
+        log = self.edges
+        if log.count and at < log.last:
+            raise ValueError(f"edge time regression: {at} < {log.last}")
+        if level == log.count & 1:
             return
-        edges.append(at)
+        log._add(at, 1, 1)
         for listener in self._listeners:
             listener(at, level)
 
@@ -79,15 +125,19 @@ class GpioLine:
         self.write(1 - self.level, at)
 
     def toggle_train(self, first: SimTime, period: int, n: int) -> bool:
-        """Toggle n times, at first, first + period, ..., as n toggle() calls
-        would, and return True. A line with listeners does nothing and
+        """Toggle n >= 0 times, at first, first + period, ..., as n toggle()
+        calls would, and return True. A line with listeners does nothing and
         returns False: they must see each edge as it happens."""
         if self._listeners:
             return False
-        edges = self.edges
-        if edges and first < edges[-1]:
-            raise ValueError(f"edge time regression: {first} < {edges[-1]}")
-        edges.extend(range(first, first + n * period, period))
+        log = self.edges
+        if log.count and first < log.last:
+            raise ValueError(f"edge time regression: {first} < {log.last}")
+        if log.count and first - log.last == period == log.periods[-1]:  # it continues the last run
+            log.count += n
+            log.last += n * period
+        else:
+            log._add(first, period, n)
         return True
 
     def subscribe(self, listener: Callable[[SimTime, int], None]) -> None:

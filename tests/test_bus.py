@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from double_harness.bus import (
     BleAir,
@@ -18,19 +20,70 @@ from double_harness.bus import (
     UartLink,
     UartTimeoutError,
 )
+
+
+class _ListLine:
+    """The edge log as one int per edge in a list, the reference for the
+    run-keeping GpioLine. It keeps each edge's level apart from its time."""
+
+    def __init__(self):
+        self.edges, self.levels = [], []
+
+    @property
+    def level(self):
+        return self.levels[-1] if self.levels else 0
+
+    def write(self, level, at):
+        if level not in (0, 1):
+            raise ValueError(f"level must be 0 or 1, got {level!r}")
+        if self.edges and at < self.edges[-1]:
+            raise ValueError(f"edge time regression: {at} < {self.edges[-1]}")
+        if level != self.level:
+            self.edges.append(at)
+            self.levels.append(level)
+
+    def toggle(self, at):
+        self.write(1 - self.level, at)
+
+    def toggle_train(self, first, period, n):
+        if self.edges and first < self.edges[-1]:
+            raise ValueError(f"edge time regression: {first} < {self.edges[-1]}")
+        for at in range(first, first + n * period, period):
+            self.toggle(at)
+        return True
+
+
+# (op, time after the last edge, level to write, train period, train length)
+_LINE_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["write", "toggle", "train"]),
+        st.integers(-2, 7),
+        st.integers(0, 2),
+        st.integers(1, 5),
+        st.integers(0, 5),
+    ),
+    max_size=30,
+)
+_SLICES = [slice(None), slice(1, None), slice(None, -1), slice(2, 5), slice(None, None, 2), slice(1, None, 3)]
+_SLICES += [slice(None, None, -1), slice(-2, None, -2), slice(5, 1, -3)]
+
+
 class TestGpioLine:
     def test_edges_recorded_with_timestamps(self):
         line = GpioLine()
         line.write(1, 0)
         line.write(0, 100)
-        assert line.edges == [0, 100]
+        assert list(line.edges) == [0, 100]
+        assert line.edges != [0, 100]  # a view of runs: like a range, never equal to a list
+        with pytest.raises(TypeError):
+            line.edges[1.0]
         assert line.level == 0
 
     def test_writing_same_level_is_a_noop(self):
         line = GpioLine()
         line.write(1, 0)
         line.write(1, 50)
-        assert line.edges == [0]
+        assert list(line.edges) == [0]
         assert line.level == 1
 
     def test_ten_toggles_at_fixed_spacing(self):
@@ -50,7 +103,7 @@ class TestGpioLine:
         with pytest.raises(ValueError, match="edge time regression: 99 < 100"):
             line.write(1, 99)
         line.write(1, 100)  # the same ms is not a regression
-        assert line.edges == [100]
+        assert list(line.edges) == [100]
         assert line.level == 1
 
     @pytest.mark.parametrize("level", [2, -1, "1", None])
@@ -59,14 +112,14 @@ class TestGpioLine:
         line.write(1, 5)
         with pytest.raises(ValueError, match=re.escape(f"level must be 0 or 1, got {level!r}")):
             line.write(level, 10)
-        assert (line.edges, line.level) == ([5], 1)
+        assert (list(line.edges), line.level) == ([5], 1)
 
     def test_the_level_is_read_from_the_edge_log(self):
         line = GpioLine()
         line.toggle_train(10, 5, 3)
         assert line.level == 1
         line.write(0, 30)
-        assert (line.edges, line.level) == ([10, 15, 20, 30], 0)
+        assert (list(line.edges), line.level) == ([10, 15, 20, 30], 0)
         with pytest.raises(AttributeError):
             line.level = 1
 
@@ -112,7 +165,7 @@ class TestGpioLine:
         for k in range(n):
             plain.toggle(10 + 7 * k)
         assert train.toggle_train(10, 7, n) is True
-        assert (train.edges, train.level) == (plain.edges, plain.level)
+        assert (list(train.edges), train.level) == (list(plain.edges), plain.level)
         last = 10 + 7 * (n - 1)
         with pytest.raises(ValueError, match=f"edge time regression: {last - 1} < {last}"):
             train.write(1 - train.level, last - 1)
@@ -122,16 +175,16 @@ class TestGpioLine:
         line.toggle(100)
         with pytest.raises(ValueError, match="edge time regression: 99 < 100"):
             line.toggle_train(99, 5, 3)
-        assert (line.edges, line.level) == ([100], 1)
+        assert (list(line.edges), line.level) == ([100], 1)
         assert line.toggle_train(100, 5, 2)  # the same ms is not a regression
-        assert (line.edges, line.level) == ([100, 100, 105], 1)
+        assert (list(line.edges), line.level) == ([100, 100, 105], 1)
 
     def test_a_line_with_listeners_declines_a_toggle_train(self):
         line = GpioLine()
         seen = []
         line.subscribe(lambda t, level: seen.append((t, level)))
         assert line.toggle_train(10, 5, 4) is False
-        assert (line.edges, line.level, seen) == ([], 0, [])
+        assert (list(line.edges), line.level, seen) == ([], 0, [])
 
     def test_toggle_goes_through_write(self):
         writes = []
@@ -145,33 +198,42 @@ class TestGpioLine:
         for at in (1, 2, 3):
             line.toggle(at)
         assert writes == [(1, 1), (2, 0), (3, 1)]
-        assert line.edges == [1, 2, 3]
+        assert list(line.edges) == [1, 2, 3]
 
-    def test_alternation_and_monotonicity_hold_for_random_sequences(self):
-        """Property: against a model that keeps (time, level) per change, the
-        log holds exactly the change times, and the levels it drops start at 1
-        and alternate, so edge k rises when k is even."""
-        rng = random.Random(7)
-        for _ in range(50):
-            line = GpioLine()
-            changes = []  # the model: (time, level) of every level change
-            level = 0
-            t = 0
-            for _ in range(rng.randrange(1, 40)):
-                t = max(0, t + rng.randrange(-3, 10))  # some writes go back in time
-                new = rng.randint(0, 1)
-                if changes and t < changes[-1][0]:
-                    with pytest.raises(ValueError, match="edge time regression"):
-                        line.write(new, t)
-                    t = changes[-1][0]
-                    continue
-                line.write(new, t)
-                if new != level:
-                    level = new
-                    changes.append((t, level))
-            assert line.edges == [at for at, _ in changes]
-            assert [lv for _, lv in changes] == [(k + 1) % 2 for k in range(len(changes))]
-            assert line.level == level
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_LINE_STEPS)
+    def test_the_run_log_reads_as_a_plain_list_after_every_step(self, steps):
+        """Differential property: writes (levels 0, 1 and 2), toggles and
+        trains at times drawn around the last edge, so equal times and
+        regressions occur, on a GpioLine and on _ListLine. After each step
+        both answer alike: outcome or ValueError message, level, length,
+        every index either way, IndexError just past each end, slices and
+        iteration. The model's levels start at 1 and alternate."""
+        line, model = GpioLine(), _ListLine()
+        for op, dt, level, period, n in steps:
+            at = (model.edges[-1] if model.edges else 0) + dt
+            name, *args = {
+                "write": ("write", level, at),
+                "toggle": ("toggle", at),
+                "train": ("toggle_train", at, period, n),
+            }[op]
+            outcomes = []
+            for target in (line, model):
+                try:
+                    outcomes.append(getattr(target, name)(*args))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            edges, want = line.edges, model.edges
+            assert (len(edges), line.level) == (len(want), model.level)
+            assert [edges[i] for i in range(-len(want), len(want))] == want + want
+            for i in (len(want), -len(want) - 1):
+                with pytest.raises(IndexError):
+                    edges[i]
+            for cut in _SLICES:
+                assert edges[cut] == want[cut]
+            assert list(edges) == want
+            assert model.levels == [(k + 1) % 2 for k in range(len(want))]
 
 
 class TestI2cBus:

@@ -3,6 +3,7 @@
 import datetime
 import operator
 import random
+import tracemalloc
 from decimal import Decimal
 from functools import reduce
 
@@ -52,7 +53,7 @@ class TestBlinker:
         """Period 2000, count 2: edges at 2000, 4000, 6000, 8000."""
         line = GpioLine()
         Blinker(line, 2000, 2, sched).blink("blocking")
-        assert line.edges == [2000, 4000, 6000, 8000]
+        assert list(line.edges) == [2000, 4000, 6000, 8000]
         assert line.level == 0
         assert sched.now == 8000
 
@@ -63,7 +64,7 @@ class TestBlinker:
         blinker = Blinker(line_b, 300, 3, sched_b)
         blinker.blink("isr")
         sched_b.advance_to(sched_a.now)
-        assert line_a.edges == line_b.edges == [300 * k for k in range(1, 7)]
+        assert list(line_a.edges) == list(line_b.edges) == [300 * k for k in range(1, 7)]
         assert line_a.level == line_b.level == 0
 
     def test_edge_count_is_twice_the_blink_count(self, sched):
@@ -93,7 +94,7 @@ class TestBlinker:
         blinker.blink("isr")
         blinker.close()
         sched.advance_by(10_000)
-        assert line.edges == []
+        assert list(line.edges) == []
 
     def test_second_isr_blink_restarts_the_pattern(self, sched):
         """Re-arming cancels the first timer: 2*count edges at the period from the restart."""
@@ -103,7 +104,7 @@ class TestBlinker:
         sched.advance_by(250)
         blinker.blink("isr")
         sched.advance_by(10_000)
-        assert line.edges == [100, 200] + [250 + 100 * k for k in range(1, 7)]
+        assert list(line.edges) == [100, 200] + [250 + 100 * k for k in range(1, 7)]
         assert sched.next_due() is None
 
     def test_bad_mode_rejected(self, sched):
@@ -122,7 +123,7 @@ class TestBlinker:
         sched.schedule(30, lambda: line.subscribe(listener))
         sched.schedule(60, lambda: line.unsubscribe(listener))
         assert sched.advance_by(1000) == 100 + 2
-        assert line.edges == [3 * k for k in range(1, 101)]
+        assert list(line.edges) == [3 * k for k in range(1, 101)]
         assert heard == [(3 * k, k % 2) for k in range(10, 20)]
         assert line.level == 0 and sched.next_due() is None
 
@@ -140,7 +141,7 @@ def test_an_isr_edge_before_the_last_edge_ends_the_blink_alike(spied):
     blinker.blink("isr")
     with pytest.raises(ValueError, match="edge time regression: 10 < 50"):
         sched.advance_to(100)
-    assert (sched.now, line.edges, line.level) == (10, [50], 1)
+    assert (sched.now, list(line.edges), line.level) == (10, [50], 1)
     assert not blinker._isr_handle.pending and sched.next_due() is None
 
 
@@ -158,16 +159,38 @@ def test_an_endless_isr_blink_is_written_in_bounded_trains(rig, monkeypatch):
     assert _send_dut(rig, "NEW", "b", "Blinker", 13, 1, 10**18).ok
     assert _send_dut(rig, "CALL", "b", "blink", "isr").ok
     assert rig.scheduler.advance_by(100_000) == 100_000
-    assert rig.led_line.edges == list(range(1, 100_001))
+    assert list(rig.led_line.edges) == list(range(1, 100_001))
     assert rig.led_line.level == 0
     assert max(runs) == TRAIN_MAX and sum(runs) == 100_000
     assert len(runs) == -(-100_000 // TRAIN_MAX)
 
 
+def test_a_million_edges_in_one_command_are_held_as_three_runs(rig):
+    """A 1 ms isr blink with no end, and a blocking blink on the same line
+    whose two toggles move the clock 1,000,000 ms inside one command. The
+    1,000,002 edges are kept as runs, so that command holds next to no
+    memory, where one int per edge would take about 39 MB."""
+    assert _send_dut(rig, "NEW", "a", "Blinker", 13, 1, 10**18).ok
+    assert _send_dut(rig, "CALL", "a", "blink", "isr").ok
+    assert _send_dut(rig, "NEW", "b", "Blinker", 13, 500_000, 1).ok
+    tracemalloc.start()
+    try:
+        resp = send_command(rig.session.dut.endpoint, Command("CALL", "b", "blink", ("blocking",)), 10**7)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert resp.ok
+    edges = rig.led_line.edges
+    assert (len(edges), edges[-1]) == (1_000_002, 1_000_000)
+    # the isr run to 500,000; b's edge there, which the isr edges then follow; b's last edge
+    assert (edges.starts, edges.firsts, edges.periods) == ([0, 500_000, 1_000_001], [1, 500_000, 1_000_000], [1, 1, -1])
+    assert held < 64 * 1024
+
+
 def test_the_isr_train_is_not_served_on_the_wire(rig):
     assert _send_dut(rig, "NEW", "b", "Blinker", 13, 1, 5).ok
     assert not _send_dut(rig, "CALL", "b", "_isr_train", 1, 1, 2).ok
-    assert rig.led_line.edges == []
+    assert list(rig.led_line.edges) == []
 
 
 def _send_dut(rig, verb, obj, method=None, *args):
@@ -191,7 +214,7 @@ def test_blinker_period_and_count_boundaries_on_the_wire(rig, period_ms, count, 
         return
     assert resp.ok
     assert _send_dut(rig, "CALL", "b", "blink", "blocking").ok
-    assert rig.led_line.edges == [1, 2]
+    assert list(rig.led_line.edges) == [1, 2]
 
 
 @pytest.mark.parametrize("mode", ["blocking", "isr"])
@@ -210,7 +233,7 @@ def test_blinker_period_skew_boundary_on_the_wire(monkeypatch, mode, skew, edges
         else:
             assert resp.ok
         rig.scheduler.advance_by(10)
-        assert rig.led_line.edges == (edges or [])
+        assert list(rig.led_line.edges) == (edges or [])
     finally:
         rig.close()
 

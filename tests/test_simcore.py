@@ -661,7 +661,7 @@ def _soak_mix(spy_on_blink: bool):
     fired = sched.advance_by(20_000)
     blinks = [at for name, at, _ in fires if name == "Blinker._isr_toggle"]
     others = [fire for fire in fires if fire[0] != "Blinker._isr_toggle"]
-    return (others, line.edges, line.level, sched.now, sched._seq, fired), blinks, line.trains
+    return (others, list(line.edges), line.level, sched.now, sched._seq, fired), blinks, line.trains
 
 
 def test_a_soak_mix_runs_the_same_whether_the_blink_is_spied_on_or_not():

@@ -4,11 +4,14 @@ One clean five-suite pass on a fresh rig makes a fixed number of command
 round trips, frames, frame checks, JSON encodes and decodes, clock
 advances, scheduler events, GPIO edges, UART bytes and I2C transactions,
 whatever Python runs it. The counts come from wrapping module functions
-inside the test, as the traced benchmark does. A change that moves one
-updates the pin and says why.
+inside the test, as the traced benchmark does. Soak cases also pin how
+their LED edges are kept and, by digest, every edge time and the clock. A
+change that moves one updates the pin and says why.
 """
 
 import datetime
+import hashlib
+import random
 
 import pytest
 
@@ -16,6 +19,8 @@ from double_harness import bus, harness, simcore, suites, transport
 from double_harness.transport import Command
 
 SOAK_MS = 20_000
+SOAK_START = datetime.datetime(2031, 12, 31, 23, 59, 50)  # the RTC crosses midnight and a new year
+SOAK_CASES = [(7, 300, True), (1, 1000, False), (20, 64, True)]  # (blink period, GPS rate, RMC on)
 
 
 @pytest.fixture
@@ -129,46 +134,119 @@ def _registers(moment: datetime.datetime) -> list[int]:
     return [(v // 10) << 4 | v % 10 for v in fields]
 
 
-@pytest.mark.parametrize("period, rate, rmc", [(7, 300, True), (1, 1000, False), (20, 64, True)])
+def _send(endpoint, verb, obj=None, method=None, *args):
+    resp = transport.send_command(endpoint, Command(verb, obj, method, args))
+    assert resp.ok, resp
+    return resp.payload
+
+
+def _start_soak_case(rig, period, rate, rmc, start=SOAK_START):
+    """Set up a soak case by commands, as the benchmark's soak does: an isr
+    blink for SOAK_MS, a GPS emitter at `rate` with RMC on or off, and a
+    dynamic RTC from `start`."""
+    count = SOAK_MS // (2 * period)
+    dut, double = rig.session.dut.endpoint, rig.session.double.endpoint
+    _send(double, "NEW", "led", "Led", suites.DOUBLE_LED_PIN, 2 * count)
+    _send(dut, "NEW", "blinker", "Blinker", suites.DUT_LED_PIN, period, count)
+    _send(double, "CALL", "led", "start_acquisition")
+    _send(dut, "CALL", "blinker", "blink", "isr")
+    _send(double, "NEW", "gps", "Gps")
+    _send(dut, "NEW", "gps_drv", "GpsDriver")
+    _send(dut, "CALL", "gps_drv", "send_command", f"PDBL,SEL,RMC,{int(rmc)}")
+    _send(dut, "CALL", "gps_drv", "send_command", f"PDBL,RATE,{rate}")
+    _send(double, "NEW", "rtc", "Rtc", "dynamic")
+    _send(dut, "NEW", "rtc_drv", "RtcDriver")
+    stamp = [start.year, start.month, start.day, start.hour, start.minute, start.second]
+    _send(dut, "CALL", "rtc_drv", "set_datetime", stamp)
+
+
+@pytest.mark.parametrize("period, rate, rmc", SOAK_CASES + [(1, 50, True)])
 def test_a_soak_case_fires_the_closed_form_count(counts, period, rate, rmc):
     """SOAK_MS of an isr blink, a GPS emitter and a ticking RTC, set up by
     commands as the benchmark's soak does: one event per edge, per emit and
-    per second."""
-    start = datetime.datetime(2031, 12, 31, 23, 59, 50)
+    per second. However often the emits and ticks break the blink's trains,
+    its edges stay one run of the line's log."""
     count = SOAK_MS // (2 * period)
     rig = suites.build_virtual_rig()
-    dut, double = rig.session.dut.endpoint, rig.session.double.endpoint
-
-    def send(endpoint, verb, obj, method=None, *args):
-        resp = transport.send_command(endpoint, Command(verb, obj, method, args))
-        assert resp.ok, resp
-        return resp.payload
-
+    double = rig.session.double.endpoint
     try:
-        send(double, "NEW", "led", "Led", suites.DOUBLE_LED_PIN, 2 * count)
-        send(dut, "NEW", "blinker", "Blinker", suites.DUT_LED_PIN, period, count)
-        send(double, "CALL", "led", "start_acquisition")
-        send(dut, "CALL", "blinker", "blink", "isr")
-        send(double, "NEW", "gps", "Gps")
-        send(dut, "NEW", "gps_drv", "GpsDriver")
-        send(dut, "CALL", "gps_drv", "send_command", f"PDBL,SEL,RMC,{int(rmc)}")
-        send(dut, "CALL", "gps_drv", "send_command", f"PDBL,RATE,{rate}")
-        send(double, "NEW", "rtc", "Rtc", "dynamic")
-        send(dut, "NEW", "rtc_drv", "RtcDriver")
-        stamp = [start.year, start.month, start.day, start.hour, start.minute, start.second]
-        send(dut, "CALL", "rtc_drv", "set_datetime", stamp)
+        _start_soak_case(rig, period, rate, rmc)
         events_before = counts["events"]
         fired = rig.scheduler.advance_by(SOAK_MS)
         assert fired == 2 * count + SOAK_MS // rate + SOAK_MS // 1000
         assert counts["events"] - events_before == fired
         assert counts["edges"] == 2 * count
+        assert len(rig.led_line.edges.starts) == 1
         config = len(f"$PDBL,SEL,RMC,{int(rmc)}*CS\r\n") + len(f"$PDBL,RATE,{rate}*CS\r\n")
         gga, rmc_line = 65, 60  # "$GPGGA,hhmmss,4807.038,...*CS\r\n" and its RMC twin
         assert counts["uart_bytes"] == config + SOAK_MS // rate * (gga + rmc * rmc_line)
         assert counts["i2c_txns"] == 1  # set_datetime; the image is read over the command channel
-        assert send(double, "CALL", "led", "get_avg_blink_ms") == float(period)
-        assert send(double, "CALL", "gps", "get_emit_count") == (1 + rmc) * (SOAK_MS // rate)
-        image = send(double, "CALL", "rtc", "read_registers")
-        assert image == _registers(start + datetime.timedelta(seconds=SOAK_MS // 1000))
+        assert _send(double, "CALL", "led", "get_avg_blink_ms") == float(period)
+        assert _send(double, "CALL", "gps", "get_emit_count") == (1 + rmc) * (SOAK_MS // rate)
+        image = _send(double, "CALL", "rtc", "read_registers")
+        assert image == _registers(SOAK_START + datetime.timedelta(seconds=SOAK_MS // 1000))
     finally:
         rig.close()
+
+
+def _benchmark_soak_set(seed):
+    """The first set of cases that the benchmark's sim_soak draws for `seed`:
+    each blink period 1..20 once, in a seeded order, with a GPS rate, RMC on
+    or off and an RTC start for each."""
+    rng = random.Random(seed)
+    first, last = datetime.datetime(2001, 1, 1), datetime.datetime(2098, 12, 31)
+    span_s = int((last - first).total_seconds())
+    periods = list(range(1, 21))
+    rng.shuffle(periods)
+    cases = []
+    for period in periods:
+        rate, rmc = rng.randint(50, 1000), rng.random() < 0.5
+        cases.append((period, rate, rmc, first + datetime.timedelta(seconds=rng.randrange(span_s))))
+    return cases
+
+
+def _run_soak_cases(rig, cases):
+    """Each case in turn on one rig, both ends reset first, as in a benchmark set."""
+    for case in cases:
+        _send(rig.session.dut.endpoint, "RESET")
+        _send(rig.session.double.endpoint, "RESET")
+        _start_soak_case(rig, *case)
+        rig.scheduler.advance_by(SOAK_MS)
+        yield case
+
+
+def test_a_benchmark_soak_set_keeps_one_edge_run_per_case():
+    """The first sim_soak set of seed 7 as the benchmark runs it: 71,946 LED
+    edges, kept as 20 runs of the line's log, one per case."""
+    rig = suites.build_virtual_rig()
+    try:
+        for _ in _run_soak_cases(rig, _benchmark_soak_set(7)):
+            pass
+        edges = rig.led_line.edges
+        assert (len(edges), len(edges.starts)) == (71_946, 20)
+    finally:
+        rig.close()
+
+
+def test_soak_cases_on_one_rig_leave_the_pinned_edge_times_and_clock():
+    """The three soak cases in turn on one rig, both ends reset between them
+    as in a benchmark set, so the LED line's log holds one run per case.
+    After each, one sha256 of every edge time on that line and of the clock.
+    The checks above read counts and a window's end points; this digest
+    moves when any single edge moves."""
+    rig = suites.build_virtual_rig()
+    digests = []
+    try:
+        for period, _rate, _rmc in _run_soak_cases(rig, SOAK_CASES):
+            edges = rig.led_line.edges
+            assert list(edges) == edges[:]  # iteration, and a read of each index
+            assert _send(rig.session.double.endpoint, "CALL", "led", "get_avg_blink_ms") == float(period)
+            record = repr((list(edges), rig.scheduler.now))
+            digests.append(hashlib.sha256(record.encode()).hexdigest())
+    finally:
+        rig.close()
+    assert digests == [
+        "5196e6fe8d34d27414fa4085f6fd7a7835a5f1fe1031a8f3f9f1c1c74d6c5ce1",
+        "cafe5f09b154a1a5b03b72f3087440286d42f7e9a091a40cc042b372c486cf3e",
+        "c565c95fda9b17b5268d444567da5575d372793da673c7e23c7ee62944b0de25",
+    ]
