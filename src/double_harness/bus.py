@@ -52,24 +52,24 @@ class EdgeLog(Sequence):
     costs O(1) time and memory. A read-only sequence of int times: a slice
     is a list, and like a range it never equals a list."""
 
-    __slots__ = ("starts", "firsts", "periods", "count", "last")
+    __slots__ = ("starts", "firsts", "periods", "_count", "last")
 
     def __init__(self) -> None:
         self.starts, self.firsts, self.periods = [], [], []  # one entry per run
-        self.count, self.last = 0, None  # edges (not Sequence.count), and the last one's time or None
+        self._count, self.last = 0, None  # edges, and the last one's time or None
 
     def __len__(self) -> int:
-        return self.count
+        return self._count
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[k] for k in range(self.count)[i]]
-        i = range(self.count)[i]  # one index in range, else IndexError or TypeError
+            return [self[k] for k in range(self._count)[i]]
+        i = range(self._count)[i]  # one index in range, else IndexError or TypeError
         r = bisect_right(self.starts, i) - 1
         return self.firsts[r] + (i - self.starts[r]) * self.periods[r]
 
     def __iter__(self) -> Iterator[SimTime]:
-        ends = self.starts[1:] + [self.count]
+        ends = self.starts[1:] + [self._count]
         for start, end, first, period in zip(self.starts, ends, self.firsts, self.periods):
             yield from range(first, first + (end - start) * period, period)  # period -1: [first]
 
@@ -77,14 +77,14 @@ class EdgeLog(Sequence):
         """Append n edges from first, period >= 1 apart, after last."""
         if n < 1:
             return
-        step = first - self.last if self.count else 0
+        step = first - self.last if self._count else 0
         if step > 0 and (n == 1 or step == period) and self.periods[-1] in (step, -1):
             self.periods[-1] = period = step
         else:
-            self.starts.append(self.count)
+            self.starts.append(self._count)
             self.firsts.append(first)
             self.periods.append(period if n > 1 else -1)
-        self.count += n
+        self._count += n
         self.last = first + (n - 1) * period
 
 
@@ -107,15 +107,15 @@ class GpioLine:
     @property
     def level(self) -> int:
         """The level after the last edge: the parity of the edge count."""
-        return self.edges.count & 1
+        return self.edges._count & 1
 
     def write(self, level: int, at: SimTime) -> None:
         if level not in (0, 1):
             raise ValueError(f"level must be 0 or 1, got {level!r}")
         log = self.edges
-        if log.count and at < log.last:
+        if log._count and at < log.last:
             raise ValueError(f"edge time regression: {at} < {log.last}")
-        if level == log.count & 1:
+        if level == log._count & 1:
             return
         log._add(at, 1, 1)
         for listener in self._listeners:
@@ -131,13 +131,15 @@ class GpioLine:
         if self._listeners:
             return False
         log = self.edges
-        if log.count and first < log.last:
-            raise ValueError(f"edge time regression: {first} < {log.last}")
-        if log.count and first - log.last == period == log.periods[-1]:  # it continues the last run
-            log.count += n
-            log.last += n * period
-        else:
-            log._add(first, period, n)
+        last = log.last
+        if last is not None:  # the log holds an edge
+            if first < last:
+                raise ValueError(f"edge time regression: {first} < {last}")
+            if first - last == period == log.periods[-1]:  # it continues the last run
+                log._count += n
+                log.last = last + n * period
+                return True
+        log._add(first, period, n)
         return True
 
     def subscribe(self, listener: Callable[[SimTime, int], None]) -> None:

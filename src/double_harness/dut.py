@@ -94,14 +94,15 @@ class Blinker:
         """The next n = min(k, remaining) toggles in one call; 0 when the line
         has listeners. See Scheduler.advance_to's train rule."""
         remaining = self._isr_remaining
-        n = min(k, remaining)
-        if not self.line.toggle_train(first, period, n):
+        if k < remaining:  # the run ends before the blink does
+            if not self.line.toggle_train(first, period, k):
+                return 0
+            self._isr_remaining = remaining - k
+            return k
+        if not self.line.toggle_train(first, period, remaining):
             return 0
-        if n < remaining:
-            self._isr_remaining = remaining - n
-        else:
-            self._count_down(n)
-        return n
+        self._count_down(remaining)
+        return remaining
 
     def _count_down(self, n: int) -> None:
         """n isr edges written: the timer cancels itself after the last."""

@@ -66,6 +66,7 @@ class Scheduler:
         self.now: SimTime = 0
         self._seq: int = 0
         self._heap: list[tuple[int, int, EventHandle]] = []
+        self._dead = 0  # cancels since the heap was last rebuilt: at least its dead entries
 
     def schedule(self, delay_ms: int, action: Action, periodic: int | None = None) -> EventHandle:
         """Queue `action` to run delay_ms from now.
@@ -96,6 +97,16 @@ class Scheduler:
         if handle is None or handle.action is None:
             return False
         handle.action = handle.train = None
+        # Its heap entry stays until popped, so dead entries are counted; past
+        # half the heap they are dropped, and the keys keep the order. The
+        # event firing now is not in the heap: counting its cancel only brings
+        # a rebuild early.
+        self._dead += 1
+        heap = self._heap
+        if 2 * self._dead > len(heap):
+            heap[:] = [entry for entry in heap if entry[2].action is not None]
+            heapq.heapify(heap)
+            self._dead = 0
         return True
 
     def advance_to(self, to: SimTime) -> int:
@@ -137,18 +148,21 @@ class Scheduler:
         if to > MAX_SIM_MS:
             raise ScheduleError(f"time {to} is past MAX_SIM_MS")
         heap = self._heap
+        pushpop = heapq.heappushpop
         fired = 0
         while heap and heap[0][0] <= to:
             due, _seq, event = heapq.heappop(heap)
-            while event.action is not None:  # fire `event` at `due` (n times when a train runs), re-arm it
-                action, period, train = event.action, event.period, event.train
+            action = event.action
+            while action is not None:  # fire `event` at `due` (n times when a train runs), re-arm it
+                period, train = event.period, event.train
                 self.now = due
                 try:
                     if train is None:
                         action()
                         n = 1
                     else:  # k: the later firings that come before the heap's head and by `to`
-                        k = ((heap[0][0] - 1 if heap and heap[0][0] <= to else to) - due) // period
+                        last = heap[0][0] - 1 if heap else to
+                        k = ((last if last < to else to) - due) // period
                         n = train(due, period, k + 1 if k < TRAIN_MAX else TRAIN_MAX) if k > 0 else 0
                         if not n:  # no run: one plain firing
                             action()
@@ -164,11 +178,12 @@ class Scheduler:
                 due += n * period
                 if due < self.now:  # the action advanced the clock past it
                     due = self.now
-                self._seq += n
+                self._seq = seq = self._seq + n
                 if heap and heap[0][0] <= (due if due < to else to):  # the head goes first
-                    due, _seq, event = heapq.heappushpop(heap, (due, self._seq, event))
+                    due, _seq, event = pushpop(heap, (due, seq, event))
+                    action = event.action
                 else:
-                    heapq.heappush(heap, (due, self._seq, event))
+                    heapq.heappush(heap, (due, seq, event))
                     break
         if self.now < to:
             self.now = to

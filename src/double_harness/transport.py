@@ -40,6 +40,9 @@ MAX_FRAME_LEN = 4096
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _is_ident = IDENT_RE.fullmatch  # fullmatch: "x\n" is not a name, as `$` would allow
+# A well-formed CALL line, as parse_command's partitions would split it: the
+# args run to the end of the line, whatever they hold.
+_match_call = re.compile(r"CALL ([A-Za-z_][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*) (.*)", re.DOTALL).fullmatch
 
 
 def _wire_value(value: Any) -> list[int]:  # the encoder's `default` hook
@@ -190,17 +193,18 @@ def format_command(cmd: Command) -> str:
 
 
 def parse_command(line: str) -> Command:
+    call = _match_call(line)
+    if call is not None:  # half of all traffic
+        name, method, args_text = call.groups()
+        return Command("CALL", name, method, _parse_args(args_text))
     verb, _, rest = line.partition(" ")
-    if verb == "CALL":
-        target, space, args_text = rest.partition(" ")
+    if verb == "CALL":  # not well formed: say why
+        target, space, _ = rest.partition(" ")
         if not space:
             raise ProtocolError("CALL needs <name>.<method> <json-array>")
-        name, dot, method = target.partition(".")
-        if not dot:
+        if "." not in target:
             raise ProtocolError(f"CALL target {target!r} missing '.'")
-        if not _is_ident(name) or not _is_ident(method):
-            raise ProtocolError(f"bad identifier in CALL {target!r}")
-        return Command("CALL", name, method, _parse_args(args_text))
+        raise ProtocolError(f"bad identifier in CALL {target!r}")
     if verb in ("PING", "RESET"):
         if rest:
             raise ProtocolError(f"{verb} takes no arguments")
@@ -329,9 +333,11 @@ class VirtualEndpoint(Endpoint):
         peer = self._peer
         if peer is None:
             return  # closed: undeliverable; the reader finds out on its next read
-        peer._rx.append((line, now))
-        if peer._server is not None:
-            peer._drain()
+        server = peer._server
+        if server is None or peer._rx:  # not serving yet, or still answering queued frames: wait in turn
+            peer._rx.append((line, now))
+        else:  # a device that is caught up answers at once
+            peer.write_line(server.handle_line(line))
 
     def read_frame(self, timeout_ms: int) -> tuple[str, int]:
         if not self._rx:
@@ -357,6 +363,7 @@ class VirtualEndpoint(Endpoint):
         self._server = None
 
     def _drain(self) -> None:
+        """Answer the frames queued before serve, and any that arrive meanwhile."""
         assert self._server is not None
         while self._rx:
             line, _stamp = self._rx.popleft()
@@ -471,7 +478,7 @@ def send_command(ep: Endpoint, cmd: Command, timeout_ms: int | None = None) -> R
         raise TransportTimeout(f"no response to '{line}' within {budget} ms (simulated)")
     if ep.logger is not None:
         ep.logger("recv", reply, stamp)
-    return parse_response(reply)
+    return _OK_NONE if reply == "OK null" else parse_response(reply)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +528,8 @@ class ObjectRegistry:
                 return err("NO_METHOD", f"no method '{cmd.method}' on '{cmd.obj}'")
             if not _args_fit(method, cmd.args):
                 return err("BAD_ARGS", f"arguments {list(cmd.args)!r} do not fit {cmd.method}")
-            return Response("OK", method(*cmd.args))
+            result = method(*cmd.args)
+            return _OK_NONE if result is None else Response("OK", result)
         if verb == "PING":
             return _OK_NONE
         if verb == "RESET":
@@ -606,7 +614,8 @@ class CommandServer:
             cmd = parse_command(line)
         except ProtocolError as exc:
             return _malformed(exc)
-        return format_response(self.registry.execute(cmd))
+        resp = self.registry.execute(cmd)
+        return "OK null" if resp is _OK_NONE else format_response(resp)
 
 
 def _malformed(exc: ProtocolError) -> str:

@@ -12,7 +12,7 @@ except ImportError:  # not on every platform
 from double_harness.simcore import Scheduler
 from double_harness.suites import build_virtual_rig
 
-# The slowest test takes about 1.3 s; a test that runs this long is hung.
+# The slowest test takes about 2.5 s; a test that runs this long is hung.
 TEST_TIME_LIMIT_S = 60
 
 # Tier-1 peaks near 65 MiB of resident memory. A test past TEST_MEMORY_LIMIT_BYTES

@@ -79,6 +79,22 @@ class TestGpioLine:
             line.edges[1.0]
         assert line.level == 0
 
+    def test_count_and_index_answer_as_on_a_list(self):
+        """The log's edge count is private, so Sequence's count and index
+        work: here over three runs, with an edge time held twice."""
+        line = GpioLine()
+        line.toggle_train(5, 5, 3)
+        line.toggle(15)
+        line.toggle_train(16, 2, 4)
+        want = list(line.edges)
+        assert want == [5, 10, 15, 15, 16, 18, 20, 22]
+        for t in (0, 5, 15, 16, 22, 23):
+            assert line.edges.count(t) == want.count(t)
+        for t in (5, 15, 22):
+            assert line.edges.index(t) == want.index(t)
+        with pytest.raises(ValueError):
+            line.edges.index(17)
+
     def test_writing_same_level_is_a_noop(self):
         line = GpioLine()
         line.write(1, 0)
@@ -207,8 +223,9 @@ class TestGpioLine:
         trains at times drawn around the last edge, so equal times and
         regressions occur, on a GpioLine and on _ListLine. After each step
         both answer alike: outcome or ValueError message, level, length,
-        every index either way, IndexError just past each end, slices and
-        iteration. The model's levels start at 1 and alternate."""
+        the last edge's time, every index either way, IndexError just past
+        each end, slices and iteration, count and index. The model's levels
+        start at 1 and alternate."""
         line, model = GpioLine(), _ListLine()
         for op, dt, level, period, n in steps:
             at = (model.edges[-1] if model.edges else 0) + dt
@@ -225,7 +242,7 @@ class TestGpioLine:
                     outcomes.append(str(exc))
             assert outcomes[0] == outcomes[1]
             edges, want = line.edges, model.edges
-            assert (len(edges), line.level) == (len(want), model.level)
+            assert (len(edges), line.level, edges.last) == (len(want), model.level, want[-1] if want else None)
             assert [edges[i] for i in range(-len(want), len(want))] == want + want
             for i in (len(want), -len(want) - 1):
                 with pytest.raises(IndexError):
@@ -233,6 +250,12 @@ class TestGpioLine:
             for cut in _SLICES:
                 assert edges[cut] == want[cut]
             assert list(edges) == want
+            for t in {*want[:2], *want[-3:]}:
+                assert (edges.count(t), edges.index(t)) == (want.count(t), want.index(t))
+            absent = want[-1] + 1 if want else 0
+            assert edges.count(absent) == 0
+            with pytest.raises(ValueError):
+                edges.index(absent)
             assert model.levels == [(k + 1) % 2 for k in range(len(want))]
 
 

@@ -127,6 +127,17 @@ class TestBlinker:
         assert heard == [(3 * k, k % 2) for k in range(10, 20)]
         assert line.level == 0 and sched.next_due() is None
 
+    def test_a_listener_that_stays_hears_every_edge_to_the_last(self, sched):
+        """Every train the blink offers, its last included, declines."""
+        line = GpioLine()
+        Blinker(line, 3, 50, sched).blink("isr")
+        heard = []
+        sched.schedule(30, lambda: line.subscribe(lambda at, level: heard.append((at, level))))
+        assert sched.advance_by(1000) == 100 + 1
+        assert list(line.edges) == [3 * k for k in range(1, 101)]
+        assert heard == [(3 * k, k % 2) for k in range(10, 101)]
+        assert line.level == 0 and sched.next_due() is None
+
 
 @pytest.mark.parametrize("spied", [False, True], ids=["train", "plain"])
 def test_an_isr_edge_before_the_last_edge_ends_the_blink_alike(spied):
@@ -185,6 +196,20 @@ def test_a_million_edges_in_one_command_are_held_as_three_runs(rig):
     # the isr run to 500,000; b's edge there, which the isr edges then follow; b's last edge
     assert (edges.starts, edges.firsts, edges.periods) == ([0, 500_000, 1_000_001], [1, 500_000, 1_000_000], [1, 1, -1])
     assert held < 64 * 1024
+
+
+def test_blinkers_deleted_before_their_first_edge_leave_no_heap_behind(rig):
+    """20,000 rounds of an isr blink whose first edge is 10**12 ms away, then
+    DEL. Each DEL leaves a dead entry that is the whole heap, past half of
+    it, so the heap is rebuilt empty every round. The clock does not move."""
+    heap = rig.scheduler._heap
+    assert not heap
+    for _ in range(20_000):
+        assert _send_dut(rig, "NEW", "b", "Blinker", 13, 10**12, 1).ok
+        assert _send_dut(rig, "CALL", "b", "blink", "isr").ok
+        assert _send_dut(rig, "DEL", "b").ok
+        assert not heap
+    assert rig.scheduler.now == 0
 
 
 def test_the_isr_train_is_not_served_on_the_wire(rig):

@@ -182,6 +182,30 @@ class TestCancel:
         assert periodic.action is None and periodic.train is None
 
 
+class TestDeadEntries:
+    def test_dead_entries_past_half_the_heap_are_dropped(self, sched):
+        """Three dead entries of six stay; a fourth rebuilds the heap from the
+        two live ones, which then fire in their order."""
+        fired = []
+        handles = [sched.schedule(due, lambda due=due: fired.append(due)) for due in (4, 1, 6, 2, 5, 3)]
+        for handle in handles[:3]:
+            assert sched.cancel(handle)
+        assert (len(sched._heap), sched._dead) == (6, 3)
+        assert sched.cancel(handles[4])
+        assert (sorted(due for due, _seq, _event in sched._heap), sched._dead) == ([2, 3], 0)
+        assert sched.advance_to(10) == 2 and fired == [2, 3]
+
+    def test_cancelling_the_event_that_fires_counts_it(self, sched):
+        """It is out of the heap while it fires: the count runs ahead of the
+        dead entries, which only brings a rebuild early."""
+        handles = []
+        handles.append(sched.schedule(1, lambda: sched.cancel(handles[0]), periodic=1))
+        sched.schedule(5, lambda: None)
+        sched.schedule(6, lambda: None)
+        sched.advance_to(1)
+        assert (len(sched._heap), sched._dead) == (2, 1)
+
+
 class TestOneState:
     """A handle is pending exactly while it holds its action."""
 
@@ -396,9 +420,16 @@ class TestProperties:
 
 class _HeapLoopScheduler(Scheduler):
     """Reference model: every re-armed periodic event goes back through the
-    heap before it can fire again. Time never runs backwards: a re-armed
-    event whose next due time a nested advance already passed is due now,
-    and a nested advance past `to` leaves now where it is."""
+    heap before it can fire again, and a cancelled event's entry stays there
+    until it is popped. Time never runs backwards: a re-armed event whose
+    next due time a nested advance already passed is due now, and a nested
+    advance past `to` leaves now where it is."""
+
+    def cancel(self, handle):
+        if handle is None or handle.action is None:
+            return False
+        handle.action = handle.train = None
+        return True
 
     def advance_to(self, to):
         if to < self.now:
@@ -463,6 +494,27 @@ _CANCELLED_HEAD = st.builds(
     st.lists(st.integers(0, 15), max_size=3),
 )
 # A periodic event and one-shot events due at some of its re-arm times.
+# Up to ten events whose firings mostly cancel others or themselves, so
+# dead entries pass half the heap and a cancel rebuilds it, mid-advance too.
+_CANCEL_OP = st.tuples(
+    st.integers(0, 1),
+    st.sampled_from(["cancel_other", "cancel_other", "cancel_other", "cancel_self", "at_now", "periodic_child"]),
+    st.integers(0, 7),
+)
+_CANCEL_HEAVY = st.builds(
+    lambda events, steps: (events, [*steps, 16]),
+    st.lists(
+        st.tuples(
+            st.integers(0, 6),
+            st.integers(1, 4) | st.none(),
+            st.lists(_CANCEL_OP, min_size=1, max_size=3),
+            st.none() | st.integers(1, 5),
+        ),
+        min_size=4,
+        max_size=10,
+    ),
+    st.lists(st.integers(0, 15), max_size=3),
+)
 _SAME_MS = st.builds(
     lambda delay, period, cap, ops, multiples, more, steps: (
         [(delay, period, ops, cap), *((delay + m * period, None, [], None) for m in multiples), *more],
@@ -570,6 +622,8 @@ def _play(sched, scenario):
         counts.append(sched.advance_by(step))
         seen.append(sched.now)
     assert seen == sorted(seen), "time ran backwards"
+    if type(sched) is Scheduler:  # its count of cancels bounds the dead entries it keeps
+        assert sum(event.action is None for _due, _seq, event in sched._heap) <= sched._dead
     return (
         log,
         counts,
@@ -577,7 +631,7 @@ def _play(sched, scenario):
         sched._seq,
         [h.pending for h in handles],
         sched.next_due(),
-        sorted((due, seq) for due, seq, _ in sched._heap),
+        sorted((due, seq) for due, seq, event in sched._heap if event.action is not None),
     )
 
 
@@ -612,6 +666,22 @@ class TestAdvanceMatchesHeapLoop:
 
         same_run()
         assert getattr(spy, seen) >= 50, vars(spy)
+
+    def test_same_run_when_cancels_rebuild_the_heap(self):
+        """Cancel-heavy mixes: the heap's rebuilds change no firing, and most
+        examples rebuild it."""
+        rebuilt = []
+
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @given(_CANCEL_HEAVY)
+        def same_run(scenario):
+            with mock.patch.object(simcore.heapq, "heapify", wraps=heapq.heapify) as heapify:
+                ours = _play(Scheduler(), scenario)
+            rebuilt.append(heapify.called)
+            assert ours == _play(_HeapLoopScheduler(), scenario)
+
+        same_run()
+        assert 2 * sum(rebuilt) > len(rebuilt), (sum(rebuilt), len(rebuilt))
 
     def test_rearmed_event_yields_to_an_older_event_at_the_same_ms(self, sched):
         """The tick re-armed for 3 ms takes a newer seq than `once`, queued at 0."""

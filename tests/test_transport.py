@@ -167,6 +167,74 @@ class TestGrammar:
             assert parse_command(format_command(cmd)) == cmd
 
 
+def _partition_parse_command(line):
+    """The reference parser: every verb split by str.partition, CALL too."""
+    verb, _, rest = line.partition(" ")
+    if verb == "CALL":
+        target, space, args_text = rest.partition(" ")
+        if not space:
+            raise ProtocolError("CALL needs <name>.<method> <json-array>")
+        name, dot, method = target.partition(".")
+        if not dot:
+            raise ProtocolError(f"CALL target {target!r} missing '.'")
+        if not transport._is_ident(name) or not transport._is_ident(method):
+            raise ProtocolError(f"bad identifier in CALL {target!r}")
+        return Command("CALL", name, method, transport._parse_args(args_text))
+    if verb in ("PING", "RESET"):
+        if rest:
+            raise ProtocolError(f"{verb} takes no arguments")
+        return Command(verb)
+    if verb == "DEL":
+        if not transport._is_ident(rest):
+            raise ProtocolError(f"bad object name {rest!r}")
+        return Command("DEL", obj=rest)
+    if verb == "NEW":
+        pieces = rest.split(" ", 2)
+        if len(pieces) != 3:
+            raise ProtocolError("NEW needs <Class> <name> <json-array>")
+        cls, name, args_text = pieces
+        if not transport._is_ident(cls) or not transport._is_ident(name):
+            raise ProtocolError(f"bad identifier in NEW {cls!r} {name!r}")
+        return Command("NEW", obj=name, method=cls, args=transport._parse_args(args_text))
+    raise ProtocolError(f"unknown verb {verb!r}")
+
+
+_LINE_PIECES = st.sampled_from(
+    ["CALL", "CALL ", "NEW ", "DEL ", "PING", "RESET", " ", "  ", ".", "a", "_b1", "9", "[]", '[1,"x y"]', "[", "\n", "\x7f", "é"]
+)
+
+
+class TestParser:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.text(max_size=24) | st.lists(_LINE_PIECES, max_size=8).map("".join))
+    @example("CALL a.b []")
+    @example("CALL a.b.c []")
+    @example("CALL a.b")
+    @example("CALL a []")
+    @example("CALL  a.b []")
+    @example("CALL a.b  []")
+    @example("CALL a.b [\n]")
+    @example("CALL a\n.b []")
+    @example("CALL a.b\n []")
+    @example("CALL a.\x7f []")
+    @example("CALL é.b []")
+    @example("CALL aé.b []")
+    @example('CALL a.b ["é"]')
+    @example("CALL .b []")
+    @example("NEW  Led a []")
+    @example("DEL a\n")
+    def test_same_command_or_message_as_the_partition_parser(self, line):
+        """On any text: the same Command, or a ProtocolError with the same message."""
+
+        def outcome(parse):
+            try:
+                return parse(line)
+            except ProtocolError as exc:
+                return str(exc)
+
+        assert outcome(parse_command) == outcome(_partition_parse_command)
+
+
 class TestVirtualChannel:
     def test_loopback_identity(self, sched):
         a, b = open_virtual_pair(sched)
@@ -217,6 +285,30 @@ class TestVirtualChannel:
     def test_an_endpoint_is_a_controller_or_a_device(self, sched):
         with pytest.raises(ValueError, match="role must be controller or device, got 'observer'"):
             VirtualEndpoint(sched, "observer", 100)
+
+    def test_frames_written_before_serve_are_answered_first_and_in_order(self, sched):
+        registry = ObjectRegistry()
+        registry.register_class("Thing", _Thing)
+        controller, device = open_virtual_pair(sched)
+        controller.write_line("NEW Thing t [1]")
+        controller.write_line("CALL t.add [2,3]")
+        assert not controller._rx
+        serve(device, registry)
+        controller.write_line("CALL t.add [4,5]")
+        assert [controller.read_frame(10)[0] for _ in range(3)] == ["OK null", "OK 6", "OK 10"]
+        assert not device._rx
+
+    def test_a_frame_written_while_queued_frames_are_answered_waits_its_turn(self, sched):
+        """Creating a Pinger makes the controller write PING, behind the DEL
+        still queued: the three replies come in the order of their commands."""
+        controller, device = open_virtual_pair(sched)
+        registry = ObjectRegistry()
+        registry.register_class("Pinger", lambda: controller.write_line("PING"))
+        controller.write_line("NEW Pinger p []")
+        controller.write_line("DEL q")
+        serve(device, registry)
+        replies = [controller.read_frame(10)[0] for _ in range(3)]
+        assert replies == ["OK null", "ERR NO_OBJECT unknown object 'q'", "OK null"]
 
     def test_serve_needs_a_device_endpoint(self, sched):
         controller, _device = open_virtual_pair(sched)
