@@ -394,7 +394,7 @@ class BleAir:
             raise NotConnectedError(f"unknown central '{central_id}'")
         self._connections.add((central_id, name))
 
-    def disconnect(self, central_id: str, name: str) -> None:
+    def disconnect(self, central_id: str, name: str | None) -> None:
         self._connections.discard((central_id, name))
 
     def read(self, central_id: str, name: str, char: str) -> Any:

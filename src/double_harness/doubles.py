@@ -498,8 +498,7 @@ class BleCentralDouble:
         return inbox.popleft()
 
     def disconnect(self) -> None:
-        if self.peripheral is not None:
-            self._air.disconnect(self.central_id, self.peripheral)
+        self._air.disconnect(self.central_id, self.peripheral)
         self.peripheral = None
         self.state = "idle"
 

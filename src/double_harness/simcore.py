@@ -179,7 +179,7 @@ class Scheduler:
                 if due < self.now:  # the action advanced the clock past it
                     due = self.now
                 self._seq = seq = self._seq + n
-                if heap and heap[0][0] <= (due if due < to else to):  # the head goes first
+                if heap and heap[0][0] <= to:  # the earlier of the head and the event goes first
                     due, _seq, event = pushpop(heap, (due, seq, event))
                     action = event.action
                 else:

@@ -31,7 +31,6 @@ import re
 import time
 from collections import deque
 from itertools import accumulate
-from types import FunctionType, MethodType
 from typing import Any, Callable, NamedTuple, NoReturn, Protocol
 
 from .simcore import Scheduler
@@ -526,9 +525,12 @@ class ObjectRegistry:
             method = getattr(obj, cmd.method, None)
             if not callable(method):
                 return err("NO_METHOD", f"no method '{cmd.method}' on '{cmd.obj}'")
-            if not _args_fit(method, cmd.args):
+            try:
+                result = method(*cmd.args)
+            except TypeError:
+                if _binds(method, cmd.args):
+                    raise
                 return err("BAD_ARGS", f"arguments {list(cmd.args)!r} do not fit {cmd.method}")
-            result = method(*cmd.args)
             return _OK_NONE if result is None else Response("OK", result)
         if verb == "PING":
             return _OK_NONE
@@ -539,9 +541,12 @@ class ObjectRegistry:
             factory = self.classes.get(cmd.method or "")
             if factory is None:
                 return err("NO_CLASS", f"unknown class '{cmd.method}'")
-            if not _args_fit(factory, cmd.args):
+            try:
+                instance = factory(*cmd.args)
+            except TypeError:
+                if _binds(factory, cmd.args):
+                    raise
                 return err("BAD_ARGS", f"arguments {list(cmd.args)!r} do not fit {cmd.method}")
-            instance = factory(*cmd.args)
             old = self.objects.get(cmd.obj)
             if old is not None:
                 _close_quietly(old)
@@ -556,42 +561,21 @@ class ObjectRegistry:
         return err("BAD_ARGS", f"unhandled verb {verb!r}")
 
 
-_CO_VARARGS = 0x04  # code-object flag: the function takes *args
+def _binds(fn: Callable, args: tuple) -> bool:
+    """Whether args bind to inspect.signature(fn); True when fn has none.
 
+    Dispatch asks only after a call raised TypeError: Python binds a
+    function's arguments before any of its code runs, so a call that fits
+    pays for no check."""
+    import inspect  # only a refused call pays for the import
 
-def _args_fit(fn: Callable, args: tuple) -> bool:
-    """Whether args bind to fn, as inspect.signature(fn).bind(*args) judges.
-
-    Python functions and methods bound to them (every factory and method the
-    rig hosts) are judged from the code object, after following __wrapped__
-    as inspect.signature does. Classes, partials and builtins go to inspect.
-    """
-    bound = type(fn) is MethodType
-    func = fn.__func__ if bound else fn
-    while type(func) is FunctionType and not hasattr(func, "__signature__"):
-        if not hasattr(func, "__wrapped__"):
-            break
-        func = func.__wrapped__
-    else:  # not a plain function, or one that states its own __signature__
-        import inspect
-
-        try:
-            inspect.signature(fn).bind(*args)
-        except TypeError:
-            return False
-        except ValueError:
-            pass  # no introspectable signature; let the call decide
-        return True
-    code = func.__code__
-    varargs = code.co_flags & _CO_VARARGS
-    positional = code.co_argcount - bound
-    if positional < 0 and not varargs:
-        return True  # no parameter to bind self to: inspect gives up, the call decides
-    if code.co_kwonlyargcount > len(func.__kwdefaults__ or ()):
-        return False  # a keyword-only parameter without a default
-    if len(args) > positional and not varargs:
+    try:
+        inspect.signature(fn).bind(*args)
+    except TypeError:
         return False
-    return len(args) >= positional - len(func.__defaults__ or ())
+    except ValueError:  # no signature: the call's own TypeError stands
+        pass
+    return True
 
 
 def _close_quietly(obj: Any) -> None:

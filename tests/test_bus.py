@@ -148,6 +148,18 @@ class TestGpioLine:
         line.unsubscribe(seen.append)  # unknown listener: ignored
         assert seen == [(10, 1), (20, 0)]
 
+    def test_a_listener_subscribed_twice_hears_each_edge_once(self):
+        line = GpioLine()
+        seen = []
+
+        def listener(t, level):
+            seen.append((t, level))
+
+        line.subscribe(listener)
+        line.subscribe(listener)
+        line.toggle(10)
+        assert seen == [(10, 1)]
+
     def test_listener_set_is_fixed_when_the_edge_is_written(self):
         """Unsubscribed during an edge: still gets it. Subscribed during it: does not."""
         line = GpioLine()
@@ -370,6 +382,12 @@ class TestUartLink:
         sched.schedule(40, lambda: link.a.send(b"late\n"))
         assert link.b.recv_line(100) == b"late\n"
         assert sched.now == 40
+
+    def test_subscribing_none_leaves_a_buffered_line_for_recv_line(self, sched):
+        link = UartLink(sched)
+        link.a.send(b"one\n")
+        link.b.subscribe_lines(None)
+        assert link.b.recv_line(0) == b"one\n"
 
     def test_subscriber_gets_complete_lines_only(self, sched):
         link = UartLink(sched)

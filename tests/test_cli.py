@@ -112,6 +112,10 @@ class TestSelection:
         _, out, _ = run_cli(capsys, "--format", "json", "--suite", "ble", "--suite", "blink")
         assert [d["suite"] for d in json.loads(out)] == ["ble", "blink"]
 
+    def test_a_repeated_suite_runs_once(self, capsys):
+        _, out, _ = run_cli(capsys, "--format", "json", "--suite", "blink", "--suite", "blink")
+        assert [d["suite"] for d in json.loads(out)] == ["blink"]
+
     def test_all_expands_once_and_dedupes(self, capsys):
         _, out, _ = run_cli(capsys, "--format", "json", "--suite", "blink", "--suite", "all")
         assert [d["suite"] for d in json.loads(out)] == ["blink", "rtc", "gps", "spi", "ble"]

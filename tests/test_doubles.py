@@ -996,6 +996,11 @@ class TestNmeaHelpers:
         sentence = wrap_sentence("PDBL,RATE,1000")
         assert sentence == f"$PDBL,RATE,1000*{oracle_checksum('PDBL,RATE,1000'):02X}"
 
+    def test_split_refuses_a_line_without_the_leading_dollar(self):
+        body = "GPGGA,123519,4807.038,N"
+        assert split_sentence("X" + wrap_sentence(body)[1:]) is None
+        assert split_sentence(wrap_sentence(body)) == body
+
     def test_split_rejects_any_single_character_flip(self):
         sentence = wrap_sentence("GPGGA,123519,4807.038,N,01131.000,E,1,08,0.9,10.0,M,0.0,M,,")
         body = sentence[1 : sentence.rindex("*")]
@@ -1071,6 +1076,14 @@ class TestBleCentralDouble:
         with pytest.raises(ScheduleError, match="past MAX_SIM_MS"):
             central.scan_connect("TempSensor", MAX_SIM_MS + 1)
         assert central.state == "idle" and sched.now == 0
+
+    def test_a_negative_scan_window_times_out_over_the_wire_with_the_clock_unmoved(self, rig):
+        double = rig.session.double.endpoint
+        assert send_command(double, Command("NEW", "phone", "BleCentral", ())).ok
+        before = rig.scheduler.now
+        resp = send_command(double, Command("CALL", "phone", "scan_connect", ("TempSensor", -1)))
+        assert (resp.code, resp.message.partition(":")[0]) == ("EXEC", "ScanTimeoutError")
+        assert rig.scheduler.now == before
 
     def test_read_returns_characteristic_value(self, sched):
         air = BleAir(sched)

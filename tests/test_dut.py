@@ -20,7 +20,7 @@ from double_harness.bus import (
     UartLink,
     UartTimeoutError,
 )
-from double_harness.doubles import GpsDouble, RtcDouble, SpiSlaveDouble, wrap_sentence
+from double_harness.doubles import GpsDouble, RtcDouble, SpiSlaveDouble, nmea_checksum, wrap_sentence
 from double_harness.dut import (
     Blinker,
     BleTempSensor,
@@ -530,6 +530,15 @@ class TestGpsDriverLatitude:
         good = wrap_sentence("GPGGA,000001,4807.038,N,01131.000,E,1,08,0.9,10.0,M,0.0,M,,")
         link.b.send(b"$GPGGA,000000,9999.999,N*00\r\n")  # bad checksum
         link.b.send(good.encode("ascii") + b"\r\n")
+        assert abs(driver.get_latitude(1000) - 48.1173) < 1e-9
+        assert driver.get_parse_errors() == 1
+
+    def test_a_wrong_checksum_hides_a_well_formed_fix(self, gps_pair):
+        driver, _, link, _ = gps_pair
+        body = "GPGGA,000000,5107.038,N,01131.000,E,1,08,0.9,10.0,M,0.0,M,,"
+        wrong = f"${body}*{nmea_checksum(body) ^ 1:02X}"
+        link.b.send(wrong.encode("ascii") + b"\r\n")
+        link.b.send(wrap_sentence(body.replace("5107.038", "4807.038")).encode("ascii") + b"\r\n")
         assert abs(driver.get_latitude(1000) - 48.1173) < 1e-9
         assert driver.get_parse_errors() == 1
 

@@ -16,6 +16,7 @@ from double_harness.harness import (
     Suite,
     SuiteDefinitionError,
     TestCase,
+    TransportLog,
     close_to,
     equal,
     is_true,
@@ -30,9 +31,11 @@ from double_harness.suites import SUITES
 from double_harness.transport import (
     MAX_FRAME_LEN,
     Command,
+    ObjectRegistry,
     ProtocolError,
     open_virtual_pair,
     send_command,
+    serve,
 )
 
 
@@ -255,6 +258,24 @@ class TestRunSuite:
         assert results[0].verdict == ERROR
         assert results[0].message.startswith("NO_CLASS")
 
+    def test_a_setup_error_records_no_inputs_outputs_or_checks(self, rig):
+        rig.close()
+        (result,) = run_suite(make_suite(TestCase("test_x", lambda ctx: None)), rig.session)
+        assert result.verdict == ERROR
+        assert (result.inputs, result.outputs, result.checks) == ({}, {}, [])
+
+    def test_links_without_a_registry_skip_the_manifest_check(self, sched):
+        """Over a link that holds no registry (a serial port's, say) only the
+        device knows its classes: setup contacts it and runs the cases."""
+        links = []
+        for label in ("dut", "double"):
+            controller, device = open_virtual_pair(sched)
+            serve(device, ObjectRegistry())
+            links.append(DeviceLink(label, controller))
+        session = Session(*links, sched)
+        (result,) = run_suite(make_suite(TestCase("test_x", lambda ctx: None)), session)
+        assert (result.verdict, result.message) == (PASS, "")
+
     def test_a_body_that_raises_is_an_internal_error_and_the_next_case_runs(self, rig):
         def broken(ctx):
             raise ValueError("no such pin map")
@@ -361,6 +382,8 @@ class TestTransportFailuresAreResults:
             (ERROR, "TIMEOUT: no response to 'RESET' within 5000 ms (simulated)"),
             (PASS, ""),
         ]
+        sims = [line.split("  ")[1] for line in report(results).splitlines()[:3]]
+        assert sims == ["sim_ms=0", "sim_ms=-", "sim_ms=0"]
 
     def test_a_late_reset_at_setup_is_one_setup_error(self, rig):
         self._host_slow_close(rig)
@@ -489,7 +512,9 @@ class TestReport:
         assert "[PASS ] test_a" in text
 
     def test_empty_suite_reports_zeroes(self):
-        assert "0 passed, 0 failed, 0 errors" in report([])
+        """Without a suite name there is no `suite` line."""
+        assert report([]) == "0 passed, 0 failed, 0 errors"
+        assert report([], suite_name="demo") == "suite demo\n0 passed, 0 failed, 0 errors"
 
     def test_suite_name_is_keyword_only(self):
         with pytest.raises(TypeError):
@@ -511,6 +536,12 @@ class TestReport:
         text = rig.session.log.render()
         assert "NEW Led led [4,2]" in text
         assert " dut " in text and " double " in text
+
+    def test_the_log_renders_a_missing_stamp_as_dashes(self):
+        log = TransportLog()
+        log.record("dut", "send", "PING", None)
+        log.record("double", "recv", "OK null", 42)
+        assert log.render() == "[--------ms] dut    > PING\n[      42ms] double < OK null"
 
     def test_json_schema_shape(self, rig):
         results = self._results(rig, TestCase("test_a", lambda ctx: None))

@@ -582,34 +582,34 @@ class _Shapes:
         pass
 
 
-# (shape, callable, judged from its code object without inspect)
+# (shape, callable): every kind of callable a rig may host
 _SHAPES = [
-    ("no_params", lambda: None, True),
-    ("lambda_defaults", lambda init_delay_ms=None: None, True),
-    ("positional_only", _posonly, True),
-    ("defaults", _defaults, True),
-    ("varargs", _varargs, True),
-    ("kwonly_required", _kwonly_required, True),
-    ("kwonly_default", _kwonly_default, True),
-    ("varargs_kwonly", _varargs_kwonly, True),
-    ("bound_method", _Shapes().method, True),
-    ("bound_method_varargs", _Shapes().method_varargs, True),
-    ("bound_method_kwonly", _Shapes().method_kwonly, True),
-    ("bound_without_self", types.MethodType(lambda *, k=1: None, object()), True),
-    ("staticmethod", _Shapes().static, True),
-    ("classmethod", _Shapes().klass, True),
-    ("wraps_wrapper", _traced(_defaults), True),
-    ("wrapped_bound_method", _Shapes().traced, True),
-    ("class", _Thing, False),
-    ("callable_instance", _Shapes(), False),
-    ("partial", functools.partial(_defaults, 1), False),
-    ("builtin", divmod, False),
-    ("builtin_without_signature", max, False),
+    ("no_params", lambda: None),
+    ("lambda_defaults", lambda init_delay_ms=None: None),
+    ("positional_only", _posonly),
+    ("defaults", _defaults),
+    ("varargs", _varargs),
+    ("kwonly_required", _kwonly_required),
+    ("kwonly_default", _kwonly_default),
+    ("varargs_kwonly", _varargs_kwonly),
+    ("bound_method", _Shapes().method),
+    ("bound_method_varargs", _Shapes().method_varargs),
+    ("bound_method_kwonly", _Shapes().method_kwonly),
+    ("bound_without_self", types.MethodType(lambda *, k=1: None, object())),
+    ("staticmethod", _Shapes().static),
+    ("classmethod", _Shapes().klass),
+    ("wraps_wrapper", _traced(_defaults)),
+    ("wrapped_bound_method", _Shapes().traced),
+    ("class", _Thing),
+    ("callable_instance", _Shapes()),
+    ("partial", functools.partial(_defaults, 1)),
+    ("builtin", divmod),
+    ("builtin_without_signature", max),
 ]
 
 
 def _binds(fn, n):
-    """The reference: inspect.signature binding, as dispatch used to do it."""
+    """The reference: whether n args bind to fn's inspect.signature."""
     try:
         signature = inspect.signature(fn)
     except ValueError:
@@ -621,13 +621,100 @@ def _binds(fn, n):
     return True
 
 
-class TestArgsFit:
-    @pytest.mark.parametrize("fn, fast", [s[1:] for s in _SHAPES], ids=[s[0] for s in _SHAPES])
-    def test_agrees_with_signature_binding(self, monkeypatch, fn, fast):
-        expected = [_binds(fn, n) for n in range(6)]
-        if fast:  # judged without inspect
-            monkeypatch.setattr(inspect, "signature", None)
-        assert [transport._args_fit(fn, (0,) * n) for n in range(6)] == expected
+def _raises_type_error(fn, n):
+    try:
+        fn(*[0] * n)
+    except TypeError:
+        return True
+    except Exception:  # noqa: BLE001 - any other failure is the call's own answer
+        pass
+    return False
+
+
+def _shape_replies(fn):
+    """The reply to NEW of `fn` as a factory and to CALL of `fn` as a hosted
+    object's attribute, with 0 to 5 args, over a served virtual pair."""
+    registry = ObjectRegistry()
+    registry.register_class("Shape", fn)
+    registry.objects["host"] = types.SimpleNamespace(shape=fn)
+    controller, device = open_virtual_pair(Scheduler())
+    serve(device, registry)
+    return {
+        (verb, n): send_command(controller, Command(verb, obj, method, (0,) * n))
+        for n in range(6)
+        for verb, obj, method in (("NEW", "made", "Shape"), ("CALL", "host", "shape"))
+    }
+
+
+class _Picky(_Thing):
+    """A _Thing whose factory and method take their args, then refuse them with TypeError."""
+
+    def __init__(self, base=0):
+        if type(base) is not int:
+            raise TypeError(f"base must be an int, not {type(base).__name__}")
+        super().__init__(base)
+
+    def pick(self, x):
+        raise TypeError(f"cannot pick {x!r}")
+
+
+class _Counter:
+    def __init__(self):
+        self.calls = []
+
+    def bump(self, by):
+        self.calls.append(by)
+
+
+class TestArityAtTheWire:
+    """A call whose args do not bind answers BAD_ARGS; any other failure, EXEC."""
+
+    @pytest.mark.parametrize("fn", [s[1] for s in _SHAPES], ids=[s[0] for s in _SHAPES])
+    def test_bad_args_exactly_when_the_args_do_not_bind(self, fn):
+        for (verb, n), resp in _shape_replies(fn).items():
+            assert (resp.code == "BAD_ARGS") == (not _binds(fn, n)), (verb, n, resp)
+
+    @pytest.mark.parametrize("fn", [s[1] for s in _SHAPES], ids=[s[0] for s in _SHAPES])
+    def test_a_call_without_type_error_is_answered_without_inspect(self, monkeypatch, fn):
+        expected = _shape_replies(fn)
+        monkeypatch.setattr(inspect, "signature", None)
+        for (verb, n), resp in _shape_replies(fn).items():
+            if not _raises_type_error(fn, n):
+                assert resp == expected[verb, n], (verb, n)
+
+    def test_a_fitting_call_that_raises_type_error_answers_exec_with_its_message(self, served):
+        controller, registry = served
+        registry.register_class("Picky", _Picky)
+        assert send_command(controller, Command("NEW", "p", "Picky", ("a",))) == err(
+            "EXEC", "TypeError: base must be an int, not str"
+        )
+        assert send_command(controller, Command("NEW", "p", "Picky", (1,))).ok
+        assert send_command(controller, Command("CALL", "p", "pick", (7,))) == err(
+            "EXEC", "TypeError: cannot pick 7"
+        )
+        assert send_command(controller, Command("CALL", "p", "pick", ())).code == "BAD_ARGS"
+
+    def test_a_builtin_without_a_signature_answers_exec(self, served):
+        controller, registry = served
+        registry.objects["b"] = types.SimpleNamespace(max=max)
+        assert send_command(controller, Command("CALL", "b", "max", (0, 1))).payload == 1
+        assert send_command(controller, Command("CALL", "b", "max", (0,))) == err(
+            "EXEC", "TypeError: 'int' object is not iterable"
+        )
+
+    def test_a_refused_call_leaves_hosted_state_untouched(self, served):
+        controller, registry = served
+        registry.objects["c"] = counter = _Counter()
+        assert send_command(controller, Command("NEW", "t", "Thing", (5,))).ok
+        old = registry.objects["t"]
+        for args in ((), (1, 2)):
+            resp = send_command(controller, Command("CALL", "c", "bump", args))
+            assert resp == err("BAD_ARGS", f"arguments {list(args)!r} do not fit bump")
+        resp = send_command(controller, Command("NEW", "t", "Thing", (1, 2)))
+        assert resp == err("BAD_ARGS", "arguments [1, 2] do not fit Thing")
+        assert counter.calls == [] and registry.objects["t"] is old and not old.closed
+        assert send_command(controller, Command("CALL", "c", "bump", (3,))).ok
+        assert counter.calls == [3]
 
     def test_wrapped_hosted_method_answers_bad_args_to_a_wrong_arity(self):
         registry = ObjectRegistry()

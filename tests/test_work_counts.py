@@ -2,11 +2,11 @@
 
 One clean five-suite pass on a fresh rig makes a fixed number of command
 round trips, frames, frame checks, JSON encodes and decodes, clock
-advances, scheduler events, GPIO edges, UART bytes and I2C transactions,
-whatever Python runs it. The counts come from wrapping module functions
-inside the test, as the traced benchmark does. Soak cases also pin how
-their LED edges are kept and, by digest, every edge time and the clock. A
-change that moves one updates the pin and says why.
+advances, scheduler events, GPIO edges, UART bytes, I2C transactions and
+dispatch arity checks, whatever Python runs it. The counts come from
+wrapping module functions inside the test, as the traced benchmark does.
+Soak cases also pin how their LED edges are kept and, by digest, every edge
+time and the clock. A change that moves one updates the pin and says why.
 """
 
 import datetime
@@ -30,8 +30,9 @@ def counts(monkeypatch):
     decoded; advance_to calls, nested ones included, and events fired
     (summed over them, so a train's firings count one each); GPIO edges,
     whether write or a train adds them; bytes sent on either UART end and
-    I2C transactions."""
-    keys = "round_trips frames frame_checks json_out json_in advances events edges uart_bytes i2c_txns"
+    I2C transactions; and dispatch's arity checks, which only a refused
+    call asks for."""
+    keys = "round_trips frames frame_checks json_out json_in advances events edges uart_bytes i2c_txns binds"
     tally = dict.fromkeys(keys.split(), 0)
     advance_to = simcore.Scheduler.advance_to
     uart_send = bus.UartEnd.send
@@ -69,6 +70,7 @@ def counts(monkeypatch):
     monkeypatch.setattr(transport, "check_frame", tallied("frame_checks", transport.check_frame))
     monkeypatch.setattr(transport, "_to_json", tallied("json_out", transport._to_json))
     monkeypatch.setattr(transport, "_from_json", tallied("json_in", transport._from_json))
+    monkeypatch.setattr(transport, "_binds", tallied("binds", transport._binds))
     monkeypatch.setattr(bus.UartEnd, "send", counted_uart_send)
     monkeypatch.setattr(bus.I2cBus, "write_then_read", tallied("i2c_txns", bus.I2cBus.write_then_read))
     monkeypatch.setattr(simcore.Scheduler, "advance_to", counted_advance)
@@ -101,6 +103,7 @@ def test_one_five_suite_pass(counts):
         "edges": 8,
         "uart_bytes": 450,
         "i2c_txns": 5,
+        "binds": 0,  # every call fits: no arity check runs
     }
 
 
@@ -124,6 +127,7 @@ def test_one_pass_clean_and_one_per_shipped_fault(counts):
         "edges": 48,
         "uart_bytes": 2301,
         "i2c_txns": 30,
+        "binds": 0,
     }
 
 
