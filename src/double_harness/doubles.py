@@ -274,6 +274,9 @@ def split_sentence(line: str) -> str | None:
 # ASCII digits only: \d and int() take any Unicode digit, which no sentence may carry.
 _LAT_RE = re.compile(r"[0-9]{4}\.[0-9]+")
 _LON_RE = re.compile(r"[0-9]{5}\.[0-9]+")
+# A RATE period: at most 16 digits, which every period within the clock's
+# horizon fits unpadded; int() would also take "+1", " 1" and "1_0".
+_RATE_RE = re.compile(r"[0-9]{1,16}")
 
 GGA = "GGA"
 RMC = "RMC"
@@ -350,11 +353,10 @@ class GpsDouble:
         if fields[0] != "PDBL" or len(fields) < 2:
             return  # not for us; a real module ignores foreign sentences
         if fields[1] == "RATE" and len(fields) == 3:
-            try:
-                period = int(fields[2])
-            except ValueError:
+            if _RATE_RE.fullmatch(fields[2]) is None:
                 self.reject_count += 1
                 return
+            period = int(fields[2])
             if period < 1 or self._scheduler.now + period > MAX_SIM_MS:  # the clock's horizon
                 self.reject_count += 1
                 return

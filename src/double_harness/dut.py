@@ -224,11 +224,13 @@ class GpsDriver:
 
     def send_command(self, body: str) -> None:
         """Frame `body` as an NMEA sentence and transmit it."""
+        if not isinstance(body, str):
+            raise ValueError(f"body must be a str, got {type(body).__name__}")
         if not body:
             raise ValueError("empty command body")
         if "$" in body or "*" in body:
             raise ValueError("body must not contain '$' or '*'")
-        if not all(32 <= ord(ch) <= 126 for ch in body):
+        if not (body.isascii() and body.isprintable()):
             raise ValueError("body must be printable ASCII")
         if self._faults.omit_checksum:
             line = f"${body}\r\n"

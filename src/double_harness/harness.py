@@ -19,7 +19,7 @@ from typing import Any, Callable, NamedTuple
 
 from . import transport as _transport
 from .simcore import Scheduler
-from .transport import Command, Endpoint, ObjectRegistry, Response
+from .transport import _PING, _RESET, Command, Endpoint, ObjectRegistry, Response, _new_record
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -156,11 +156,10 @@ class TransportLog:
 
     def __init__(self) -> None:
         self.entries: list[tuple[int, str, str, str, int | None]] = []
-        self._seq = 0
 
     def record(self, device: str, direction: str, line: str, sim_ms: int | None) -> None:
-        self._seq += 1
-        self.entries.append((self._seq, device, direction, line, sim_ms))
+        entries = self.entries
+        entries.append((len(entries) + 1, device, direction, line, sim_ms))
 
     def render(self) -> str:
         rows = []
@@ -293,7 +292,8 @@ class CaseContext:
     def call(
         self, handle: ObjectHandle, method: str, *args: Any, timeout_ms: int | None = None
     ) -> Any:
-        value = self._invoke(handle, method, args, timeout_ms)
+        cmd = _new_record(Command, ("CALL", handle.name, method, args))
+        value = _send(handle.link, cmd, timeout_ms).payload
         self._record(self.inputs, f"{handle.name}.{method}", list(args))
         return value
 
@@ -302,7 +302,8 @@ class CaseContext:
     def gather(
         self, handle: ObjectHandle, method: str, *args: Any, timeout_ms: int | None = None
     ) -> Any:
-        value = self._invoke(handle, method, args, timeout_ms)
+        cmd = _new_record(Command, ("CALL", handle.name, method, args))
+        value = _send(handle.link, cmd, timeout_ms).payload
         self._record(self.outputs, f"{handle.name}.{method}", value)
         return value
 
@@ -316,7 +317,7 @@ class CaseContext:
     # step 5 and utilities
 
     def decommission(self, handle: ObjectHandle) -> None:
-        _send(handle.link, Command("DEL", obj=handle.name))
+        _send(handle.link, _new_record(Command, ("DEL", handle.name, None, ())))
         handle.live = False
 
     def sleep(self, ms: int) -> None:
@@ -325,17 +326,11 @@ class CaseContext:
     # internals
 
     def _new(self, link: DeviceLink, cls: str, name: str, args: tuple) -> ObjectHandle:
-        _send(link, Command("NEW", obj=name, method=cls, args=args))
+        _send(link, _new_record(Command, ("NEW", name, cls, args)))
         self._record(self.inputs, f"{cls} {name}", list(args))
         handle = ObjectHandle(name, cls, link)
         self.handles.append(handle)
         return handle
-
-    def _invoke(
-        self, handle: ObjectHandle, method: str, args: tuple, timeout_ms: int | None
-    ) -> Any:
-        cmd = Command("CALL", obj=handle.name, method=method, args=args)
-        return _send(handle.link, cmd, timeout_ms).payload
 
     @staticmethod
     def _record(store: dict[str, Any], key: str, value: Any) -> None:
@@ -367,7 +362,7 @@ def _send(link: DeviceLink, cmd: Command, timeout_ms: int | None = None) -> Resp
         resp = _transport.send_command(link.endpoint, cmd, timeout_ms)
     except _transport.TransportError as exc:
         raise CaseError(_ERROR_CODES.get(type(exc), "TRANSPORT"), str(exc)) from exc
-    if not resp.ok:
+    if resp.status != "OK":
         raise CaseError(resp.code or "EXEC", resp.message)
     return resp
 
@@ -435,8 +430,8 @@ def run_suite(suite: Suite, session: Session) -> list[TestResult]:
     for index, case in enumerate(suite.cases):
         if index > 0:
             try:
-                _send(session.dut, Command("RESET"))
-                _send(session.double, Command("RESET"))
+                _send(session.dut, _RESET)
+                _send(session.double, _RESET)
             except CaseError as exc:
                 results.append(
                     TestResult(name=case.name, verdict=ERROR, message=f"{exc.code}: {exc}")
@@ -452,8 +447,8 @@ def _setup_phase(suite: Suite, session: Session) -> None:
         (session.double, suite.double_code),
     ):
         try:
-            _send(link, Command("PING"))
-            _send(link, Command("RESET"))
+            _send(link, _PING)
+            _send(link, _RESET)
         except CaseError as exc:
             raise CaseError(exc.code, f"no contact with {link.label}: {exc}") from exc
         if link.registry is not None:

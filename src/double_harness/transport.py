@@ -153,11 +153,17 @@ class Response(NamedTuple):
         return self.status == "OK"
 
 
-_OK_NONE = Response("OK")  # immutable, so every payload-less OK can share it
+# The hot paths build records with tuple.__new__, all fields given in order:
+# one C call instead of the generated keyword __new__, a Python call that
+# checks nothing more. Records are immutable, so the constants are shared.
+_new_record = tuple.__new__
+_OK_NONE = Response("OK")
+_PING = Command("PING")
+_RESET = Command("RESET")
 
 
 def err(code: str, message: str) -> Response:
-    return Response("ERR", code=code, message=message)
+    return _new_record(Response, ("ERR", None, code, message))
 
 
 def _name(value: Any) -> str:
@@ -168,11 +174,11 @@ def _name(value: Any) -> str:
 
 
 def format_command(cmd: Command) -> str:
-    verb = cmd.verb
+    verb, obj, method, args = cmd
     if verb == "CALL" or verb == "NEW":
-        obj = _name(cmd.obj)
-        method = _name(cmd.method)
-        args = cmd.args
+        if not (type(obj) is str and type(method) is str and _is_ident(obj) and _is_ident(method)):
+            _name(obj)  # one of the two raises, naming the first bad name
+            _name(method)
         # Empty args need no encoder; anything else, None included, goes to it.
         if isinstance(args, (tuple, list)) and not args:
             text = "[]"
@@ -185,7 +191,7 @@ def format_command(cmd: Command) -> str:
             return f"CALL {obj}.{method} {text}"
         return f"NEW {method} {obj} {text}"
     if verb == "DEL":
-        return f"DEL {_name(cmd.obj)}"
+        return f"DEL {_name(obj)}"
     if verb in ("PING", "RESET"):
         return verb
     raise ProtocolError(f"unknown verb {verb!r}")
@@ -195,7 +201,8 @@ def parse_command(line: str) -> Command:
     call = _match_call(line)
     if call is not None:  # half of all traffic
         name, method, args_text = call.groups()
-        return Command("CALL", name, method, _parse_args(args_text))
+        args = () if args_text == "[]" else _parse_args(args_text)  # half of all CALLs: no decoder
+        return _new_record(Command, ("CALL", name, method, args))
     verb, _, rest = line.partition(" ")
     if verb == "CALL":  # not well formed: say why
         target, space, _ = rest.partition(" ")
@@ -207,11 +214,11 @@ def parse_command(line: str) -> Command:
     if verb in ("PING", "RESET"):
         if rest:
             raise ProtocolError(f"{verb} takes no arguments")
-        return Command(verb)
+        return _PING if verb == "PING" else _RESET
     if verb == "DEL":
         if not _is_ident(rest):
             raise ProtocolError(f"bad object name {rest!r}")
-        return Command("DEL", obj=rest)
+        return _new_record(Command, ("DEL", rest, None, ()))
     if verb == "NEW":
         pieces = rest.split(" ", 2)
         if len(pieces) != 3:
@@ -219,13 +226,12 @@ def parse_command(line: str) -> Command:
         cls, name, args_text = pieces
         if not _is_ident(cls) or not _is_ident(name):
             raise ProtocolError(f"bad identifier in NEW {cls!r} {name!r}")
-        return Command("NEW", obj=name, method=cls, args=_parse_args(args_text))
+        args = () if args_text == "[]" else _parse_args(args_text)
+        return _new_record(Command, ("NEW", name, cls, args))
     raise ProtocolError(f"unknown verb {verb!r}")
 
 
 def _parse_args(text: str) -> tuple:
-    if text == "[]":  # half of all CALLs and NEWs: no decoder needed
-        return ()
     try:
         args = _from_json(text)
     except ValueError as exc:
@@ -266,7 +272,7 @@ def parse_response(line: str) -> Response:
         if not space:
             raise ProtocolError("OK response missing payload")
         try:
-            return Response("OK", _from_json(rest))
+            return _new_record(Response, ("OK", _from_json(rest), None, ""))
         except ValueError as exc:
             raise ProtocolError(f"bad JSON payload: {exc}") from exc
     if status == "ERR":
@@ -510,55 +516,52 @@ class ObjectRegistry:
 
     def execute(self, cmd: Command) -> Response:
         try:
-            return self._execute(cmd)
+            verb, name, method_name, args = cmd
+            if verb == "CALL":  # half of all traffic: test it first
+                obj = self.objects.get(name)
+                if obj is None:
+                    return err("NO_OBJECT", f"unknown object '{name}'")
+                if method_name.startswith("_"):
+                    return err("NO_METHOD", f"'{method_name}' is not callable remotely")
+                method = getattr(obj, method_name, None)
+                if not callable(method):
+                    return err("NO_METHOD", f"no method '{method_name}' on '{name}'")
+                try:
+                    result = method(*args)
+                except TypeError:
+                    if _binds(method, args):
+                        raise
+                    return err("BAD_ARGS", f"arguments {list(args)!r} do not fit {method_name}")
+                return _OK_NONE if result is None else _new_record(Response, ("OK", result, None, ""))
+            if verb == "PING":
+                return _OK_NONE
+            if verb == "RESET":
+                self.decommission_all()
+                return _OK_NONE
+            if verb == "NEW":
+                factory = self.classes.get(method_name or "")
+                if factory is None:
+                    return err("NO_CLASS", f"unknown class '{method_name}'")
+                try:
+                    instance = factory(*args)
+                except TypeError:
+                    if _binds(factory, args):
+                        raise
+                    return err("BAD_ARGS", f"arguments {list(args)!r} do not fit {method_name}")
+                old = self.objects.get(name)
+                if old is not None:
+                    _close_quietly(old)
+                self.objects[name] = instance
+                return _OK_NONE
+            if verb == "DEL":
+                obj = self.objects.pop(name, None)
+                if obj is None:
+                    return err("NO_OBJECT", f"unknown object '{name}'")
+                _close_quietly(obj)
+                return _OK_NONE
+            return err("BAD_ARGS", f"unhandled verb {verb!r}")
         except Exception as exc:  # noqa: BLE001 - everything maps to a wire error
             return err("EXEC", f"{type(exc).__name__}: {exc}")
-
-    def _execute(self, cmd: Command) -> Response:
-        verb = cmd.verb
-        if verb == "CALL":  # half of all traffic: test it first
-            obj = self.objects.get(cmd.obj)
-            if obj is None:
-                return err("NO_OBJECT", f"unknown object '{cmd.obj}'")
-            if cmd.method.startswith("_"):
-                return err("NO_METHOD", f"'{cmd.method}' is not callable remotely")
-            method = getattr(obj, cmd.method, None)
-            if not callable(method):
-                return err("NO_METHOD", f"no method '{cmd.method}' on '{cmd.obj}'")
-            try:
-                result = method(*cmd.args)
-            except TypeError:
-                if _binds(method, cmd.args):
-                    raise
-                return err("BAD_ARGS", f"arguments {list(cmd.args)!r} do not fit {cmd.method}")
-            return _OK_NONE if result is None else Response("OK", result)
-        if verb == "PING":
-            return _OK_NONE
-        if verb == "RESET":
-            self.decommission_all()
-            return _OK_NONE
-        if verb == "NEW":
-            factory = self.classes.get(cmd.method or "")
-            if factory is None:
-                return err("NO_CLASS", f"unknown class '{cmd.method}'")
-            try:
-                instance = factory(*cmd.args)
-            except TypeError:
-                if _binds(factory, cmd.args):
-                    raise
-                return err("BAD_ARGS", f"arguments {list(cmd.args)!r} do not fit {cmd.method}")
-            old = self.objects.get(cmd.obj)
-            if old is not None:
-                _close_quietly(old)
-            self.objects[cmd.obj] = instance
-            return _OK_NONE
-        if verb == "DEL":
-            obj = self.objects.pop(cmd.obj, None)
-            if obj is None:
-                return err("NO_OBJECT", f"unknown object '{cmd.obj}'")
-            _close_quietly(obj)
-            return _OK_NONE
-        return err("BAD_ARGS", f"unhandled verb {verb!r}")
 
 
 def _binds(fn: Callable, args: tuple) -> bool:

@@ -706,6 +706,11 @@ class TestGpsOnTheWire:
             ("PDBL,RATE,-5", 1, None, ["GGA"]),
             ("PDBL,RATE,9007199254740991", 0, MAX_SIM_MS, ["GGA"]),  # due at the clock's horizon
             ("PDBL,RATE,9007199254740992", 1, None, ["GGA"]),  # past it: the clock would refuse it
+            ("PDBL,RATE,+1000", 1, None, ["GGA"]),  # int() alone takes each of these four
+            ("PDBL,RATE, 1000", 1, None, ["GGA"]),
+            ("PDBL,RATE,1000 ", 1, None, ["GGA"]),
+            ("PDBL,RATE,1_000", 1, None, ["GGA"]),
+            ("PDBL,RATE,00000000000001000", 1, None, ["GGA"]),  # 17 digits: past any unpadded period
             ("PDBL,SEL,XYZ,1", 1, None, ["GGA"]),  # += 1 to -= 1; its guard's or to and
             ("PDBL,SEL,RMC,2", 1, None, ["GGA"]),  # the same guard's or to and
             ("PDBL,SEL,RMC,1", 0, None, ["GGA", "RMC"]),

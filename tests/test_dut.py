@@ -587,6 +587,23 @@ def test_gps_send_refuses_a_body_with_del_on_the_wire(gps_drv):
     assert gps_drv.uart.b.pending() == b""
 
 
+@pytest.mark.parametrize("body", ["PDBL,RATE,1000é", "PDBL,RATE,\t1000"])
+def test_gps_send_refuses_a_body_outside_printable_ascii(gps_drv, body):
+    """Printable but not ASCII, or ASCII but not printable: refused, and no byte moves."""
+    resp = _send_dut(gps_drv, "CALL", "g", "send_command", body)
+    assert (resp.code, resp.message) == ("EXEC", "ValueError: body must be printable ASCII")
+    assert gps_drv.uart.b.pending() == b""
+
+
+@pytest.mark.parametrize("body", [["P", "D"], {"x": 1}])
+def test_gps_send_refuses_a_body_that_is_not_a_str(gps_drv, body):
+    """A JSON array or object is no sentence body. Framed, it would put a
+    sentence on the UART whose checksum does not match its text."""
+    resp = _send_dut(gps_drv, "CALL", "g", "send_command", body)
+    assert (resp.code, resp.message) == ("EXEC", f"ValueError: body must be a str, got {type(body).__name__}")
+    assert gps_drv.uart.b.pending() == b""
+
+
 def test_gps_latitude_with_no_time_left_still_reads_a_buffered_line(gps_drv):
     """A zero timeout takes a GGA that is already buffered; it does not time out."""
     gps_drv.uart.b.send(_gga("4807.038"))

@@ -467,6 +467,12 @@ class TestTransportLogInvariants:
         between = sent[news[0] + 1 : news[1]]
         assert "RESET" in between
 
+    def test_entries_are_numbered_from_one_in_the_order_recorded(self, rig):
+        run_suite(make_suite(TestCase("test_x", lambda ctx: None)), rig.session)
+        entries = rig.session.log.entries
+        assert [entry[0] for entry in entries] == list(range(1, len(entries) + 1))
+        assert len(entries) == 8  # PING and RESET to each device, and their replies
+
     def test_every_command_got_exactly_one_response_in_order(self, rig):
         def body(ctx):
             led = ctx.new_on_double("Led", "led", 4, 2)

@@ -1131,12 +1131,18 @@ class TestIdentifiers:
             (Command("DEL"), "None"),
             (Command("CALL", "b", None, ()), "None"),
             (Command("CALL", b"b", "m", ()), "b'b'"),
+            (Command("CALL", "a b", "m.n", ()), "'a b'"),
+            (Command("NEW", "b c", "Bl inker", ()), "'b c'"),
         ],
-        ids=["call-obj", "call-method", "del", "new-class", "new-newline", "del-none", "call-none", "bytes"],
+        ids=[
+            "call-obj", "call-method", "del", "new-class", "new-newline", "del-none", "call-none", "bytes",
+            "call-both", "new-both",
+        ],
     )
     def test_the_controller_refuses_a_name_before_a_frame_is_sent(self, rig, cmd, name):
         """The device could only refuse such a name, so the controller sends
-        nothing: a ProtocolError, which a case reports as PROTOCOL."""
+        nothing: a ProtocolError, which a case reports as PROTOCOL. When both
+        names of a CALL or NEW are bad, the message names the object's."""
         entries = len(rig.session.log.entries)
         with pytest.raises(ProtocolError, match=f"^bad identifier {name}$"):
             send_command(rig.session.dut.endpoint, cmd)

@@ -5,17 +5,22 @@ round trips, frames, frame checks, JSON encodes and decodes, clock
 advances, scheduler events, GPIO edges, UART bytes, I2C transactions and
 dispatch arity checks, whatever Python runs it. The counts come from
 wrapping module functions inside the test, as the traced benchmark does.
+The same pass also makes a fixed number of Python calls into the package
+and of record-tuple constructions, counted by a profile hook: the per-hop
+work of the command round trip.
 Soak cases also pin how their LED edges are kept and, by digest, every edge
 time and the clock. A change that moves one updates the pin and says why.
 """
 
 import datetime
 import hashlib
+import os
 import random
+import sys
 
 import pytest
 
-from double_harness import bus, harness, simcore, suites, transport
+from double_harness import bus, cli, doubles, dut, harness, simcore, suites, transport
 from double_harness.transport import Command
 
 SOAK_MS = 20_000
@@ -85,13 +90,13 @@ def _five_suite_pass(fault=None):
         results = [r for suite in suites.SUITES.values() for r in harness.run_suite(suite, rig.session)]
     finally:
         rig.close()
-    return results, len(rig.led_line.edges)
+    return results, rig.led_line.edges
 
 
 def test_one_five_suite_pass(counts):
     results, edges = _five_suite_pass()
     assert all(r.verdict == harness.PASS for r in results)
-    assert edges == 8
+    assert len(edges) == 8
     assert counts == {
         "round_trips": 131,
         "frames": 262,  # a command and its reply: each is checked once, when written
@@ -129,6 +134,50 @@ def test_one_pass_clean_and_one_per_shipped_fault(counts):
         "i2c_txns": 30,
         "binds": 0,
     }
+
+
+def _package_work(run):
+    """Python calls into the package, and record-tuple constructions, made
+    by run(). A call is a profile "call" event of code from the package's
+    source; a generator's every step is one. List, dict and set
+    comprehensions are not counted, since Python 3.12 inlines them. A
+    construction is a call of the generated __new__ of one of the package's
+    NamedTuples, which lives outside the package's source."""
+    package = os.path.dirname(transport.__file__) + os.sep
+    constructors = set()
+    for module in (bus, cli, doubles, dut, harness, simcore, suites, transport):
+        for value in vars(module).values():
+            if isinstance(value, type) and issubclass(value, tuple):
+                constructors.update(k.__new__.__code__ for k in value.__mro__ if "_fields" in vars(k))
+    inlined = ("<listcomp>", "<dictcomp>", "<setcomp>")
+    work = {"calls": 0, "records": 0}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code in constructors:
+                work["records"] += 1
+            elif code.co_filename.startswith(package) and code.co_name not in inlined:
+                work["calls"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return work
+
+
+def test_one_five_suite_pass_makes_the_pinned_python_calls():
+    """The first pass in a process also fills the GPS double's sentence
+    templates, a per-process cache, so a warm-up pass runs first. Of the
+    calls, 3,536 are generator steps, 3,513 of them check_frame's. The
+    records are rig and case bookkeeping: 2 DeviceLinks, a VirtualRig, and
+    15 Matchers with their CheckRecords. Commands and Responses are built
+    by tuple.__new__ or shared as constants, so none is counted."""
+    _five_suite_pass()
+    assert _package_work(_five_suite_pass) == {"calls": 6588, "records": 33}
 
 
 def _registers(moment: datetime.datetime) -> list[int]:
