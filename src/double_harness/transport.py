@@ -31,14 +31,20 @@ import re
 import time
 from collections import deque
 from itertools import accumulate
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, NamedTuple, NoReturn, Protocol
 
 from .simcore import Scheduler
 
 MAX_FRAME_LEN = 4096
 
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_is_ident = IDENT_RE.fullmatch  # fullmatch: "x\n" is not a name, as `$` would allow
+
+def _is_ident(name: Any) -> bool:
+    """Whether name is a wire name, [A-Za-z_][A-Za-z0-9_]*: for ASCII text
+    that is exactly a Python identifier, keywords included."""
+    return type(name) is str and name.isascii() and name.isidentifier()
+
+
 # A well-formed CALL line, as parse_command's partitions would split it: the
 # args run to the end of the line, whatever they hold.
 _match_call = re.compile(r"CALL ([A-Za-z_][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*) (.*)", re.DOTALL).fullmatch
@@ -54,11 +60,35 @@ def _not_json(constant: str) -> NoReturn:  # the decoder's `parse_constant` hook
     raise ValueError(f"{constant} is not JSON compliant")
 
 
-# One compact encoder and one decoder per process, used only by _to_json and
-# _from_json, the one gate for wire JSON. The encoder owns the value model for
-# commands and results alike; both refuse NaN and Infinity, as RFC 8259 does.
-_encode = json.JSONEncoder(separators=(",", ":"), default=_wire_value, allow_nan=False).encode
-_decode = json.JSONDecoder(parse_constant=_not_json).decode
+# The coder, used only by _to_json and _from_json, the one gate for wire JSON.
+# The encoder owns the value model for commands and results alike; both
+# directions refuse NaN and Infinity, as RFC 8259 does.
+def _encode(value: Any) -> str:
+    """json.JSONEncoder(separators=(",", ":"), default=_wire_value,
+    allow_nan=False).encode(value), without its Python frames: a str goes to
+    the C string escaper, anything else to one C encoder made for this text,
+    so that its markers dict, the cycle check, starts empty every time."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    encoder = c_make_encoder({}, _wire_value, encode_basestring_ascii, None, ":", ",", False, False, False)
+    return "".join(encoder(value, 0))
+
+
+_decoder = json.JSONDecoder(parse_constant=_not_json)
+
+
+def _decode(text: str) -> Any:
+    """_decoder.decode(text), from one scan when the text is one JSON value
+    and nothing else. Any other text, whitespace around a value included,
+    goes to decode itself, so its acceptances and errors are decode's."""
+    try:
+        value, end = _decoder.raw_decode(text)
+        if end == len(text):
+            return value
+    except ValueError:
+        pass
+    return _decoder.decode(text)
+
 
 # One nesting rule on every supported Python: JSON nested deeper than this is
 # refused. The interpreters' own limits differ (about 990 levels on 3.10 and
@@ -73,29 +103,35 @@ _NOT_NESTING = r'"[^"]*"|[^"\[\]{}]+'
 _NESTING_STEP = {"[": 1, "{": 1, "]": -1, "}": -1, '"': 0}  # '"': an unclosed string
 
 
-def _check_depth(text: str) -> str:
-    """Return JSON text, or raise ValueError when it nests deeper than MAX_JSON_DEPTH."""
-    # Each level takes two chars and one opening bracket: a flat array of
-    # any length passes without a scan.
-    if len(text) > 2 * MAX_JSON_DEPTH and text.count("[") + text.count("{") > MAX_JSON_DEPTH:
+def _check_depth(text: str) -> None:
+    """Raise ValueError when JSON text nests deeper than MAX_JSON_DEPTH.
+
+    Each level takes two chars and one opening bracket, so the gate asks
+    only about text longer than 2 * MAX_JSON_DEPTH, and a flat array of any
+    length passes without a scan."""
+    if text.count("[") + text.count("{") > MAX_JSON_DEPTH:
         nesting = re.sub(_NOT_NESTING, "", re.sub(_ESCAPE, "", text))
         if nesting and max(accumulate(map(_NESTING_STEP.__getitem__, nesting))) > MAX_JSON_DEPTH:
             raise ValueError(_TOO_DEEP)
-    return text
 
 
 def _to_json(value: Any) -> str:
     """The wire JSON of a value; TypeError or ValueError if the wire cannot carry it."""
     try:
-        return _check_depth(_encode(value))
+        text = _encode(value)
     except RecursionError as exc:  # the depth rule, whatever the interpreter's own limit
         raise ValueError(_TOO_DEEP) from exc
+    if len(text) > 2 * MAX_JSON_DEPTH:
+        _check_depth(text)
+    return text
 
 
 def _from_json(text: str) -> Any:
     """The value of wire JSON text; ValueError if it is not wire JSON."""
     try:
-        return _decode(_check_depth(text))  # JSONDecodeError is a ValueError
+        if len(text) > 2 * MAX_JSON_DEPTH:
+            _check_depth(text)
+        return _decode(text)  # JSONDecodeError is a ValueError
     except RecursionError as exc:
         raise ValueError(_TOO_DEEP) from exc
 
@@ -168,7 +204,7 @@ def err(code: str, message: str) -> Response:
 
 def _name(value: Any) -> str:
     """A name for the wire, or ProtocolError before any frame is built."""
-    if type(value) is str and _is_ident(value):
+    if _is_ident(value):
         return value
     raise ProtocolError(f"bad identifier {value!r}")
 
@@ -176,17 +212,18 @@ def _name(value: Any) -> str:
 def format_command(cmd: Command) -> str:
     verb, obj, method, args = cmd
     if verb == "CALL" or verb == "NEW":
-        if not (type(obj) is str and type(method) is str and _is_ident(obj) and _is_ident(method)):
+        if not (_is_ident(obj) and _is_ident(method)):
             _name(obj)  # one of the two raises, naming the first bad name
             _name(method)
-        # Empty args need no encoder; anything else, None included, goes to it.
-        if isinstance(args, (tuple, list)) and not args:
-            text = "[]"
-        else:
+        if not isinstance(args, (tuple, list)):  # the device reads only an array as args
+            raise ProtocolError(f"args must be a tuple or list, not {type(args).__name__}")
+        if args:
             try:
                 text = _to_json(args)
             except (TypeError, ValueError) as exc:
                 raise ProtocolError(f"bad JSON args: {exc}") from exc
+        else:  # empty args need no encoder
+            text = "[]"
         if verb == "CALL":  # half of all traffic: test it first
             return f"CALL {obj}.{method} {text}"
         return f"NEW {method} {obj} {text}"

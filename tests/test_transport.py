@@ -1152,6 +1152,125 @@ class TestIdentifiers:
         assert len(rig.session.log.entries) == entries
 
 
+# The reference for the wire JSON gate: the stdlib's own encode and decode,
+# each with the depth rule.
+_stdlib_encode = json.JSONEncoder(separators=(",", ":"), default=transport._wire_value, allow_nan=False).encode
+_stdlib_decode = json.JSONDecoder(parse_constant=transport._not_json).decode
+
+
+def _depth_rule(text):
+    if len(text) > 2 * MAX_JSON_DEPTH:
+        transport._check_depth(text)
+    return text
+
+
+def _stdlib_to_json(value):
+    try:
+        return _depth_rule(_stdlib_encode(value))
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
+
+
+def _stdlib_from_json(text):
+    try:
+        return _stdlib_decode(_depth_rule(text))
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
+
+
+def _outcome(fn, arg):
+    """What fn(arg) gives: the repr of its value, or its exception's type and message."""
+    try:
+        return repr(fn(arg))
+    except Exception as exc:  # noqa: BLE001 - the refusal is the outcome
+        return type(exc), str(exc)
+
+
+_ANY_KEYS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | st.tuples(st.integers())
+_ANY_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.binary(max_size=4) | st.binary(max_size=4).map(bytearray) | st.frozensets(st.integers(), max_size=2),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_ANY_KEYS, inner, max_size=3) | st.sets(st.integers(), max_size=2),
+    max_leaves=12,
+)
+_JSON_PIECES = st.sampled_from(
+    [" ", "\t", "\n", "[", "]", "{", "}", ",", ":", "1", "-0", "1.5e3", "01", '"a"', '"\\u00e9"', '"\\ud800"',
+     "null", "true", "NaN", "Infinity", "-Infinity", "x", "é"]
+)
+_ANY_TEXT = st.text(max_size=16) | st.lists(_JSON_PIECES, max_size=10).map("".join)
+_OLD_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*").fullmatch
+
+
+class TestGateAgainstTheStdlib:
+    """_to_json and _from_json call the C coder without the stdlib's Python
+    layers, and give the text, or the exception type and message, that the
+    stdlib's encode and decode give, each with the depth rule."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_ANY_VALUES)
+    @example(_circular())
+    @example([[1, _circular()]])
+    @example({1, 2})
+    @example(b"\x01\xff")
+    @example(10**5000)
+    @example([float("nan")])
+    @example({(1,): 2})
+    @example("é\n\"")
+    def test_encode_matches_the_stdlib(self, value):
+        assert _outcome(transport._to_json, value) == _outcome(_stdlib_to_json, value)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(_ANY_TEXT)
+    @example("")
+    @example(" [1]")
+    @example("[1] ")
+    @example("[1]x")
+    @example("[1] [2]")
+    @example("[NaN]")
+    @example("-Infinity")
+    @example("[1,]")
+    @example("nul")
+    @example('"\\ud800"')
+    @example("[" * 1500)
+    def test_decode_matches_the_stdlib(self, text):
+        assert _outcome(transport._from_json, text) == _outcome(_stdlib_from_json, text)
+
+    @pytest.mark.parametrize("depth", [MAX_JSON_DEPTH, MAX_JSON_DEPTH + 1], ids=["at-limit", "one-over"])
+    def test_nesting_at_and_over_the_limit_matches_the_stdlib(self, depth):
+        """Outside hypothesis, whose example printer recurses per level."""
+        value = _nested(depth - 1)  # _nested(n) is n + 1 levels deep
+        assert _outcome(transport._to_json, value) == _outcome(_stdlib_to_json, value)
+        text = "[" * depth + "]" * depth
+        for framed in (text, f" {text}", f"{text} ", f"{text}x"):
+            assert _outcome(transport._from_json, framed) == _outcome(_stdlib_from_json, framed)
+
+    @pytest.mark.parametrize("poison", [_circular, lambda: float("nan")], ids=["cycle", "nan"])
+    def test_a_refused_encode_leaves_nothing_for_the_next_one(self, poison):
+        """The cycle check's markers start empty for every text: after an
+        encode that stopped inside nested lists, the same lists encode."""
+        inner = [1, poison()]
+        value = [[inner], inner]
+        with pytest.raises(ValueError):
+            transport._to_json(value)
+        inner.pop()
+        assert transport._to_json(value) == "[[[1]],[1]]"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.text(max_size=6) | _IDENT | st.integers() | st.none() | st.binary(max_size=3))
+    @example("é")
+    @example("ℌ")
+    @example("_")
+    @example("1a")
+    @example("a\n")
+    @example("class")
+    @example("")
+    @example(b"a")
+    @example(type("Name", (str,), {})("a"))
+    def test_is_ident_agrees_with_the_identifier_regex(self, name):
+        assert transport._is_ident(name) == (type(name) is str and _OLD_IDENT(name) is not None)
+
+
 # Empty arrays and objects, alone or nested, are what the coder-free branches
 # for `[]` args and `OK null` replies must tell apart.
 _EMPTIES = st.sampled_from([(), [], {}, ((),), [[]], [{}], [[], {}], [[[]]]])
@@ -1204,12 +1323,24 @@ class TestCodecBytes:
         assert line == expected
         assert format_response(parse_response(line)) == line
 
-    @pytest.mark.parametrize("args", [None, 0, False, "", {}], ids=repr)
-    def test_falsy_args_that_are_not_a_sequence_still_reach_the_encoder(self, args):
-        line = format_command(Command("CALL", "o", "m", args))
-        assert line == f"CALL o.m {_compact(args)}"
-        with pytest.raises(ProtocolError, match="args must be a JSON array"):
-            parse_command(line)
+    @pytest.mark.parametrize("args", [None, 0, False, "", {}, "xyz", b"\x01"], ids=repr)
+    def test_args_that_are_not_a_tuple_or_list_are_refused_before_a_frame_is_sent(self, rig, args):
+        """The device reads only a JSON array as args, so any other args
+        value is the controller's ProtocolError, with no frame built or
+        logged: falsy ones too, and bytes, which would encode as an array
+        of ints that the device reads as one arg per byte."""
+        message = f"^args must be a tuple or list, not {type(args).__name__}$"
+        for verb in ("CALL", "NEW"):
+            with pytest.raises(ProtocolError, match=message):
+                format_command(Command(verb, "o", "m", args))
+        entries = len(rig.session.log.entries)
+        cmd = Command("CALL", "b", "x", args)
+        with pytest.raises(ProtocolError, match=message):
+            send_command(rig.session.dut.endpoint, cmd)
+        with pytest.raises(CaseError, match=message) as info:
+            harness._send(rig.session.dut, cmd)
+        assert info.value.code == "PROTOCOL"
+        assert len(rig.session.log.entries) == entries
 
     @pytest.mark.parametrize("line", ["OK nul", "OK nullx", "OK null,", "OK null null"])
     def test_a_reply_next_to_ok_null_is_still_decoded_and_refused(self, line):

@@ -5,15 +5,18 @@ round trips, frames, frame checks, JSON encodes and decodes, clock
 advances, scheduler events, GPIO edges, UART bytes, I2C transactions and
 dispatch arity checks, whatever Python runs it. The counts come from
 wrapping module functions inside the test, as the traced benchmark does.
-The same pass also makes a fixed number of Python calls into the package
-and of record-tuple constructions, counted by a profile hook: the per-hop
-work of the command round trip.
+The same pass also makes a fixed number of Python calls into the package,
+of record-tuple constructions and of Python calls into the stdlib's json
+package, counted by a profile hook: the per-hop work of the command round
+trip.
 Soak cases also pin how their LED edges are kept and, by digest, every edge
-time and the clock. A change that moves one updates the pin and says why.
+time and the clock, and every UART byte with its arrival time. A change
+that moves one updates the pin and says why.
 """
 
 import datetime
 import hashlib
+import json
 import os
 import random
 import sys
@@ -137,20 +140,23 @@ def test_one_pass_clean_and_one_per_shipped_fault(counts):
 
 
 def _package_work(run):
-    """Python calls into the package, and record-tuple constructions, made
-    by run(). A call is a profile "call" event of code from the package's
-    source; a generator's every step is one. List, dict and set
-    comprehensions are not counted, since Python 3.12 inlines them. A
-    construction is a call of the generated __new__ of one of the package's
-    NamedTuples, which lives outside the package's source."""
+    """Python calls into the package, record-tuple constructions, and
+    Python calls into the stdlib's json package, made by run(). A call is a
+    profile "call" event of code from the package's source; a generator's
+    every step is one. List, dict and set comprehensions are not counted,
+    since Python 3.12 inlines them. A construction is a call of the
+    generated __new__ of one of the package's NamedTuples, which lives
+    outside the package's source. A json call is a "call" event of code
+    from the json package's source; its C accelerator makes none."""
     package = os.path.dirname(transport.__file__) + os.sep
+    stdlib_json = os.path.dirname(json.__file__) + os.sep
     constructors = set()
     for module in (bus, cli, doubles, dut, harness, simcore, suites, transport):
         for value in vars(module).values():
             if isinstance(value, type) and issubclass(value, tuple):
                 constructors.update(k.__new__.__code__ for k in value.__mro__ if "_fields" in vars(k))
     inlined = ("<listcomp>", "<dictcomp>", "<setcomp>")
-    work = {"calls": 0, "records": 0}
+    work = {"calls": 0, "records": 0, "json_calls": 0}
 
     def profile(frame, event, arg):
         if event == "call":
@@ -159,6 +165,8 @@ def _package_work(run):
                 work["records"] += 1
             elif code.co_filename.startswith(package) and code.co_name not in inlined:
                 work["calls"] += 1
+            elif code.co_filename.startswith(stdlib_json):
+                work["json_calls"] += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -172,12 +180,15 @@ def _package_work(run):
 def test_one_five_suite_pass_makes_the_pinned_python_calls():
     """The first pass in a process also fills the GPS double's sentence
     templates, a per-process cache, so a warm-up pass runs first. Of the
-    calls, 3,536 are generator steps, 3,513 of them check_frame's. The
-    records are rig and case bookkeeping: 2 DeviceLinks, a VirtualRig, and
-    15 Matchers with their CheckRecords. Commands and Responses are built
-    by tuple.__new__ or shared as constants, so none is counted."""
+    calls, 3,536 are generator steps, 3,513 of them check_frame's, and 252
+    are _is_ident's. The records are rig and case bookkeeping: 2
+    DeviceLinks, a VirtualRig, and 15 Matchers with their CheckRecords.
+    Commands and Responses are built by tuple.__new__ or shared as
+    constants, so none is counted. The wire gate's 50 encodes and 50
+    decodes call the C coder from the package's own _encode and _decode;
+    the only json frames left are the decodes' 50 raw_decode calls."""
     _five_suite_pass()
-    assert _package_work(_five_suite_pass) == {"calls": 6588, "records": 33}
+    assert _package_work(_five_suite_pass) == {"calls": 6840, "records": 33, "json_calls": 50}
 
 
 def _registers(moment: datetime.datetime) -> list[int]:
@@ -302,4 +313,37 @@ def test_soak_cases_on_one_rig_leave_the_pinned_edge_times_and_clock():
         "5196e6fe8d34d27414fa4085f6fd7a7835a5f1fe1031a8f3f9f1c1c74d6c5ce1",
         "cafe5f09b154a1a5b03b72f3087440286d42f7e9a091a40cc042b372c486cf3e",
         "c565c95fda9b17b5268d444567da5575d372793da673c7e23c7ee62944b0de25",
+    ]
+
+
+def test_soak_cases_on_one_rig_leave_the_pinned_uart_byte_stream(monkeypatch):
+    """The three soak cases in turn on one rig, as above. After each, one
+    sha256 of every byte sent on the UART link in that case, in order, each
+    with the end that sent it (a: the GPS driver's, b: the double's) and its
+    arrival time, which is the sim time of its send: the link delivers at
+    once. The record is one entry per byte, so the same bytes sent at the
+    same times in other groups give the same digest, and a byte that moves
+    in time or order moves it."""
+    rig = suites.build_virtual_rig()
+    stream = []
+    send = bus.UartEnd.send
+
+    def recorded(end, data):
+        sender = "a" if end is rig.uart.a else "b"
+        now = rig.scheduler.now
+        stream.extend((sender, now, byte) for byte in data)
+        return send(end, data)
+
+    monkeypatch.setattr(bus.UartEnd, "send", recorded)
+    digests = []
+    try:
+        for _case in _run_soak_cases(rig, SOAK_CASES):
+            digests.append(hashlib.sha256(repr(stream).encode()).hexdigest())
+            stream.clear()
+    finally:
+        rig.close()
+    assert digests == [
+        "dd0b2d9d5c20b6ae27d36dd5ea62f455f2809c0c94c2e9ca87c9d9d445fede1a",
+        "b7a82637579982dcc5a3fecdcdf722738edcc87249edd96eba97618d4a5be588",
+        "432565ebda7abe1a6a69ee5f4704351cc748efd46d8c750475548be3c9438bda",
     ]
