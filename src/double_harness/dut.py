@@ -1,17 +1,16 @@
 """Reference drivers: the production-code side of the rig.
 
 Each driver talks to its peripheral through a virtual bus and knows nothing
-about the double on the far side. Deliberate bugs can be armed through
-FaultConfig at construction time only; nothing on the command channel can
-reach them, so with every fault off the drivers behave exactly like a
-fault-free build. The faults exist to prove the harness catches real driver
-mistakes: a skewed blink period, a BCD encode bug, a missing NMEA checksum,
-an off-by-one in the SPI receive path, and a slow BLE bring-up.
+about the double on the far side. A deliberate bug is armed by passing its
+name as a driver's `fault` at construction time only; nothing on the command
+channel can reach it, so with no fault armed the drivers behave exactly like
+a fault-free build. The faults exist to prove the harness catches real
+driver mistakes: a blink period skewed by PERIOD_SKEW_MS, a BCD encode bug,
+a missing NMEA checksum, an off-by-one in the SPI receive path, and a BLE
+bring-up that takes SLOW_BRINGUP_MS.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from . import bus as _bus
 from .simcore import EventHandle, Scheduler
@@ -21,17 +20,10 @@ class NotStartedError(Exception):
     """Operation needs start() first."""
 
 
-class FaultConfig(NamedTuple):
-    """Config-level fault switches; all off means a correct build."""
-
-    period_skew_ms: int = 0
-    swap_bcd_nibbles: bool = False
-    omit_checksum: bool = False
-    drop_first_byte: bool = False
-    ble_init_delay_ms: int | None = None
-
-
-NO_FAULTS = FaultConfig()
+# The sizes of the two faults that have one: the blink period's skew and the
+# BLE radio's bring-up time.
+PERIOD_SKEW_MS = 2
+SLOW_BRINGUP_MS = 6000
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +46,7 @@ class Blinker:
         period_ms: int,
         count: int,
         scheduler: Scheduler,
-        faults: FaultConfig = NO_FAULTS,
+        fault: str | None = None,
     ) -> None:
         if type(period_ms) is bool or period_ms < 1:  # a float is left for the clock to refuse
             raise ValueError(f"period must be an int >= 1 ms, got {period_ms!r}")
@@ -64,16 +56,14 @@ class Blinker:
         self.period_ms = period_ms
         self.count = count
         self._scheduler = scheduler
-        self._faults = faults
+        self._skew = PERIOD_SKEW_MS if fault == "period_skew_ms" else 0
         self._isr_handle: EventHandle | None = None
         self._isr_remaining = 0
 
     def blink(self, mode: str) -> None:
         if mode not in ("blocking", "isr"):
             raise ValueError(f"mode must be blocking or isr, got {mode!r}")
-        period = self.period_ms + self._faults.period_skew_ms
-        if period < 1:
-            raise ValueError("skewed period collapsed below 1 ms")
+        period = self.period_ms + self._skew
         if mode == "blocking":
             for _ in range(2 * self.count):
                 self._scheduler.advance_by(period)
@@ -143,10 +133,10 @@ class RtcDriver:
     2000..2099; the weekday register is maintained internally (ISO, 1=Mon).
     """
 
-    def __init__(self, i2c: _bus.I2cBus, faults: FaultConfig = NO_FAULTS) -> None:
+    def __init__(self, i2c: _bus.I2cBus, fault: str | None = None) -> None:
         self.i2c = i2c
         self.addr = _RTC_ADDR
-        self._faults = faults
+        self._swap = fault == "swap_bcd_nibbles"
 
     def set_datetime(self, dt: list[int]) -> None:
         year, month, day, hour, minute, second = self._validate(dt)
@@ -159,7 +149,7 @@ class RtcDriver:
             _enc(month),
             _enc(year - 2000),
         ]
-        if self._faults.swap_bcd_nibbles:
+        if self._swap:
             regs = [_swap_nibbles(b) for b in regs]
         self.i2c.write_then_read(self.addr, bytes([0x00] + regs), 0)
 
@@ -213,12 +203,10 @@ def _nmea_xor(body: str) -> int:
 class GpsDriver:
     """Configures a GPS module and parses the NMEA stream it sends back."""
 
-    def __init__(
-        self, uart_end: _bus.UartEnd, scheduler: Scheduler, faults: FaultConfig = NO_FAULTS
-    ) -> None:
+    def __init__(self, uart_end: _bus.UartEnd, scheduler: Scheduler, fault: str | None = None) -> None:
         self.uart = uart_end
         self._scheduler = scheduler
-        self._faults = faults
+        self._omit_checksum = fault == "omit_checksum"
         self.parse_errors = 0
         uart_end.flush()  # stale bytes from before this driver existed
 
@@ -232,7 +220,7 @@ class GpsDriver:
             raise ValueError("body must not contain '$' or '*'")
         if not (body.isascii() and body.isprintable()):
             raise ValueError("body must be printable ASCII")
-        if self._faults.omit_checksum:
+        if self._omit_checksum:
             line = f"${body}\r\n"
         else:
             line = f"${body}*{_nmea_xor(body):02X}\r\n"
@@ -322,9 +310,9 @@ class SpiMaster:
     n an int in 0..MAX_SPI_READ; anything else is refused before a byte moves.
     """
 
-    def __init__(self, spi: _bus.SpiBus, faults: FaultConfig = NO_FAULTS) -> None:
+    def __init__(self, spi: _bus.SpiBus, fault: str | None = None) -> None:
         self.spi = spi
-        self._faults = faults
+        self._drop_first = fault == "drop_first_byte"
 
     def write(self, data: list[int]) -> int:
         self._transfer(_spi_bytes(data))
@@ -346,7 +334,7 @@ class SpiMaster:
             self.spi.release_cs()
 
     def _receive(self, miso: bytes) -> bytes:
-        if self._faults.drop_first_byte and miso:
+        if self._drop_first and miso:
             return miso[1:] + b"\x00"
         return miso
 
@@ -360,15 +348,15 @@ class BleTempSensor:
 
     start() brings the radio up after init_delay_ms of simulated time and
     begins advertising as "TempSensor"; until then the device is invisible
-    to scans. An explicit init_delay_ms wins over the fault override, so
-    cases that pin the delay stay unaffected by an armed fault.
+    to scans. An explicit init_delay_ms wins over the armed fault's
+    SLOW_BRINGUP_MS, so cases that pin the delay stay unaffected by it.
     """
 
     def __init__(
         self,
         air: _bus.BleAir,
         scheduler: Scheduler,
-        faults: FaultConfig = NO_FAULTS,
+        fault: str | None = None,
         init_delay_ms: int | None = None,
     ) -> None:
         self.air = air
@@ -378,10 +366,8 @@ class BleTempSensor:
             if type(init_delay_ms) is not int:
                 raise ValueError(f"init delay must be an int ms, got {init_delay_ms!r}")
             self.init_delay_ms = init_delay_ms
-        elif faults.ble_init_delay_ms is not None:
-            self.init_delay_ms = faults.ble_init_delay_ms
         else:
-            self.init_delay_ms = 0
+            self.init_delay_ms = SLOW_BRINGUP_MS if fault == "ble_init_delay_ms" else 0
         self.characteristics: dict[str, float | None] = {"temp": None}
         self.started = False
         self._adv_handle: EventHandle | None = None

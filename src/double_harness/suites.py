@@ -6,9 +6,10 @@ the virtual buses standing in for jumper wires, a DUT device hosting the
 reference drivers, a double device hosting the peripheral impostors, and a
 controller endpoint pair for the harness.
 
-Named faults arm one deliberate driver bug each; they are applied when the
-rig is built and cannot be reached over the command channel, so a fault-free
-rig is bit-identical to a production build.
+Named faults arm one deliberate driver bug each: the rig hands the name to
+every driver it builds, and only the driver whose bug it names arms it. It
+is fixed when the rig is built and cannot be reached over the command
+channel, so a fault-free rig is bit-identical to a production build.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ class ShippedFault(NamedTuple):
     """One armable driver bug and the cases designed to catch it."""
 
     name: str
-    config: _dut.FaultConfig
     suite: str
     designated: tuple[str, ...]
 
@@ -98,13 +98,11 @@ SHIPPED_FAULTS: dict[str, ShippedFault] = {
     for fault in (
         ShippedFault(
             "period_skew_ms",
-            _dut.FaultConfig(period_skew_ms=2),
             "blink",
             ("test_blink_blocking", "test_blink_isr"),
         ),
         ShippedFault(
             "swap_bcd_nibbles",
-            _dut.FaultConfig(swap_bcd_nibbles=True),
             "rtc",
             (
                 "test_set_date_time_static",
@@ -114,7 +112,6 @@ SHIPPED_FAULTS: dict[str, ShippedFault] = {
         ),
         ShippedFault(
             "omit_checksum",
-            _dut.FaultConfig(omit_checksum=True),
             "gps",
             (
                 "test_send_command_configuration",
@@ -124,27 +121,16 @@ SHIPPED_FAULTS: dict[str, ShippedFault] = {
         ),
         ShippedFault(
             "drop_first_byte",
-            _dut.FaultConfig(drop_first_byte=True),
             "spi",
             ("test_reading_registers_without_indicating_address",),
         ),
         ShippedFault(
             "ble_init_delay_ms",
-            _dut.FaultConfig(ble_init_delay_ms=6000),
             "ble",
             ("test_connection",),
         ),
     )
 }
-
-
-def fault_config(name: str | None) -> _dut.FaultConfig:
-    if name is None:
-        return _dut.NO_FAULTS
-    try:
-        return SHIPPED_FAULTS[name].config
-    except KeyError:
-        raise KeyError(f"unknown fault {name!r}; known: {sorted(SHIPPED_FAULTS)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +164,8 @@ class VirtualRig(NamedTuple):
 
 def build_virtual_rig(fault: str | None = None, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> VirtualRig:
     """Assemble the simulated DUT + double pair behind two controller endpoints."""
-    faults = fault_config(fault)
+    if fault is not None and fault not in SHIPPED_FAULTS:
+        raise KeyError(f"unknown fault {fault!r}; known: {sorted(SHIPPED_FAULTS)}")
     scheduler = Scheduler()
 
     led_line = GpioLine()
@@ -194,15 +181,15 @@ def build_virtual_rig(fault: str | None = None, timeout_ms: int = DEFAULT_TIMEOU
     dut_registry.register_class(
         "Blinker",
         lambda pin, period_ms, count: _dut.Blinker(
-            _pin(dut_pins, pin), period_ms, count, scheduler, faults
+            _pin(dut_pins, pin), period_ms, count, scheduler, fault
         ),
     )
-    dut_registry.register_class("RtcDriver", lambda: _dut.RtcDriver(i2c, faults))
-    dut_registry.register_class("GpsDriver", lambda: _dut.GpsDriver(uart.a, scheduler, faults))
-    dut_registry.register_class("SpiMaster", lambda: _dut.SpiMaster(spi, faults))
+    dut_registry.register_class("RtcDriver", lambda: _dut.RtcDriver(i2c, fault))
+    dut_registry.register_class("GpsDriver", lambda: _dut.GpsDriver(uart.a, scheduler, fault))
+    dut_registry.register_class("SpiMaster", lambda: _dut.SpiMaster(spi, fault))
     dut_registry.register_class(
         "BleTempSensor",
-        lambda init_delay_ms=None: _dut.BleTempSensor(air, scheduler, faults, init_delay_ms),
+        lambda init_delay_ms=None: _dut.BleTempSensor(air, scheduler, fault, init_delay_ms),
     )
 
     central_ids = itertools.count(1)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from double_harness import dut
 from double_harness.bus import I2cBus, SpiBus, UartLink
 from double_harness.doubles import (
     GpsDouble,
@@ -65,7 +66,7 @@ def test_criterion_01_blink_tolerance_reproduction():
             assert abs(average - 2000.0) <= 1.0
         assert elapsed < 1.0, f"blink suite took {elapsed:.3f} s of wall clock"
 
-        assert SHIPPED_FAULTS["period_skew_ms"].config.period_skew_ms == 2
+        assert dut.PERIOD_SKEW_MS == 2
         skewed = run_shipped("blink", fault="period_skew_ms")
         assert all(r.verdict != PASS for r in skewed)
         for result in skewed:
@@ -293,7 +294,7 @@ def test_criterion_07_spi_conservation_and_pad_rule():
 
 def test_criterion_08_ble_timeout_reproduction():
     with criterion(8, "6000 ms bring-up vs 5000 ms budget: ERROR(TIMEOUT) on connection"):
-        assert SHIPPED_FAULTS["ble_init_delay_ms"].config.ble_init_delay_ms == 6000
+        assert dut.SLOW_BRINGUP_MS == 6000
         results = {r.name: r for r in run_shipped("ble", fault="ble_init_delay_ms")}
         connection = results["test_connection"]
         assert connection.verdict == ERROR

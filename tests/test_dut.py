@@ -24,7 +24,6 @@ from double_harness.doubles import GpsDouble, RtcDouble, SpiSlaveDouble, nmea_ch
 from double_harness.dut import (
     Blinker,
     BleTempSensor,
-    FaultConfig,
     MAX_SPI_READ,
     GpsDriver,
     NotStartedError,
@@ -82,10 +81,10 @@ class TestBlinker:
         from double_harness.harness import close_to
 
         line = GpioLine()
-        Blinker(line, 2000, 2, sched, FaultConfig(period_skew_ms=5)).blink("blocking")
+        Blinker(line, 2000, 2, sched, fault="period_skew_ms").blink("blocking")
         intervals = [b - a for a, b in zip(line.edges, line.edges[1:])]
         average = sum(intervals) / len(intervals)
-        assert average == 2005.0
+        assert average == 2002.0
         assert not close_to(2000, 1).check(average)
 
     def test_close_cancels_pending_isr_toggles(self, sched):
@@ -243,22 +242,14 @@ def test_blinker_period_and_count_boundaries_on_the_wire(rig, period_ms, count, 
 
 
 @pytest.mark.parametrize("mode", ["blocking", "isr"])
-@pytest.mark.parametrize("skew, edges", [(-2, [1, 2, 3, 4]), (-3, None)], ids=["leaves-1ms", "leaves-0ms"])
-def test_blinker_period_skew_boundary_on_the_wire(monkeypatch, mode, skew, edges):
-    """A 3 ms period skewed to 1 ms still blinks; skewed to 0 ms the blink is
-    refused before the clock moves or a timer is armed."""
-    monkeypatch.setattr(suites, "fault_config", lambda name: FaultConfig(period_skew_ms=skew))
-    rig = suites.build_virtual_rig("skewed")
+def test_blinker_smallest_period_with_the_skew_armed_on_the_wire(mode):
+    """With period_skew_ms armed, a 1 ms period toggles every 3 ms in both modes."""
+    rig = suites.build_virtual_rig("period_skew_ms")
     try:
-        assert _send_dut(rig, "NEW", "b", "Blinker", 13, 3, 2).ok
-        resp = _send_dut(rig, "CALL", "b", "blink", mode)
-        if edges is None:
-            assert (resp.code, resp.message) == ("EXEC", "ValueError: skewed period collapsed below 1 ms")
-            assert rig.scheduler.now == 0 and rig.scheduler.next_due() is None
-        else:
-            assert resp.ok
-        rig.scheduler.advance_by(10)
-        assert list(rig.led_line.edges) == (edges or [])
+        assert _send_dut(rig, "NEW", "b", "Blinker", 13, 1, 2).ok
+        assert _send_dut(rig, "CALL", "b", "blink", mode).ok
+        rig.scheduler.advance_by(20)
+        assert list(rig.led_line.edges) == [3, 6, 9, 12]
     finally:
         rig.close()
 
@@ -324,7 +315,7 @@ class TestRtcDriver:
         """set(12:34:56) lands as the 21:43:65 pattern in the registers."""
         i2c = I2cBus()
         rtc = RtcDouble(i2c, sched)
-        driver = RtcDriver(i2c, FaultConfig(swap_bcd_nibbles=True))
+        driver = RtcDriver(i2c, fault="swap_bcd_nibbles")
         driver.set_datetime([2021, 6, 15, 12, 34, 56])
         regs = rtc.read_registers()
         assert regs[0] == 0x65  # seconds 0x56 swapped
@@ -334,7 +325,7 @@ class TestRtcDriver:
     def test_nibble_swap_fault_breaks_the_set_get_autotest(self, sched):
         i2c = I2cBus()
         RtcDouble(i2c, sched)
-        driver = RtcDriver(i2c, FaultConfig(swap_bcd_nibbles=True))
+        driver = RtcDriver(i2c, fault="swap_bcd_nibbles")
         driver.set_datetime([2021, 6, 15, 12, 34, 56])
         assert driver.get_datetime() != [2021, 6, 15, 12, 34, 56]
 
@@ -504,7 +495,7 @@ class TestGpsDriverSend:
     def test_omit_checksum_fault_gets_the_command_dropped(self, sched):
         link = UartLink(sched)
         gps = GpsDouble(link.b, sched)
-        driver = GpsDriver(link.a, sched, FaultConfig(omit_checksum=True))
+        driver = GpsDriver(link.a, sched, fault="omit_checksum")
         driver.send_command("PDBL,RATE,1000")
         assert gps.get_reject_count() == 1
         assert gps.get_update_period() is None
@@ -713,7 +704,7 @@ class TestSpiMaster:
         """Faulted read(2) of [0x12, 0x34] comes back as [0x34, 0x00]."""
         spi = SpiBus(sched)
         slave = SpiSlaveDouble(spi)
-        master = SpiMaster(spi, FaultConfig(drop_first_byte=True))
+        master = SpiMaster(spi, fault="drop_first_byte")
         slave.preload_tx([0x12, 0x34])
         assert master.read(2) == [0x34, 0x00]
 
@@ -810,11 +801,28 @@ class TestBleTempSensor:
         with pytest.raises(ScanTimeoutError):
             air.scan("TempSensor", 5000)
 
+    @pytest.mark.parametrize("window_ms", [5999, 6000])
+    def test_armed_fault_brings_the_radio_up_at_6000_ms(self, sched, window_ms):
+        """A scan one millisecond short of the bring-up times out; one that
+        reaches it finds the sensor exactly then."""
+        air = BleAir(sched)
+        BleTempSensor(air, sched, fault="ble_init_delay_ms").start()
+        if window_ms < 6000:
+            with pytest.raises(ScanTimeoutError):
+                air.scan("TempSensor", window_ms)
+        else:
+            air.scan("TempSensor", window_ms)
+        assert sched.now == window_ms
+        assert air.is_advertising("TempSensor") == (window_ms == 6000)
+
     def test_explicit_delay_wins_over_the_fault_override(self, sched):
         air = BleAir(sched)
-        faults = FaultConfig(ble_init_delay_ms=6000)
-        assert BleTempSensor(air, sched, faults).init_delay_ms == 6000
-        assert BleTempSensor(air, sched, faults, init_delay_ms=0).init_delay_ms == 0
+        assert BleTempSensor(air, sched, fault="ble_init_delay_ms").init_delay_ms == 6000
+        sensor = BleTempSensor(air, sched, fault="ble_init_delay_ms", init_delay_ms=0)
+        assert sensor.init_delay_ms == 0
+        sensor.start()
+        air.scan("TempSensor", 0)
+        assert sched.now == 0
 
     def test_operations_require_start(self, sched):
         sensor = BleTempSensor(BleAir(sched), sched)

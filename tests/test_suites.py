@@ -2,13 +2,13 @@
 
 import pytest
 
+from double_harness import suites
 from double_harness.harness import ERROR, PASS, run_suite, summarize
 from double_harness.suites import (
     SHIPPED_FAULTS,
     SUITE_ORDER,
     SUITES,
     build_virtual_rig,
-    fault_config,
 )
 
 
@@ -107,9 +107,18 @@ class TestFaultSensitivity:
         assert results["test_read"].verdict == PASS
         assert results["test_notify"].verdict == PASS
 
-    def test_unknown_fault_name_rejected(self):
-        with pytest.raises(KeyError):
-            fault_config("wobbly_flux")
+    def test_period_skew_reads_back_two_ms_long_in_both_modes(self):
+        results = run_one("blink", fault="period_skew_ms")
+        assert [r.outputs["led.get_avg_blink_ms"] for r in results] == [2002.0, 2002.0]
+
+    def test_unknown_fault_name_rejected(self, monkeypatch):
+        def no_build():
+            raise AssertionError("a rig was started for an unknown fault")
+
+        monkeypatch.setattr(suites, "Scheduler", no_build)
+        with pytest.raises(KeyError) as excinfo:
+            build_virtual_rig("wobbly_flux")
+        assert excinfo.value.args == (f"unknown fault 'wobbly_flux'; known: {sorted(SHIPPED_FAULTS)}",)
 
 
 class TestSuiteSequencing:
