@@ -140,7 +140,6 @@ class RtcDouble:
         self._i2c = i2c
         self._scheduler = scheduler
         self._tick_handle: EventHandle | None = None
-        self.mode = "static"
         i2c.add_device(self.addr, self.handle_i2c)
         self.set_mode(mode)
 
@@ -153,7 +152,6 @@ class RtcDouble:
                 self._tick_handle = self._scheduler.schedule(1000, self._tick, periodic=1000)
         else:
             self._scheduler.cancel(self._tick_handle)
-        self.mode = mode
 
     def handle_i2c(self, wbytes: bytes, nread: int) -> bytes:
         # First written byte is the register pointer; the rest are data.

@@ -20,10 +20,19 @@ class NotStartedError(Exception):
     """Operation needs start() first."""
 
 
-# The sizes of the two faults that have one: the blink period's skew and the
-# BLE radio's bring-up time.
+# The armable faults, one per driver, and the sizes of the two that have one:
+# the blink period's skew and the BLE radio's bring-up time.
+FAULTS = ("period_skew_ms", "swap_bcd_nibbles", "omit_checksum", "drop_first_byte", "ble_init_delay_ms")
 PERIOD_SKEW_MS = 2
 SLOW_BRINGUP_MS = 6000
+
+
+def _armed(fault: str | None, own: str) -> bool:
+    """Whether the armed fault is the driver's own; any name but None or one
+    of FAULTS is refused, so a misspelt fault cannot build a clean driver."""
+    if fault is not None and fault not in FAULTS:
+        raise ValueError(f"unknown fault {fault!r}")
+    return fault == own
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +65,7 @@ class Blinker:
         self.period_ms = period_ms
         self.count = count
         self._scheduler = scheduler
-        self._skew = PERIOD_SKEW_MS if fault == "period_skew_ms" else 0
+        self._skew = PERIOD_SKEW_MS if _armed(fault, "period_skew_ms") else 0
         self._isr_handle: EventHandle | None = None
         self._isr_remaining = 0
 
@@ -136,7 +145,7 @@ class RtcDriver:
     def __init__(self, i2c: _bus.I2cBus, fault: str | None = None) -> None:
         self.i2c = i2c
         self.addr = _RTC_ADDR
-        self._swap = fault == "swap_bcd_nibbles"
+        self._swap = _armed(fault, "swap_bcd_nibbles")
 
     def set_datetime(self, dt: list[int]) -> None:
         year, month, day, hour, minute, second = self._validate(dt)
@@ -206,7 +215,7 @@ class GpsDriver:
     def __init__(self, uart_end: _bus.UartEnd, scheduler: Scheduler, fault: str | None = None) -> None:
         self.uart = uart_end
         self._scheduler = scheduler
-        self._omit_checksum = fault == "omit_checksum"
+        self._omit_checksum = _armed(fault, "omit_checksum")
         self.parse_errors = 0
         uart_end.flush()  # stale bytes from before this driver existed
 
@@ -312,7 +321,7 @@ class SpiMaster:
 
     def __init__(self, spi: _bus.SpiBus, fault: str | None = None) -> None:
         self.spi = spi
-        self._drop_first = fault == "drop_first_byte"
+        self._drop_first = _armed(fault, "drop_first_byte")
 
     def write(self, data: list[int]) -> int:
         self._transfer(_spi_bytes(data))
@@ -362,12 +371,11 @@ class BleTempSensor:
         self.air = air
         self.name = "TempSensor"
         self._scheduler = scheduler
+        self.init_delay_ms = SLOW_BRINGUP_MS if _armed(fault, "ble_init_delay_ms") else 0
         if init_delay_ms is not None:
             if type(init_delay_ms) is not int:
                 raise ValueError(f"init delay must be an int ms, got {init_delay_ms!r}")
             self.init_delay_ms = init_delay_ms
-        else:
-            self.init_delay_ms = SLOW_BRINGUP_MS if fault == "ble_init_delay_ms" else 0
         self.characteristics: dict[str, float | None] = {"temp": None}
         self.started = False
         self._adv_handle: EventHandle | None = None

@@ -56,9 +56,6 @@ class Matcher(NamedTuple):
         except TypeError:
             return False
 
-    def describe(self) -> str:
-        return self.description
-
     def failure_text(self, actual: Any) -> str:
         return f"{self.expectation} actual={actual!r}"
 
@@ -260,11 +257,10 @@ def summarize(results: list[TestResult]) -> dict[str, int]:
 class ObjectHandle:
     """Remote object reference returned by the init verbs."""
 
-    __slots__ = ("name", "cls", "link", "live")
+    __slots__ = ("name", "link", "live")
 
-    def __init__(self, name: str, cls: str, link: DeviceLink) -> None:
+    def __init__(self, name: str, link: DeviceLink) -> None:
         self.name = name
-        self.cls = cls
         self.link = link
         self.live = True
 
@@ -328,7 +324,7 @@ class CaseContext:
     def _new(self, link: DeviceLink, cls: str, name: str, args: tuple) -> ObjectHandle:
         _send(link, _new_record(Command, ("NEW", name, cls, args)))
         self._record(self.inputs, f"{cls} {name}", list(args))
-        handle = ObjectHandle(name, cls, link)
+        handle = ObjectHandle(name, link)
         self.handles.append(handle)
         return handle
 
@@ -386,7 +382,7 @@ def _run_case(case: TestCase, session: Session) -> TestResult:
         if failures:
             verdict = FAIL
             first = failures[0]
-            message = f"{first.matcher.describe()} failed: {first.matcher.failure_text(first.actual)}"
+            message = f"{first.matcher.description} failed: {first.matcher.failure_text(first.actual)}"
         # Step 5: decommission whatever the body left alive. Skipped after an
         # error, like a run that lost its device mid-case; the inter-case
         # RESET cleans up instead.

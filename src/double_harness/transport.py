@@ -48,6 +48,8 @@ def _is_ident(name: Any) -> bool:
 # A well-formed CALL line, as parse_command's partitions would split it: the
 # args run to the end of the line, whatever they hold.
 _match_call = re.compile(r"CALL ([A-Za-z_][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*) (.*)", re.DOTALL).fullmatch
+# format_response's ERR line cleanup: each character outside printable ASCII becomes a space.
+_unprintable_to_space = re.compile(r"[^ -~]").sub
 
 
 def _wire_value(value: Any) -> list[int]:  # the encoder's `default` hook
@@ -65,11 +67,9 @@ def _not_json(constant: str) -> NoReturn:  # the decoder's `parse_constant` hook
 # directions refuse NaN and Infinity, as RFC 8259 does.
 def _encode(value: Any) -> str:
     """json.JSONEncoder(separators=(",", ":"), default=_wire_value,
-    allow_nan=False).encode(value), without its Python frames: a str goes to
-    the C string escaper, anything else to one C encoder made for this text,
-    so that its markers dict, the cycle check, starts empty every time."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
+    allow_nan=False).encode(value), without its Python frames: one C encoder
+    made for this text, a top-level str included, so that its markers dict,
+    the cycle check, starts empty every time."""
     encoder = c_make_encoder({}, _wire_value, encode_basestring_ascii, None, ":", ",", False, False, False)
     return "".join(encoder(value, 0))
 
@@ -295,10 +295,7 @@ def format_response(resp: Response) -> str:
             resp = err("EXEC", f"result too long for one frame: {len(line)} > {MAX_FRAME_LEN}")
         except (TypeError, ValueError) as exc:
             resp = err("EXEC", f"{type(exc).__name__}: {exc}")
-    line = f"ERR {resp.code} {resp.message}"[:MAX_FRAME_LEN]
-    if not (line.isascii() and line.isprintable()):
-        line = "".join(ch if " " <= ch <= "~" else " " for ch in line)
-    return line.rstrip()
+    return _unprintable_to_space(" ", f"ERR {resp.code} {resp.message}"[:MAX_FRAME_LEN]).rstrip()
 
 
 def parse_response(line: str) -> Response:
@@ -520,7 +517,7 @@ def send_command(ep: Endpoint, cmd: Command, timeout_ms: int | None = None) -> R
         raise TransportTimeout(f"no response to '{line}' within {budget} ms (simulated)")
     if ep.logger is not None:
         ep.logger("recv", reply, stamp)
-    return _OK_NONE if reply == "OK null" else parse_response(reply)
+    return parse_response(reply)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +566,7 @@ class ObjectRegistry:
                     if _binds(method, args):
                         raise
                     return err("BAD_ARGS", f"arguments {list(args)!r} do not fit {method_name}")
-                return _OK_NONE if result is None else _new_record(Response, ("OK", result, None, ""))
+                return _new_record(Response, ("OK", result, None, ""))
             if verb == "PING":
                 return _OK_NONE
             if verb == "RESET":
@@ -585,9 +582,7 @@ class ObjectRegistry:
                     if _binds(factory, args):
                         raise
                     return err("BAD_ARGS", f"arguments {list(args)!r} do not fit {method_name}")
-                old = self.objects.get(name)
-                if old is not None:
-                    _close_quietly(old)
+                _close_quietly(self.objects.get(name))
                 self.objects[name] = instance
                 return _OK_NONE
             if verb == "DEL":
@@ -638,8 +633,7 @@ class CommandServer:
             cmd = parse_command(line)
         except ProtocolError as exc:
             return _malformed(exc)
-        resp = self.registry.execute(cmd)
-        return "OK null" if resp is _OK_NONE else format_response(resp)
+        return format_response(self.registry.execute(cmd))
 
 
 def _malformed(exc: ProtocolError) -> str:

@@ -9,7 +9,7 @@ from functools import reduce
 
 import pytest
 
-from double_harness import suites
+from double_harness import dut, suites
 from double_harness.bus import (
     BleAir,
     GpioLine,
@@ -855,3 +855,33 @@ class TestBleTempSensor:
         sensor.close()
         sched.advance_by(1000)
         assert not air.is_advertising("TempSensor")
+
+
+# ---------------------------------------------------------------------------
+# Fault names
+
+_DRIVERS = {
+    "period_skew_ms": lambda sched, fault: Blinker(GpioLine(), 10, 1, sched, fault),
+    "swap_bcd_nibbles": lambda sched, fault: RtcDriver(I2cBus(), fault),
+    "omit_checksum": lambda sched, fault: GpsDriver(UartLink(sched).a, sched, fault),
+    "drop_first_byte": lambda sched, fault: SpiMaster(SpiBus(sched), fault),
+    "ble_init_delay_ms": lambda sched, fault: BleTempSensor(BleAir(sched), sched, fault),
+}
+
+
+def test_the_drivers_own_exactly_the_shipped_faults():
+    assert tuple(suites.SHIPPED_FAULTS) == dut.FAULTS == tuple(_DRIVERS)
+
+
+@pytest.mark.parametrize("own", list(_DRIVERS))
+@pytest.mark.parametrize("fault", ["misspelt", "", "PERIOD_SKEW_MS"])
+def test_a_driver_refuses_a_fault_name_no_driver_owns(sched, own, fault):
+    """A misspelt name would otherwise build a clean driver without a word."""
+    misspelt = own.replace("_", "", 1) if fault == "misspelt" else fault
+    with pytest.raises(ValueError, match=f"^unknown fault '{misspelt}'$"):
+        _DRIVERS[own](sched, misspelt)
+
+
+def test_the_ble_sensor_refuses_a_misspelt_fault_beside_an_explicit_delay(sched):
+    with pytest.raises(ValueError, match="^unknown fault 'ble_init_delay'$"):
+        BleTempSensor(BleAir(sched), sched, "ble_init_delay", init_delay_ms=0)

@@ -130,7 +130,7 @@ class TestMatchers:
         ],
     )
     def test_fail_text_is_exact(self, rig, matcher, actual, description, failure):
-        assert matcher.describe() == description
+        assert matcher.description == description
         assert matcher.failure_text(actual) == failure
         suite = make_suite(TestCase("test_x", lambda ctx: ctx.expect(actual, matcher)))
         [result] = run_suite(suite, rig.session)

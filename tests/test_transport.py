@@ -46,6 +46,14 @@ from double_harness.transport import (
 )
 
 
+def _generator_err_line(resp):
+    """format_response's ERR line as a per-character generator cleaned it."""
+    line = f"ERR {resp.code} {resp.message}"[:MAX_FRAME_LEN]
+    if not (line.isascii() and line.isprintable()):
+        line = "".join(ch if " " <= ch <= "~" else " " for ch in line)
+    return line.rstrip()
+
+
 class TestGrammar:
     def test_command_lines_match_the_wire_format(self):
         assert format_command(Command("NEW", obj="led", method="Led", args=(13, 10))) == (
@@ -95,6 +103,20 @@ class TestGrammar:
         printable = "".join(map(chr, range(32, 127)))
         line = format_response(err("EXEC", "a\x7fb\tc\u00e9" + printable))
         assert line == "ERR EXEC a b c " + printable
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(
+        st.text(st.characters(exclude_categories=()), max_size=24),
+        st.sampled_from(["x", " ", "\t", "\x7f", "é"]),
+        st.integers(0, MAX_FRAME_LEN),
+    )
+    @example("a\x7fb\tc\u00e9\ud800 ", "x", 0)
+    @example("é ", "x", MAX_FRAME_LEN - len("ERR EXEC "))
+    def test_err_line_cleanup_matches_the_per_character_generator(self, text, pad, width):
+        """Surrogates, controls and non-ASCII included, at any place against
+        the frame limit."""
+        resp = err("EXEC", pad * width + text)
+        assert format_response(resp) == _generator_err_line(resp)
 
     def test_args_may_contain_spaces(self):
         cmd = Command("CALL", obj="gps", method="set_fix", args=("4807.038 N",))
@@ -1217,6 +1239,10 @@ class TestGateAgainstTheStdlib:
     @example([float("nan")])
     @example({(1,): 2})
     @example("é\n\"")
+    @example("")
+    @example("é")
+    @example("\x00")
+    @example("\ud800")
     def test_encode_matches_the_stdlib(self, value):
         assert _outcome(transport._to_json, value) == _outcome(_stdlib_to_json, value)
 
@@ -1364,6 +1390,21 @@ class TestCodecBytes:
         assert parse_command("NEW C o []").args == ()
         assert format_response(Response("OK")) == "OK null"
         assert parse_response("OK null") is transport._OK_NONE
+
+    @pytest.mark.parametrize("result", [None, False, 0, "", [], {}], ids=repr)
+    def test_a_falsy_result_crosses_the_wire_as_its_compact_json(self, result):
+        """Every reply goes through format_response and parse_response, the
+        only code that knows the `OK null` shape, and only None takes it."""
+        controller, device = open_virtual_pair(Scheduler())
+        registry = ObjectRegistry()
+        registry.objects["o"] = types.SimpleNamespace(get=lambda: result)
+        server = serve(device, registry)
+        line = server.handle_line("CALL o.get []")
+        assert line == f"OK {_compact(result)}"
+        assert (line == "OK null") == (result is None)
+        resp = send_command(controller, Command("CALL", "o", "get", ()))
+        assert resp == Response("OK", result)
+        assert type(resp.payload) is type(result)
 
     def test_bytes_arguments_travel_as_int_arrays(self):
         cmd = Command("CALL", "s", "write", (b"\x01\xff", bytearray(b"\x02")))

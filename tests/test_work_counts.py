@@ -188,9 +188,14 @@ def test_one_five_suite_pass_makes_the_pinned_python_calls():
     decodes call the C coder from the package's own _encode and _decode;
     the only json frames left are the decodes' 50 raw_decode calls. A
     driver reads its armed fault from the name the rig passes it, so
-    building the rig makes no call to map that name to a record."""
+    building the rig makes no call to map that name to a record. Every one
+    of the 131 replies goes through format_response and parse_response,
+    the only code that knows `OK null` (112 replies take that shape);
+    every one of the 28 NEWs hands _close_quietly whatever held its name,
+    None included; and each of the 14 drivers built checks its fault name
+    with _armed once."""
     _five_suite_pass()
-    assert _package_work(_five_suite_pass) == {"calls": 6839, "records": 33, "json_calls": 50}
+    assert _package_work(_five_suite_pass) == {"calls": 7105, "records": 33, "json_calls": 50}
 
 
 def _registers(moment: datetime.datetime) -> list[int]:
