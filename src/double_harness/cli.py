@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 
 from . import harness
 from .suites import SHIPPED_FAULTS, SUITE_ORDER, SUITES, build_virtual_rig
-from .transport import DEFAULT_TIMEOUT_MS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,9 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(SHIPPED_FAULTS),
         help="arm one deliberate driver bug",
     )
-    parser.add_argument(
-        "--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS, help="per-command response budget"
-    )
     return parser
 
 
@@ -57,11 +52,7 @@ def main(argv: list[str] | None = None) -> int:
         elif name not in names:
             names.append(name)
 
-    if args.timeout_ms < 1:
-        print(f"{parser.prog}: error: --timeout-ms must be >= 1", file=sys.stderr)
-        return 2
-
-    rig = build_virtual_rig(fault=args.fault, timeout_ms=args.timeout_ms)
+    rig = build_virtual_rig(fault=args.fault)
     all_pass = True
     json_docs = []
     human_chunks = []

@@ -3,10 +3,11 @@
 A complete run has two phases. The setup phase pings both devices, resets
 them, and checks the code manifests are in place; the execution phase runs
 every case in order, resetting both devices between cases so no object
-leaks across. Each case walks the same four steps through its context:
+leaks across. Each case walks the same five steps through its context:
 initialize objects on the devices, inject inputs, gather results, assert
-with matchers. Results carry the recorded inputs and outputs so a verdict
-can always be traced back to what actually went over the wire.
+with matchers, decommission the objects. Results carry the recorded
+inputs and outputs so a verdict can always be traced back to what
+actually went over the wire.
 """
 
 from __future__ import annotations
@@ -251,7 +252,7 @@ def summarize(results: list[TestResult]) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Case context: the four steps as verbs
+# Case context: the five steps as verbs
 
 
 class ObjectHandle:
@@ -471,7 +472,8 @@ def report(results: list[TestResult], *, suite_name: str = "") -> str:
         sim = "-" if result.sim_ms is None else str(result.sim_ms)
         line = (
             f"[{result.verdict:<5}] {result.name}  sim_ms={sim}  "
-            f"inputs={json.dumps(result.inputs)}  outputs={json.dumps(result.outputs)}"
+            f"inputs={json.dumps(result.inputs, default=_transport._wire_value)}  "
+            f"outputs={json.dumps(result.outputs, default=_transport._wire_value)}"
         )
         if result.message:
             line += f"  :: {result.message}"

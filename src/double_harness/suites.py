@@ -32,7 +32,7 @@ from .harness import (
     is_true,
 )
 from .simcore import Scheduler
-from .transport import DEFAULT_TIMEOUT_MS, ObjectRegistry, open_virtual_pair, serve
+from .transport import ObjectRegistry, open_virtual_pair, serve
 
 # Wiring constants: which pin each board uses for the LED line.
 DUT_LED_PIN = 13
@@ -45,7 +45,7 @@ BLINK_COUNT = 2
 BLINK_TOLERANCE_MS = 1.0
 EXPECTED_TOGGLES = 2 * BLINK_COUNT
 # A blocking blink burns the whole pattern inside one call, so that one
-# command gets a patience larger than the default 5000 ms budget.
+# command gets a patience larger than the rig's 5000 ms budget.
 BLINK_CALL_TIMEOUT_MS = BLINK_PERIOD_MS * EXPECTED_TOGGLES + 2000
 BLINK_SETTLE_MS = BLINK_PERIOD_MS * EXPECTED_TOGGLES + 500
 
@@ -162,7 +162,7 @@ class VirtualRig(NamedTuple):
         self.uart.close()
 
 
-def build_virtual_rig(fault: str | None = None, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> VirtualRig:
+def build_virtual_rig(fault: str | None = None) -> VirtualRig:
     """Assemble the simulated DUT + double pair behind two controller endpoints."""
     if fault is not None and fault not in SHIPPED_FAULTS:
         raise KeyError(f"unknown fault {fault!r}; known: {sorted(SHIPPED_FAULTS)}")
@@ -209,8 +209,8 @@ def build_virtual_rig(fault: str | None = None, timeout_ms: int = DEFAULT_TIMEOU
         "BleCentral", lambda: _doubles.BleCentralDouble(air, f"central{next(central_ids)}")
     )
 
-    dut_ctl, dut_dev = open_virtual_pair(scheduler, timeout_ms)
-    double_ctl, double_dev = open_virtual_pair(scheduler, timeout_ms)
+    dut_ctl, dut_dev = open_virtual_pair(scheduler)
+    double_ctl, double_dev = open_virtual_pair(scheduler)
     serve(dut_dev, dut_registry)
     serve(double_dev, double_registry)
 

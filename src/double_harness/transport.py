@@ -334,7 +334,7 @@ class Endpoint:
     role: str
     timeout_ms: int
 
-    def __init__(self, role: str, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> None:
+    def __init__(self, role: str, timeout_ms: int) -> None:
         if role not in ("controller", "device"):
             raise ValueError(f"role must be controller or device, got {role!r}")
         self.role = role
@@ -351,11 +351,13 @@ class VirtualEndpoint(Endpoint):
 
     Timeouts are budgets of *simulated* time: a response produced after the
     clock moved past the deadline counts as silence, exactly like a device
-    that is still busy when the controller gives up.
+    that is still busy when the controller gives up. The budget is always
+    DEFAULT_TIMEOUT_MS; a caller overrides it for one command through
+    send_command's timeout_ms.
     """
 
-    def __init__(self, scheduler: Scheduler, role: str, timeout_ms: int) -> None:
-        super().__init__(role, timeout_ms)
+    def __init__(self, scheduler: Scheduler, role: str) -> None:
+        super().__init__(role, DEFAULT_TIMEOUT_MS)
         self._scheduler = scheduler
         self._rx: deque[tuple[str, int]] = deque()
         self._peer: VirtualEndpoint | None = None
@@ -410,12 +412,10 @@ class VirtualEndpoint(Endpoint):
             self.write_line(reply)
 
 
-def open_virtual_pair(
-    scheduler: Scheduler, timeout_ms: int = DEFAULT_TIMEOUT_MS
-) -> tuple[VirtualEndpoint, VirtualEndpoint]:
+def open_virtual_pair(scheduler: Scheduler) -> tuple[VirtualEndpoint, VirtualEndpoint]:
     """Create a linked (controller, device) endpoint pair on one clock."""
-    controller = VirtualEndpoint(scheduler, "controller", timeout_ms)
-    device = VirtualEndpoint(scheduler, "device", timeout_ms)
+    controller = VirtualEndpoint(scheduler, "controller")
+    device = VirtualEndpoint(scheduler, "device")
     controller._peer = device
     device._peer = controller
     return controller, device

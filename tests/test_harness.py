@@ -534,6 +534,19 @@ class TestReport:
         text = report(self._results(rig, TestCase("test_io", body)), suite_name="demo")
         assert '"Led led": [4, 2]' in text
 
+    def test_bytes_args_read_as_the_int_arrays_the_wire_carried(self, rig):
+        def body(ctx):
+            slave = ctx.new_on_double("SpiSlave", "slave")
+            spi = ctx.new_on_dut("SpiMaster", "spi")
+            ctx.call(slave, "preload_tx", b"\x01\x02")
+            echoed = ctx.call(spi, "write_read", bytearray(b"\x0a\x0b"))
+            ctx.expect(echoed, equal([1, 2]))
+
+        results = self._results(rig, TestCase("test_bytes", body))
+        assert results[0].verdict == PASS
+        text = report(results, suite_name="demo")
+        assert '"slave.preload_tx": [[1, 2]], "spi.write_read": [[10, 11]]' in text
+
     def test_debug_report_interleaves_the_transport_traffic(self, rig):
         def body(ctx):
             ctx.new_on_double("Led", "led", 4, 2)

@@ -3,7 +3,7 @@
 import pytest
 
 from double_harness import suites
-from double_harness.harness import ERROR, PASS, run_suite, summarize
+from double_harness.harness import ERROR, PASS, Suite, TestCase, is_true, run_suite, summarize
 from double_harness.suites import (
     SHIPPED_FAULTS,
     SUITE_ORDER,
@@ -12,8 +12,8 @@ from double_harness.suites import (
 )
 
 
-def run_one(name, fault=None, timeout_ms=5000):
-    rig = build_virtual_rig(fault=fault, timeout_ms=timeout_ms)
+def run_one(name, fault=None):
+    rig = build_virtual_rig(fault=fault)
     try:
         results = run_suite(SUITES[name], rig.session)
     finally:
@@ -106,6 +106,41 @@ class TestFaultSensitivity:
         assert connection.message.startswith("TIMEOUT")
         assert results["test_read"].verdict == PASS
         assert results["test_notify"].verdict == PASS
+
+    def test_a_per_command_budget_outlasts_the_slow_ble_bringup(self):
+        """The faulted bring-up takes 6000 ms: past the rig's 5000 ms budget,
+        within a 7000 ms budget that one gather step asks for."""
+
+        def connection(**budget):
+            def body(ctx):
+                sensor = ctx.new_on_dut("BleTempSensor", "sensor")
+                phone = ctx.new_on_double("BleCentral", "phone")
+                ctx.call(sensor, "start")
+                connected = ctx.gather(
+                    phone, "scan_connect", "TempSensor", suites.BLE_SCAN_PATIENCE_MS, **budget
+                )
+                ctx.expect(connected, is_true())
+
+            return body
+
+        ble = SUITES["ble"]
+        suite = Suite(
+            name="ble",
+            cases=(
+                TestCase("test_connection_within_7000_ms", connection(timeout_ms=7000)),
+                TestCase("test_connection", connection()),
+            ),
+            dut_code=ble.dut_code,
+            double_code=ble.double_code,
+        )
+        rig = build_virtual_rig(fault="ble_init_delay_ms")
+        try:
+            overridden, default = run_suite(suite, rig.session)
+        finally:
+            rig.close()
+        assert overridden.verdict == PASS, overridden.message
+        assert default.verdict == ERROR
+        assert default.message.startswith("TIMEOUT")
 
     def test_period_skew_reads_back_two_ms_long_in_both_modes(self):
         results = run_one("blink", fault="period_skew_ms")

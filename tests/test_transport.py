@@ -306,7 +306,7 @@ class TestVirtualChannel:
 
     def test_an_endpoint_is_a_controller_or_a_device(self, sched):
         with pytest.raises(ValueError, match="role must be controller or device, got 'observer'"):
-            VirtualEndpoint(sched, "observer", 100)
+            VirtualEndpoint(sched, "observer")
 
     def test_frames_written_before_serve_are_answered_first_and_in_order(self, sched):
         registry = ObjectRegistry()
@@ -1467,23 +1467,27 @@ class _SlowRegistry:
 
 
 class TestVirtualTimeout:
+    """A virtual controller's budget is DEFAULT_TIMEOUT_MS (5000 simulated ms);
+    send_command's timeout_ms overrides it for one command."""
+
     def test_device_busy_past_the_budget_times_out(self, sched):
-        controller, device = open_virtual_pair(sched, timeout_ms=5000)
+        controller, device = open_virtual_pair(sched)
+        assert controller.timeout_ms == transport.DEFAULT_TIMEOUT_MS == 5000
         serve(device, _SlowRegistry.build(sched, busy_ms=6000))
         send_command(controller, Command("NEW", obj="s", method="Sluggish", args=()))
-        with pytest.raises(TransportTimeout):
+        with pytest.raises(TransportTimeout, match="within 5000 ms"):
             send_command(controller, Command("CALL", obj="s", method="work", args=()))
 
     def test_response_exactly_at_the_deadline_is_accepted(self, sched):
-        controller, device = open_virtual_pair(sched, timeout_ms=5000)
+        controller, device = open_virtual_pair(sched)
         serve(device, _SlowRegistry.build(sched, busy_ms=5000))
         send_command(controller, Command("NEW", obj="s", method="Sluggish", args=()))
         resp = send_command(controller, Command("CALL", obj="s", method="work", args=()))
         assert resp.payload == "done"
 
     def test_timeout_does_not_corrupt_later_exchanges(self, sched):
-        controller, device = open_virtual_pair(sched, timeout_ms=1000)
-        serve(device, _SlowRegistry.build(sched, busy_ms=2000))
+        controller, device = open_virtual_pair(sched)
+        serve(device, _SlowRegistry.build(sched, busy_ms=6000))
         send_command(controller, Command("NEW", obj="s", method="Sluggish", args=()))
         with pytest.raises(TransportTimeout):
             send_command(controller, Command("CALL", obj="s", method="work", args=()))
@@ -1493,8 +1497,8 @@ class TestVirtualTimeout:
         assert resp.ok
 
     def test_per_call_timeout_override_wins(self, sched):
-        controller, device = open_virtual_pair(sched, timeout_ms=1000)
-        serve(device, _SlowRegistry.build(sched, busy_ms=2000))
+        controller, device = open_virtual_pair(sched)
+        serve(device, _SlowRegistry.build(sched, busy_ms=6000))
         send_command(controller, Command("NEW", obj="s", method="Sluggish", args=()))
         resp = send_command(
             controller, Command("CALL", obj="s", method="work", args=()), timeout_ms=10_000
