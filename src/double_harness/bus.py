@@ -2,8 +2,9 @@
 
 A GPIO line with an edge log, an I2C bus with addressed devices, a UART
 link, an SPI bus, and a BLE "air" medium. All of them are logical
-transaction models (values and timing, not waveforms), timestamped by the
-shared Scheduler.
+transaction models (values and timing, not waveforms). The UART link and
+the BLE air wait in the shared Scheduler's simulated time, and a GPIO edge
+carries the time its writer gives; an I2C or SPI transaction takes no time.
 """
 
 from __future__ import annotations
@@ -282,16 +283,14 @@ SpiSlaveHandler = Callable[[bytes], bytes]
 
 
 class SpiBus:
-    """Single-slave SPI bus with full-duplex, CS-gated transfers.
+    """Single-slave SPI bus: each transfer is full-duplex and CS-gated.
 
-    Every transfer is logged as (mosi, miso, time); |mosi| always equals
-    |miso|. With no slave attached the MISO line floats low (0x00).
+    |mosi| always equals |miso|. With no slave attached the MISO line
+    floats low (0x00).
     """
 
-    def __init__(self, scheduler: Scheduler) -> None:
-        self.scheduler = scheduler
+    def __init__(self) -> None:
         self.cs_asserted = False
-        self.transfers: list[tuple[bytes, bytes, SimTime]] = []
         self._slave: SpiSlaveHandler | None = None
 
     def set_slave(self, handler: SpiSlaveHandler) -> None:
@@ -320,7 +319,6 @@ class SpiBus:
             miso = bytes(self._slave(mosi))
             if len(miso) != len(mosi):
                 raise BusError(f"slave returned {len(miso)} bytes for {len(mosi)} clocked")
-        self.transfers.append((mosi, miso, self.scheduler.now))
         return miso
 
 

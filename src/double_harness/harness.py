@@ -16,6 +16,7 @@ import json
 import time
 from collections import namedtuple
 from functools import partial
+from operator import is_
 from typing import Any, Callable, NamedTuple
 
 from . import transport as _transport
@@ -254,6 +255,27 @@ def summarize(results: list[TestResult]) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 # Case context: the five steps as verbs
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _wire_form(value: Any) -> Any:
+    """value as the wire carried it: each bytes or bytearray in it, at any
+    depth, becomes the int array that transport._wire_value makes for the
+    encoder. A value that holds none is returned as it is."""
+    if isinstance(value, (bytes, bytearray)):
+        return _transport._wire_value(value)
+    if isinstance(value, (list, tuple)):
+        if _SCALARS.issuperset(map(type, value)):
+            return value
+        items = [_wire_form(v) for v in value]
+        return value if all(map(is_, items, value)) else items
+    if isinstance(value, dict):
+        if _SCALARS.issuperset(map(type, value.values())):
+            return value
+        items = {key: _wire_form(v) for key, v in value.items()}
+        return value if all(map(is_, items.values(), value.values())) else items
+    return value
+
 
 class ObjectHandle:
     """Remote object reference returned by the init verbs."""
@@ -291,7 +313,7 @@ class CaseContext:
     ) -> Any:
         cmd = _new_record(Command, ("CALL", handle.name, method, args))
         value = _send(handle.link, cmd, timeout_ms).payload
-        self._record(self.inputs, f"{handle.name}.{method}", list(args))
+        self._record(self.inputs, f"{handle.name}.{method}", _wire_form(list(args)))
         return value
 
     # step 3: results gathering
@@ -324,7 +346,7 @@ class CaseContext:
 
     def _new(self, link: DeviceLink, cls: str, name: str, args: tuple) -> ObjectHandle:
         _send(link, _new_record(Command, ("NEW", name, cls, args)))
-        self._record(self.inputs, f"{cls} {name}", list(args))
+        self._record(self.inputs, f"{cls} {name}", _wire_form(list(args)))
         handle = ObjectHandle(name, link)
         self.handles.append(handle)
         return handle
@@ -472,8 +494,8 @@ def report(results: list[TestResult], *, suite_name: str = "") -> str:
         sim = "-" if result.sim_ms is None else str(result.sim_ms)
         line = (
             f"[{result.verdict:<5}] {result.name}  sim_ms={sim}  "
-            f"inputs={json.dumps(result.inputs, default=_transport._wire_value)}  "
-            f"outputs={json.dumps(result.outputs, default=_transport._wire_value)}"
+            f"inputs={json.dumps(result.inputs)}  "
+            f"outputs={json.dumps(result.outputs)}"
         )
         if result.message:
             line += f"  :: {result.message}"

@@ -154,7 +154,7 @@ class VirtualRig(NamedTuple):
 
         Afterwards no reference cycle is left inside the rig, so it is freed
         by reference counting once the last reference to it drops. The
-        session's log, the line's edges and the SPI transfers stay readable.
+        session's log and the line's edges stay readable.
         """
         for link in (self.session.dut, self.session.double):
             link.registry.decommission_all()
@@ -171,7 +171,7 @@ def build_virtual_rig(fault: str | None = None) -> VirtualRig:
     led_line = GpioLine()
     i2c = I2cBus()
     uart = UartLink(scheduler)
-    spi = SpiBus(scheduler)
+    spi = SpiBus()
     air = BleAir(scheduler)
 
     dut_pins = {DUT_LED_PIN: led_line}

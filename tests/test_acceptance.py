@@ -263,8 +263,7 @@ def test_criterion_07_spi_conservation_and_pad_rule():
     with criterion(7, "1000 random SPI sequences conserve bytes; reads pad 0x00"):
         rng = random.Random(777)
         for _ in range(N_SPI_SEQUENCES):
-            sched = Scheduler()
-            spi = SpiBus(sched)
+            spi = SpiBus()
             slave = SpiSlaveDouble(spi)
             master = SpiMaster(spi)
             expected_rx = []

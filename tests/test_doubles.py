@@ -1020,32 +1020,32 @@ class TestNmeaHelpers:
 
 
 class TestSpiSlaveDouble:
-    def test_preload_is_served_in_order(self, sched):
-        spi = SpiBus(sched)
+    def test_preload_is_served_in_order(self):
+        spi = SpiBus()
         slave = SpiSlaveDouble(spi)
         slave.preload_tx([1, 2, 3])
         spi.assert_cs()
         assert spi.transfer(bytes(3)) == bytes([1, 2, 3])
 
-    def test_exhausted_fifo_pads_with_zeros(self, sched):
-        spi = SpiBus(sched)
+    def test_exhausted_fifo_pads_with_zeros(self):
+        spi = SpiBus()
         slave = SpiSlaveDouble(spi)
         slave.preload_tx([0xAA, 0xBB])
         spi.assert_cs()
         assert spi.transfer(bytes(5)) == bytes([0xAA, 0xBB, 0, 0, 0])
 
-    def test_rx_log_captures_and_clears(self, sched):
-        spi = SpiBus(sched)
+    def test_rx_log_captures_and_clears(self):
+        spi = SpiBus()
         slave = SpiSlaveDouble(spi)
         spi.assert_cs()
         spi.transfer(bytes([9, 9]))
         assert slave.get_rx() == [9, 9]
         assert slave.get_rx() == []
 
-    def test_rx_log_equals_all_mosi_bytes_in_order(self, sched):
+    def test_rx_log_equals_all_mosi_bytes_in_order(self):
         """Property: conservation between transfers and the captured log."""
         rng = random.Random(17)
-        spi = SpiBus(sched)
+        spi = SpiBus()
         slave = SpiSlaveDouble(spi)
         sent = []
         spi.assert_cs()

@@ -667,8 +667,8 @@ def test_gps_latitude_counts_a_bad_line_and_reads_the_next(gps_drv, bad):
 
 
 @pytest.fixture
-def spi_pair(sched):
-    spi = SpiBus(sched)
+def spi_pair():
+    spi = SpiBus()
     slave = SpiSlaveDouble(spi)
     return SpiMaster(spi), slave, spi
 
@@ -700,23 +700,23 @@ class TestSpiMaster:
         slave.preload_tx([5, 6])
         assert master.read(5) == [5, 6, 0, 0, 0]
 
-    def test_drop_first_byte_fault_shifts_reads(self, sched):
+    def test_drop_first_byte_fault_shifts_reads(self):
         """Faulted read(2) of [0x12, 0x34] comes back as [0x34, 0x00]."""
-        spi = SpiBus(sched)
+        spi = SpiBus()
         slave = SpiSlaveDouble(spi)
         master = SpiMaster(spi, fault="drop_first_byte")
         slave.preload_tx([0x12, 0x34])
         assert master.read(2) == [0x34, 0x00]
 
     def test_read_up_to_the_limit_is_served(self, spi_pair):
-        master, _, spi = spi_pair
+        master, slave, _ = spi_pair
         assert master.read(MAX_SPI_READ) == [0] * MAX_SPI_READ
-        assert len(spi.transfers[-1][0]) == MAX_SPI_READ
+        assert slave.get_rx() == [0] * MAX_SPI_READ
 
-    def test_random_write_read_conservation(self, sched):
+    def test_random_write_read_conservation(self):
         """Property: the slave's log is exactly the concatenated writes."""
         rng = random.Random(101)
-        spi = SpiBus(sched)
+        spi = SpiBus()
         slave = SpiSlaveDouble(spi)
         master = SpiMaster(spi)
         written = []
@@ -744,9 +744,17 @@ class TestSpiMaster:
     ],
     ids=["write-int", "preload-int", "write_read-int", "read-bool", "read-huge", "read-past-limit"],
 )
-def test_spi_wire_arguments_out_of_shape_are_refused_before_a_byte_moves(rig, step):
+def test_spi_wire_arguments_out_of_shape_are_refused_before_a_byte_moves(rig, step, monkeypatch):
     """bytes(n) of an int n is n zero bytes: an int where a byte list belongs,
     or a read longer than any reply frame holds, must not clock anything."""
+    transfers = []
+    transfer = SpiBus.transfer
+
+    def counted(spi, mosi):
+        transfers.append(mosi)
+        return transfer(spi, mosi)
+
+    monkeypatch.setattr(SpiBus, "transfer", counted)
 
     def send(device, verb, obj, method=None, *args):
         return send_command(getattr(rig.session, device).endpoint, Command(verb, obj, method, args))
@@ -756,11 +764,12 @@ def test_spi_wire_arguments_out_of_shape_are_refused_before_a_byte_moves(rig, st
     assert send("double", "CALL", "slave", "preload_tx", [1, 2]).ok
     assert send("dut", "CALL", "master", "write", [9]).ok
     slave = rig.session.double.registry.objects["slave"]
-    before = (len(rig.spi.transfers), bytes(slave.rx_log), bytes(slave.tx_fifo))
+    before = (len(transfers), bytes(slave.rx_log), bytes(slave.tx_fifo))
+    assert before == (1, b"\x09", b"\x02")
     device, obj, method, arg = step
     resp = send(device, "CALL", obj, method, arg)
     assert resp.code == "EXEC" and resp.message.startswith("ValueError: "), resp
-    assert (len(rig.spi.transfers), bytes(slave.rx_log), bytes(slave.tx_fifo)) == before
+    assert (len(transfers), bytes(slave.rx_log), bytes(slave.tx_fifo)) == before
 
 
 # ---------------------------------------------------------------------------
@@ -864,7 +873,7 @@ _DRIVERS = {
     "period_skew_ms": lambda sched, fault: Blinker(GpioLine(), 10, 1, sched, fault),
     "swap_bcd_nibbles": lambda sched, fault: RtcDriver(I2cBus(), fault),
     "omit_checksum": lambda sched, fault: GpsDriver(UartLink(sched).a, sched, fault),
-    "drop_first_byte": lambda sched, fault: SpiMaster(SpiBus(sched), fault),
+    "drop_first_byte": lambda sched, fault: SpiMaster(SpiBus(), fault),
     "ble_init_delay_ms": lambda sched, fault: BleTempSensor(BleAir(sched), sched, fault),
 }
 

@@ -546,6 +546,36 @@ class TestReport:
         assert results[0].verdict == PASS
         text = report(results, suite_name="demo")
         assert '"slave.preload_tx": [[1, 2]], "spi.write_read": [[10, 11]]' in text
+        # The record itself holds the wire form, so the machine report needs no hook.
+        doc = json.loads(json.dumps(suite_report_dict("demo", results)))
+        inputs = text.split("inputs=", 1)[1].split("  outputs=", 1)[0]
+        assert doc["results"][0]["inputs"] == json.loads(inputs)
+
+    def test_bytes_at_any_depth_are_recorded_as_int_arrays(self, sched):
+        class Sink:
+            def take(self, *values):
+                return len(values)
+
+        links = []
+        for label in ("dut", "double"):
+            controller, device = open_virtual_pair(sched)
+            registry = ObjectRegistry()
+            registry.register_class("Sink", Sink)
+            serve(device, registry)
+            links.append(DeviceLink(label, controller))
+        nested = [b"\x01", (bytearray(b"\x02"), 3)], {"k": [b"\x04"], "n": None}, "s"
+        plain = [[1, 2], (3, ["x"])], {"k": [4]}, {"n": None}
+
+        def body(ctx):
+            sink = ctx.new_on_dut("Sink", "sink")
+            ctx.call(sink, "take", *nested)
+            ctx.call(sink, "take", *plain)
+
+        (result,) = run_suite(make_suite(TestCase("test_nested", body)), Session(*links, sched))
+        assert result.verdict == PASS
+        assert result.inputs["sink.take"] == [[[1], [[2], 3]], {"k": [[4]], "n": None}, "s"]
+        recorded = result.inputs["sink.take#2"]  # no bytes: the args as they were passed
+        assert recorded == list(plain) and all(r is p for r, p in zip(recorded, plain))
 
     def test_debug_report_interleaves_the_transport_traffic(self, rig):
         def body(ctx):

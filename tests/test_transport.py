@@ -142,6 +142,32 @@ class TestGrammar:
         with pytest.raises(ProtocolError):
             check_frame("café")
 
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(
+        st.builds(
+            lambda pad, width, text: pad * width + text,
+            st.sampled_from(["x", " ", "~", "\t", "\n", "\x7f", "\xa0", "é", "\ud800"]),
+            st.integers(0, MAX_FRAME_LEN + 1),
+            st.text(st.characters(exclude_categories=()), max_size=8),
+        )
+    )
+    @example("\x7f")
+    @example("é")
+    @example("\ud800")
+    @example("\xa0")
+    @example("\t")
+    @example("\n")
+    @example("x" * MAX_FRAME_LEN)
+    @example("x" * (MAX_FRAME_LEN + 1))
+    def test_a_frame_is_at_most_the_limit_of_printable_ascii(self, line):
+        """check_frame refuses exactly the lines that str's own predicates
+        refuse, surrogates, controls and non-ASCII included."""
+        if len(line) <= MAX_FRAME_LEN and line.isascii() and line.isprintable():
+            assert check_frame(line) is line
+        else:
+            with pytest.raises(ProtocolError):
+                check_frame(line)
+
     def test_roundtrip_over_generated_commands(self):
         """Property: parse(format(cmd)) == cmd for well-formed commands."""
         rng = random.Random(42)

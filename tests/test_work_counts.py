@@ -192,10 +192,12 @@ def test_one_five_suite_pass_makes_the_pinned_python_calls():
     of the 131 replies goes through format_response and parse_response,
     the only code that knows `OK null` (112 replies take that shape);
     every one of the 28 NEWs hands _close_quietly whatever held its name,
-    None included; and each of the 14 drivers built checks its fault name
-    with _armed once."""
+    None included; each of the 14 drivers built checks its fault name
+    with _armed once; and each of the 50 NEW and CALL steps of a case
+    records its args through _wire_form, which looks into each of the 6
+    lists among them once and finds no bytes."""
     _five_suite_pass()
-    assert _package_work(_five_suite_pass) == {"calls": 7105, "records": 33, "json_calls": 50}
+    assert _package_work(_five_suite_pass) == {"calls": 7161, "records": 33, "json_calls": 50}
 
 
 def _registers(moment: datetime.datetime) -> list[int]:
