@@ -88,7 +88,7 @@ def within(low: Any, high: Any) -> Matcher:
 
 
 def is_true() -> Matcher:
-    return Matcher("is_true()", "expected=None", bool)
+    return Matcher("is_true()", "expected truthy", bool)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,6 @@ class TestResult:
         outputs: dict[str, Any] | None = None,
         message: str = "",
         sim_ms: int | None = None,
-        wall_ms: float = 0.0,
         checks: list[CheckRecord] | None = None,
     ) -> None:
         self.name = name
@@ -234,14 +233,13 @@ class TestResult:
         self.outputs = {} if outputs is None else outputs
         self.message = message
         self.sim_ms = sim_ms
-        self.wall_ms = wall_ms
         self.checks = [] if checks is None else checks
 
     def to_dict(self) -> dict[str, Any]:
         return {key: getattr(self, key) for key in _REPORT_KEYS}
 
 
-_REPORT_KEYS = ("name", "verdict", "inputs", "outputs", "message", "sim_ms", "wall_ms")
+_REPORT_KEYS = ("name", "verdict", "inputs", "outputs", "message", "sim_ms")
 
 
 def summarize(results: list[TestResult]) -> dict[str, int]:
@@ -389,7 +387,6 @@ def _send(link: DeviceLink, cmd: Command, timeout_ms: int | None = None) -> Resp
 def _run_case(case: TestCase, session: Session) -> TestResult:
     ctx = CaseContext(session)
     sim_start = session.sim_now()
-    wall_start = time.perf_counter()
     verdict = PASS
     message = ""
     try:
@@ -422,7 +419,6 @@ def _run_case(case: TestCase, session: Session) -> TestResult:
         outputs=ctx.outputs,
         message=message,
         sim_ms=session.sim_now() - sim_start,
-        wall_ms=round((time.perf_counter() - wall_start) * 1000.0, 3),
         checks=ctx.checks,
     )
 

@@ -503,11 +503,14 @@ def send_command(ep: Endpoint, cmd: Command, timeout_ms: int | None = None) -> R
     Returns the parsed Response (including ERR responses). Raises
     TransportTimeout when the device stays silent past the budget; on a
     virtual channel a response stamped later than the budget in simulated
-    time counts as silence and is discarded.
+    time counts as silence and is discarded. A budget that is not an int
+    >= 0 raises ValueError before anything is sent.
     """
     if ep.role != "controller":
         raise TransportError("send_command requires a controller endpoint")
     budget = ep.timeout_ms if timeout_ms is None else timeout_ms
+    if type(budget) is not int or budget < 0:  # type(), not isinstance: True is no budget
+        raise ValueError(f"timeout_ms must be an int >= 0, got {budget!r}")
     started = ep.sim_now()
     line = format_command(cmd)
     ep.write_line(line)

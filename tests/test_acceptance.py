@@ -318,15 +318,8 @@ def test_criterion_09_harness_sensitivity_and_specificity():
 # ---------------------------------------------------------------------------
 
 
-def _strip_wall(doc):
-    for suite in doc:
-        for result in suite["results"]:
-            result.pop("wall_ms", None)
-    return doc
-
-
 def test_criterion_10_byte_identical_json_runs():
-    with criterion(10, "two CLI runs differ only in wall-clock duration fields"):
+    with criterion(10, "two CLI runs are byte-identical"):
         argv = [sys.executable, "-m", "double_harness", "--suite", "all", "--format", "json"]
         outputs = []
         for hash_seed in ("1", "2"):  # also prove hash-order independence
@@ -337,10 +330,7 @@ def test_criterion_10_byte_identical_json_runs():
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
 
-        stripped = [
-            json.dumps(_strip_wall(json.loads(out)), sort_keys=False) for out in outputs
-        ]
-        assert stripped[0] == stripped[1]
+        assert outputs[0] == outputs[1]
         docs = json.loads(outputs[0])
         assert [d["suite"] for d in docs] == list(SUITE_ORDER)
         assert all(

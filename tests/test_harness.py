@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from double_harness import cli, harness, transport
 from double_harness.harness import (
     ERROR,
     FAIL,
@@ -27,7 +28,7 @@ from double_harness.harness import (
     within,
 )
 from double_harness.simcore import Scheduler
-from double_harness.suites import SUITES
+from double_harness.suites import SUITE_ORDER, SUITES, build_virtual_rig
 from double_harness.transport import (
     MAX_FRAME_LEN,
     Command,
@@ -126,7 +127,7 @@ class TestMatchers:
             ),
             (within(1, 3), 3.1, "within(1, 3)", "expected within [1, 3] actual=3.1"),
             (within("a", "c"), "d", "within('a', 'c')", "expected within ['a', 'c'] actual='d'"),
-            (is_true(), 0, "is_true()", "expected=None actual=0"),
+            (is_true(), 0, "is_true()", "expected truthy actual=0"),
         ],
     )
     def test_fail_text_is_exact(self, rig, matcher, actual, description, failure):
@@ -319,6 +320,26 @@ class TestSession:
         session.sleep(5)
         assert time.perf_counter() - started >= 0.005
         assert (session.sim_now(), sched.now) == (0, 0)
+
+    def test_a_virtual_run_reads_no_wall_clock(self, monkeypatch, capsys):
+        """Only the real-board paths, Session.sleep without a scheduler and
+        SerialEndpoint, may touch the time module; a virtual run never does."""
+
+        class NoClock:
+            def __getattr__(self, name):  # every name a time module has
+                raise AssertionError(f"a virtual run read time.{name}")
+
+        for module in (harness, transport):
+            monkeypatch.setattr(module, "time", NoClock())
+        rig = build_virtual_rig()
+        try:
+            verdicts = [r.verdict for name in SUITE_ORDER for r in run_suite(SUITES[name], rig.session)]
+        finally:
+            rig.close()
+        assert verdicts and set(verdicts) == {PASS}
+        assert cli.main(["--format", "json"]) == 0
+        docs = json.loads(capsys.readouterr().out)
+        assert {r["verdict"] for doc in docs for r in doc["results"]} == {PASS}
 
 
 class _SlowClose:
@@ -597,9 +618,7 @@ class TestReport:
         doc = json.loads(json.dumps(suite_report_dict("demo", results), indent=2))
         assert set(doc) == {"suite", "results", "summary"}
         assert doc["suite"] == "demo"
-        assert set(doc["results"][0]) == {
-            "name", "verdict", "inputs", "outputs", "message", "sim_ms", "wall_ms",
-        }
+        assert set(doc["results"][0]) == {"name", "verdict", "inputs", "outputs", "message", "sim_ms"}
         assert doc["summary"] == {"passed": 1, "failed": 0, "errors": 0}
 
     def test_summarize_counts(self):

@@ -1531,6 +1531,19 @@ class TestVirtualTimeout:
         )
         assert resp.payload == "done"
 
+    @pytest.mark.parametrize("timeout_ms", [-1, True, False, 1.0, 0.5, "5"], ids=repr)
+    def test_a_budget_not_an_int_at_least_0_is_refused_before_anything_is_sent(
+        self, rig, timeout_ms
+    ):
+        cmd = Command("NEW", obj="s", method="SpiSlave", args=())
+        with pytest.raises(ValueError, match="timeout_ms must be an int >= 0"):
+            send_command(rig.session.double.endpoint, cmd, timeout_ms)
+        assert rig.session.double.registry.objects == {}
+        assert rig.session.log.entries == []
+
+    def test_a_zero_budget_takes_a_reply_at_the_same_sim_time(self, rig):
+        assert send_command(rig.session.double.endpoint, Command("PING"), 0).ok
+
 
 class _FakePort:
     """Loopback SerialPortLike used to exercise the adapter."""
