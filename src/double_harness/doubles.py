@@ -1,9 +1,10 @@
 """Peripheral impostors that sit on the far side of the virtual buses.
 
 Each class mimics one external part well enough that the driver talking to
-it cannot tell it from the real thing: an edge-counting LED listener, a
-DS3231-style RTC with BCD registers, a NEO-6M-style GPS emitting NMEA
-sentences, a generic SPI slave, and a BLE central playing smartphone.
+it cannot tell it from the real thing: an LED that times its window of
+the GPIO line's edge log (it subscribes to nothing), a DS3231-style RTC
+with BCD registers, a NEO-6M-style GPS emitting NMEA sentences, a generic
+SPI slave, and a BLE central playing smartphone.
 All of them expose plain methods so they can be instantiated and driven
 remotely through the command channel.
 """
@@ -32,7 +33,7 @@ class NotifyTimeoutError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# LED listener (GPIO)
+# LED (reads the GPIO line's edge log)
 
 
 class LedDouble:

@@ -16,7 +16,6 @@ import json
 import time
 from collections import namedtuple
 from functools import partial
-from operator import is_
 from typing import Any, Callable, NamedTuple
 
 from . import transport as _transport
@@ -253,25 +252,18 @@ def summarize(results: list[TestResult]) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 # Case context: the five steps as verbs
 
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-
 
 def _wire_form(value: Any) -> Any:
-    """value as the wire carried it: each bytes or bytearray in it, at any
-    depth, becomes the int array that transport._wire_value makes for the
-    encoder. A value that holds none is returned as it is."""
+    """A copy of value as the wire carried it: each bytes or bytearray in it,
+    at any depth, becomes the int array that transport._wire_value makes for
+    the encoder, each list or tuple a new list and each dict a new dict. So
+    a body that changes a value after its step leaves the record as sent."""
     if isinstance(value, (bytes, bytearray)):
         return _transport._wire_value(value)
     if isinstance(value, (list, tuple)):
-        if _SCALARS.issuperset(map(type, value)):
-            return value
-        items = [_wire_form(v) for v in value]
-        return value if all(map(is_, items, value)) else items
+        return [_wire_form(v) for v in value]
     if isinstance(value, dict):
-        if _SCALARS.issuperset(map(type, value.values())):
-            return value
-        items = {key: _wire_form(v) for key, v in value.items()}
-        return value if all(map(is_, items.values(), value.values())) else items
+        return {key: _wire_form(v) for key, v in value.items()}
     return value
 
 
@@ -295,6 +287,7 @@ class CaseContext:
         self.outputs: dict[str, Any] = {}
         self.checks: list[CheckRecord] = []
         self.handles: list[ObjectHandle] = []
+        self._failure = ""  # the first failing check's FAIL message
 
     # step 1: initialization
 
@@ -311,7 +304,7 @@ class CaseContext:
     ) -> Any:
         cmd = _new_record(Command, ("CALL", handle.name, method, args))
         value = _send(handle.link, cmd, timeout_ms).payload
-        self._record(self.inputs, f"{handle.name}.{method}", _wire_form(list(args)))
+        self._record(self.inputs, f"{handle.name}.{method}", _wire_form(args))
         return value
 
     # step 3: results gathering
@@ -321,14 +314,18 @@ class CaseContext:
     ) -> Any:
         cmd = _new_record(Command, ("CALL", handle.name, method, args))
         value = _send(handle.link, cmd, timeout_ms).payload
-        self._record(self.outputs, f"{handle.name}.{method}", value)
+        self._record(self.outputs, f"{handle.name}.{method}", _wire_form(value))
         return value
 
     # step 4: asserts
 
     def expect(self, actual: Any, matcher: Matcher) -> bool:
+        """Check actual now. The first failing check's message is written
+        here, so it shows actual as checked, whatever the body does after."""
         passed = matcher.check(actual)
         self.checks.append(CheckRecord(matcher, actual, passed))
+        if not (passed or self._failure):
+            self._failure = f"{matcher.description} failed: {matcher.failure_text(actual)}"
         return passed
 
     # step 5 and utilities
@@ -344,7 +341,7 @@ class CaseContext:
 
     def _new(self, link: DeviceLink, cls: str, name: str, args: tuple) -> ObjectHandle:
         _send(link, _new_record(Command, ("NEW", name, cls, args)))
-        self._record(self.inputs, f"{cls} {name}", _wire_form(list(args)))
+        self._record(self.inputs, f"{cls} {name}", _wire_form(args))
         handle = ObjectHandle(name, link)
         self.handles.append(handle)
         return handle
@@ -398,11 +395,9 @@ def _run_case(case: TestCase, session: Session) -> TestResult:
         verdict = ERROR
         message = f"INTERNAL: {type(exc).__name__}: {exc}"
     if verdict == PASS:
-        failures = [c for c in ctx.checks if not c.passed]
-        if failures:
+        if ctx._failure:
             verdict = FAIL
-            first = failures[0]
-            message = f"{first.matcher.description} failed: {first.matcher.failure_text(first.actual)}"
+            message = ctx._failure
         # Step 5: decommission whatever the body left alive. Skipped after an
         # error, like a run that lost its device mid-case; the inter-case
         # RESET cleans up instead.

@@ -38,7 +38,7 @@ from .transport import ObjectRegistry, open_virtual_pair, serve
 DUT_LED_PIN = 13
 DOUBLE_LED_PIN = 4
 
-# Blink parameters. The period is the toggle interval, so the listener's
+# Blink parameters. The period is the toggle interval, so the LED double's
 # average should read it back exactly; tolerance on that average is 1 ms.
 BLINK_PERIOD_MS = 2000
 BLINK_COUNT = 2

@@ -1,4 +1,4 @@
-"""Peripheral impostors: LED listener, RTC registers, GPS talker, SPI slave, BLE central."""
+"""Peripheral impostors: LED edge window, RTC registers, GPS talker, SPI slave, BLE central."""
 
 import datetime
 import random

@@ -46,6 +46,23 @@ def _circular():
     return value
 
 
+class Sink:
+    def take(self, *values):
+        return len(values)
+
+
+def sink_session(sched):
+    """A session whose two devices each host only Sink."""
+    links = []
+    for label in ("dut", "double"):
+        controller, device = open_virtual_pair(sched)
+        registry = ObjectRegistry()
+        registry.register_class("Sink", Sink)
+        serve(device, registry)
+        links.append(DeviceLink(label, controller))
+    return Session(*links, sched)
+
+
 def make_suite(*cases, name="demo"):
     return Suite(
         name=name,
@@ -506,6 +523,82 @@ class TestTransportLogInvariants:
             assert directions == ["send", "recv"] * (len(directions) // 2)
 
 
+def _wire(session, command):
+    """The JSON args of the first logged line that starts with `command `,
+    and the JSON payload of the OK reply that its device logged next."""
+    entries = session.log.entries
+    at = next(i for i, entry in enumerate(entries) if entry[3].startswith(command + " "))
+    line, device = entries[at][3], entries[at][1]
+    reply = next(entry[3] for entry in entries[at + 1 :] if entry[1] == device)
+    return json.loads(line[len(command) + 1 :]), json.loads(reply.removeprefix("OK "))
+
+
+class TestRecordsAreSnapshotsOfTheWire:
+    """A result holds what crossed the wire when it crossed: a body that
+    changes a list after its step, or after a failing check, leaves the
+    report as the TransportLog line reads."""
+
+    def _spi_case(self, rig, body):
+        def case(ctx):
+            slave = ctx.new_on_double("SpiSlave", "slave")
+            master = ctx.new_on_dut("SpiMaster", "master")
+            body(ctx, master, slave)
+
+        (result,) = run_suite(make_suite(TestCase("test_spi", case)), rig.session)
+        return result, report([result])
+
+    def test_a_list_changed_after_call_is_reported_as_sent(self, rig):
+        def body(ctx, master, slave):
+            data = [7, 8, 9]
+            ctx.call(master, "write", data)
+            data.append(99)
+
+        result, text = self._spi_case(rig, body)
+        sent, _ = _wire(rig.session, "CALL master.write")
+        assert sent == [[7, 8, 9]]
+        assert result.inputs["master.write"] == sent
+        assert f'"master.write": {json.dumps(sent)}' in text
+
+    def test_a_gathered_list_changed_after_gather_is_reported_as_received(self, rig):
+        def body(ctx, master, slave):
+            ctx.call(master, "write", [7, 8, 9])
+            ctx.gather(slave, "get_rx").append(99)
+
+        result, text = self._spi_case(rig, body)
+        _, received = _wire(rig.session, "CALL slave.get_rx")
+        assert received == [7, 8, 9]
+        assert result.outputs == {"slave.get_rx": received}
+        assert f"outputs={json.dumps(result.outputs)}" in text
+
+    def test_a_list_changed_after_a_failing_check_leaves_the_message_as_checked(self, rig):
+        def body(ctx, master, slave):
+            ctx.call(master, "write", [7, 8, 9])
+            received = ctx.gather(slave, "get_rx")
+            ctx.expect(received, equal([7, 8]))
+            received.append(99)
+
+        result, text = self._spi_case(rig, body)
+        _, received = _wire(rig.session, "CALL slave.get_rx")
+        assert result.verdict == FAIL
+        assert result.message == f"equal([7, 8]) failed: expected=[7, 8] actual={received!r}"
+        assert text.endswith(f":: {result.message}\n0 passed, 1 failed, 0 errors")
+
+    def test_a_bytes_arg_is_recorded_as_the_int_array_the_wire_carried(self, sched):
+        session = sink_session(sched)
+
+        def body(ctx):
+            sink = ctx.new_on_dut("Sink", "sink")
+            tail = [9]
+            ctx.call(sink, "take", b"\x07\x08", tail)
+            tail.append(99)
+
+        (result,) = run_suite(make_suite(TestCase("test_bytes", body)), session)
+        sent, _ = _wire(session, "CALL sink.take")
+        assert sent == [[7, 8], [9]]
+        assert result.inputs["sink.take"] == sent
+        assert f'"sink.take": {json.dumps(sent)}' in report([result])
+
+
 class TestVerdictSoundness:
     def test_replaying_recorded_checks_reproduces_the_verdict(self, rig):
         def mixed(ctx):
@@ -573,17 +666,6 @@ class TestReport:
         assert doc["results"][0]["inputs"] == json.loads(inputs)
 
     def test_bytes_at_any_depth_are_recorded_as_int_arrays(self, sched):
-        class Sink:
-            def take(self, *values):
-                return len(values)
-
-        links = []
-        for label in ("dut", "double"):
-            controller, device = open_virtual_pair(sched)
-            registry = ObjectRegistry()
-            registry.register_class("Sink", Sink)
-            serve(device, registry)
-            links.append(DeviceLink(label, controller))
         nested = [b"\x01", (bytearray(b"\x02"), 3)], {"k": [b"\x04"], "n": None}, "s"
         plain = [[1, 2], (3, ["x"])], {"k": [4]}, {"n": None}
 
@@ -592,11 +674,11 @@ class TestReport:
             ctx.call(sink, "take", *nested)
             ctx.call(sink, "take", *plain)
 
-        (result,) = run_suite(make_suite(TestCase("test_nested", body)), Session(*links, sched))
+        (result,) = run_suite(make_suite(TestCase("test_nested", body)), sink_session(sched))
         assert result.verdict == PASS
         assert result.inputs["sink.take"] == [[[1], [[2], 3]], {"k": [[4]], "n": None}, "s"]
-        recorded = result.inputs["sink.take#2"]  # no bytes: the args as they were passed
-        assert recorded == list(plain) and all(r is p for r, p in zip(recorded, plain))
+        # no bytes: the args in new lists and dicts, a tuple as a list
+        assert result.inputs["sink.take#2"] == [[[1, 2], [3, ["x"]]], {"k": [4]}, {"n": None}]
 
     def test_debug_report_interleaves_the_transport_traffic(self, rig):
         def body(ctx):

@@ -193,11 +193,12 @@ def test_one_five_suite_pass_makes_the_pinned_python_calls():
     the only code that knows `OK null` (112 replies take that shape);
     every one of the 28 NEWs hands _close_quietly whatever held its name,
     None included; each of the 14 drivers built checks its fault name
-    with _armed once; and each of the 50 NEW and CALL steps of a case
-    records its args through _wire_form, which looks into each of the 6
-    lists among them once and finds no bytes."""
+    with _armed once; and each of the 50 NEW and CALL steps and the 15
+    gathers of a case records a copy through _wire_form, which is called
+    once per value at any depth: 165 calls, for the 50 args tuples, the
+    15 payloads and the 100 values inside them, none of them bytes."""
     _five_suite_pass()
-    assert _package_work(_five_suite_pass) == {"calls": 7161, "records": 33, "json_calls": 50}
+    assert _package_work(_five_suite_pass) == {"calls": 7270, "records": 33, "json_calls": 50}
 
 
 def _registers(moment: datetime.datetime) -> list[int]:
