@@ -270,9 +270,11 @@ def split_sentence(line: str) -> str | None:
     return body
 
 
-# ASCII digits only: \d and int() take any Unicode digit, which no sentence may carry.
-_LAT_RE = re.compile(r"[0-9]{4}\.[0-9]+")
-_LON_RE = re.compile(r"[0-9]{5}\.[0-9]+")
+# A fix field: degrees, minutes below 60 and a fraction, no further than the
+# pole (9000.0) or the antimeridian (18000.0). ASCII digits only: \d takes
+# any Unicode digit, which no sentence may carry.
+_LAT_RE = re.compile(r"[0-8][0-9][0-5][0-9]\.[0-9]+|9000\.0+")
+_LON_RE = re.compile(r"(?:0[0-9]|1[0-7])[0-9][0-5][0-9]\.[0-9]+|18000\.0+")
 # A RATE period: at most 16 digits, which every period within the clock's
 # horizon fits unpadded; int() would also take "+1", " 1" and "1_0".
 _RATE_RE = re.compile(r"[0-9]{1,16}")
@@ -373,11 +375,9 @@ class GpsDouble:
             self._burst_end = 0
 
     def set_fix(self, lat_ddmm: str, ns: str, lon_dddmm: str, ew: str) -> None:
-        lat_m = _LAT_RE.fullmatch(lat_ddmm)
-        lon_m = _LON_RE.fullmatch(lon_dddmm)
-        if lat_m is None or int(lat_ddmm[:2]) > 90 or int(lat_ddmm[2:4]) > 59:
+        if _LAT_RE.fullmatch(lat_ddmm) is None:
             raise FixFormatError(f"bad latitude {lat_ddmm!r}")
-        if lon_m is None or int(lon_dddmm[:3]) > 180 or int(lon_dddmm[3:5]) > 59:
+        if _LON_RE.fullmatch(lon_dddmm) is None:
             raise FixFormatError(f"bad longitude {lon_dddmm!r}")
         if ns not in ("N", "S") or ew not in ("E", "W"):
             raise FixFormatError(f"bad hemisphere {ns!r}/{ew!r}")

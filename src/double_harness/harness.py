@@ -45,7 +45,9 @@ class CaseError(Exception):
 
 class Matcher(NamedTuple):
     """Assertion predicate richer than equality: what it checks, what it
-    expected, and the test itself. A predicate that raises TypeError fails."""
+    expected, and the test itself. A predicate that raises TypeError fails,
+    and so does one that raises OverflowError: the wire carries ints too
+    large for a float."""
 
     description: str
     expectation: str
@@ -54,7 +56,7 @@ class Matcher(NamedTuple):
     def check(self, actual: Any) -> bool:
         try:
             return self.predicate(actual)
-        except TypeError:
+        except (TypeError, OverflowError):
             return False
 
     def failure_text(self, actual: Any) -> str:
@@ -209,36 +211,17 @@ class Session:
 # Results
 
 
-class CheckRecord(NamedTuple):
-    matcher: Matcher
-    actual: Any
-    passed: bool
+class TestResult(NamedTuple):
+    """One case's report row: its fields are the report's keys, in order."""
 
+    __test__ = False  # the name is domain vocabulary, not a pytest class
 
-class TestResult:
-    def __init__(
-        self,
-        name: str,
-        verdict: str,
-        inputs: dict[str, Any] | None = None,
-        outputs: dict[str, Any] | None = None,
-        message: str = "",
-        sim_ms: int | None = None,
-        checks: list[CheckRecord] | None = None,
-    ) -> None:
-        self.name = name
-        self.verdict = verdict
-        self.inputs = {} if inputs is None else inputs
-        self.outputs = {} if outputs is None else outputs
-        self.message = message
-        self.sim_ms = sim_ms
-        self.checks = [] if checks is None else checks
-
-    def to_dict(self) -> dict[str, Any]:
-        return {key: getattr(self, key) for key in _REPORT_KEYS}
-
-
-_REPORT_KEYS = ("name", "verdict", "inputs", "outputs", "message", "sim_ms")
+    name: str
+    verdict: str
+    inputs: dict[str, Any]
+    outputs: dict[str, Any]
+    message: str = ""
+    sim_ms: int | None = None
 
 
 def summarize(results: list[TestResult]) -> dict[str, int]:
@@ -285,7 +268,6 @@ class CaseContext:
         self._session = session
         self.inputs: dict[str, Any] = {}
         self.outputs: dict[str, Any] = {}
-        self.checks: list[CheckRecord] = []
         self.handles: list[ObjectHandle] = []
         self._failure = ""  # the first failing check's FAIL message
 
@@ -323,7 +305,6 @@ class CaseContext:
         """Check actual now. The first failing check's message is written
         here, so it shows actual as checked, whatever the body does after."""
         passed = matcher.check(actual)
-        self.checks.append(CheckRecord(matcher, actual, passed))
         if not (passed or self._failure):
             self._failure = f"{matcher.description} failed: {matcher.failure_text(actual)}"
         return passed
@@ -408,13 +389,7 @@ def _run_case(case: TestCase, session: Session) -> TestResult:
                 except CaseError:
                     pass
     return TestResult(
-        name=case.name,
-        verdict=verdict,
-        inputs=ctx.inputs,
-        outputs=ctx.outputs,
-        message=message,
-        sim_ms=session.sim_now() - sim_start,
-        checks=ctx.checks,
+        case.name, verdict, ctx.inputs, ctx.outputs, message, session.sim_now() - sim_start
     )
 
 
@@ -428,14 +403,7 @@ def run_suite(suite: Suite, session: Session) -> list[TestResult]:
     try:
         _setup_phase(suite, session)
     except CaseError as exc:
-        return [
-            TestResult(
-                name=f"setup[{suite.name}]",
-                verdict=ERROR,
-                message=f"{exc.code}: {exc}",
-                sim_ms=0,
-            )
-        ]
+        return [TestResult(f"setup[{suite.name}]", ERROR, {}, {}, f"{exc.code}: {exc}", 0)]
     results: list[TestResult] = []
     for index, case in enumerate(suite.cases):
         if index > 0:
@@ -443,9 +411,7 @@ def run_suite(suite: Suite, session: Session) -> list[TestResult]:
                 _send(session.dut, _RESET)
                 _send(session.double, _RESET)
             except CaseError as exc:
-                results.append(
-                    TestResult(name=case.name, verdict=ERROR, message=f"{exc.code}: {exc}")
-                )
+                results.append(TestResult(case.name, ERROR, {}, {}, f"{exc.code}: {exc}"))
                 continue
         results.append(_run_case(case, session))
     return results
@@ -501,6 +467,6 @@ def report(results: list[TestResult], *, suite_name: str = "") -> str:
 def suite_report_dict(suite_name: str, results: list[TestResult]) -> dict[str, Any]:
     return {
         "suite": suite_name,
-        "results": [r.to_dict() for r in results],
+        "results": [r._asdict() for r in results],
         "summary": summarize(results),
     }

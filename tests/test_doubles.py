@@ -761,9 +761,12 @@ class TestGpsOnTheWire:
     @pytest.mark.parametrize(
         "fix, error",
         [
-            (("9000.000", "N", "18000.000", "W"), None),  # > 90 and > 180 to >=
-            (("9100.000", "N", "01131.000", "E"), "bad latitude '9100.000'"),  # > 90 to < 90 etc.
-            (("4859.999", "S", "01159.999", "E"), None),  # > 59 to >= 59, both
+            (("9000.000", "N", "18000.000", "W"), None),  # the pole and the antimeridian
+            (("9100.000", "N", "01131.000", "E"), "bad latitude '9100.000'"),
+            (("9000.001", "N", "01131.000", "E"), "bad latitude '9000.001'"),  # past the pole
+            (("9059.999", "N", "01131.000", "E"), "bad latitude '9059.999'"),
+            (("4807.038", "N", "18000.001", "W"), "bad longitude '18000.001'"),
+            (("4859.999", "S", "01159.999", "E"), None),  # the last minute, both
             (("4860.000", "N", "01131.000", "E"), "bad latitude '4860.000'"),
             (("4807.038", "N", "18100.000", "E"), "bad longitude '18100.000'"),
             (("4807.038", "N", "01160.000", "E"), "bad longitude '01160.000'"),

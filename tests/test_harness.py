@@ -17,6 +17,7 @@ from double_harness.harness import (
     Suite,
     SuiteDefinitionError,
     TestCase,
+    TestResult,
     TransportLog,
     close_to,
     equal,
@@ -51,13 +52,19 @@ class Sink:
         return len(values)
 
 
+class Huge:
+    def get(self):
+        return 10**400  # 401 digits: the wire carries ints of up to 4300
+
+
 def sink_session(sched):
-    """A session whose two devices each host only Sink."""
+    """A session whose two devices each host only Sink and Huge."""
     links = []
     for label in ("dut", "double"):
         controller, device = open_virtual_pair(sched)
         registry = ObjectRegistry()
         registry.register_class("Sink", Sink)
+        registry.register_class("Huge", Huge)
         serve(device, registry)
         links.append(DeviceLink(label, controller))
     return Session(*links, sched)
@@ -159,6 +166,19 @@ class TestMatchers:
     @pytest.mark.parametrize("actual", ["wat", None, [1]])
     def test_non_numeric_actual_fails(self, matcher, actual):
         assert matcher.check(actual) is False
+
+    def test_an_int_too_large_for_a_float_fails_close_to(self, sched):
+        """close_to's subtraction raises OverflowError on such an int. That
+        is a FAIL with the usual message, not an ERROR of the case body."""
+
+        def body(ctx):
+            value = ctx.gather(ctx.new_on_dut("Huge", "huge"), "get")
+            ctx.expect(value, close_to(48.1173, 1e-9))
+
+        (result,) = run_suite(make_suite(TestCase("test_huge", body)), sink_session(sched))
+        assert (result.verdict, result.outputs) == (FAIL, {"huge.get": 10**400})
+        expected = "close_to(48.1173, tol=1e-09) failed: expected=48.1173 tolerance=1e-09"
+        assert result.message == f"{expected} actual={10**400!r}"
 
 
 class TestSuiteRules:
@@ -276,11 +296,11 @@ class TestRunSuite:
         assert results[0].verdict == ERROR
         assert results[0].message.startswith("NO_CLASS")
 
-    def test_a_setup_error_records_no_inputs_outputs_or_checks(self, rig):
+    def test_a_setup_error_records_no_inputs_or_outputs(self, rig):
         rig.close()
         (result,) = run_suite(make_suite(TestCase("test_x", lambda ctx: None)), rig.session)
         assert result.verdict == ERROR
-        assert (result.inputs, result.outputs, result.checks) == ({}, {}, [])
+        assert (result.inputs, result.outputs) == ({}, {})
 
     def test_links_without_a_registry_skip_the_manifest_check(self, sched):
         """Over a link that holds no registry (a serial port's, say) only the
@@ -600,7 +620,7 @@ class TestRecordsAreSnapshotsOfTheWire:
 
 
 class TestVerdictSoundness:
-    def test_replaying_recorded_checks_reproduces_the_verdict(self, rig):
+    def test_the_first_failing_check_decides_the_verdict_and_its_message(self, rig):
         def mixed(ctx):
             ctx.expect(1.0, close_to(1.0, 0.5))
             ctx.expect(9.0, close_to(1.0, 0.5))
@@ -609,12 +629,10 @@ class TestVerdictSoundness:
             ctx.expect(True, is_true())
 
         suite = make_suite(TestCase("test_mixed", mixed), TestCase("test_clean", clean))
-        for result in run_suite(suite, rig.session):
-            replayed = all(c.matcher.check(c.actual) for c in result.checks)
-            assert replayed == (result.verdict == PASS)
-            assert [c.matcher.check(c.actual) for c in result.checks] == [
-                c.passed for c in result.checks
-            ]
+        assert [(r.verdict, r.message) for r in run_suite(suite, rig.session)] == [
+            (FAIL, "close_to(1.0, tol=0.5) failed: expected=1.0 tolerance=0.5 actual=9.0"),
+            (PASS, ""),
+        ]
 
 
 class TestReport:
@@ -703,14 +721,41 @@ class TestReport:
         assert set(doc["results"][0]) == {"name", "verdict", "inputs", "outputs", "message", "sim_ms"}
         assert doc["summary"] == {"passed": 1, "failed": 0, "errors": 0}
 
-    def test_summarize_counts(self):
-        from double_harness.harness import TestResult
+    def test_every_kind_of_row_has_the_result_fields_as_its_keys(self, rig):
+        """A row is its TestResult as a dict, whether a case passed, failed
+        or errored, or setup or the RESET before a case failed; and no two
+        rows share an inputs or outputs dict."""
 
+        def broken(ctx):
+            raise ValueError("no such pin map")
+
+        suite = make_suite(
+            TestCase("test_pass", lambda ctx: ctx.expect(1, equal(1))),
+            TestCase("test_fail", lambda ctx: ctx.expect(2, equal(1))),
+            TestCase("test_error", broken),
+            TestCase("test_close", lambda ctx: rig.session.dut.endpoint.close()),
+            TestCase("test_after_close", lambda ctx: None),
+        )
+        results = run_suite(suite, rig.session) + run_suite(suite, rig.session)
+        assert [(r.name, r.verdict) for r in results] == [
+            ("test_pass", PASS),
+            ("test_fail", FAIL),
+            ("test_error", ERROR),
+            ("test_close", PASS),
+            ("test_after_close", ERROR),
+            ("setup[demo]", ERROR),
+        ]
+        rows = suite_report_dict("demo", results)["results"]
+        assert [list(row) for row in rows] == [list(TestResult._fields)] * len(results)
+        dicts = {id(d) for r in results for d in (r.inputs, r.outputs)}
+        assert len(dicts) == 2 * len(results)
+
+    def test_summarize_counts(self):
         results = [
-            TestResult("test_a", PASS),
-            TestResult("test_b", FAIL),
-            TestResult("test_c", ERROR),
-            TestResult("test_d", PASS),
+            TestResult("test_a", PASS, {}, {}),
+            TestResult("test_b", FAIL, {}, {}),
+            TestResult("test_c", ERROR, {}, {}),
+            TestResult("test_d", PASS, {}, {}),
         ]
         assert summarize(results) == {"passed": 2, "failed": 1, "errors": 1}
         assert suite_report_dict("s", results)["summary"]["passed"] == 2

@@ -182,7 +182,9 @@ def test_one_five_suite_pass_makes_the_pinned_python_calls():
     templates, a per-process cache, so a warm-up pass runs first. Of the
     calls, 3,536 are generator steps, 3,513 of them check_frame's, and 252
     are _is_ident's. The records are rig and case bookkeeping: 2
-    DeviceLinks, a VirtualRig, and 15 Matchers with their CheckRecords.
+    DeviceLinks, a VirtualRig, 15 Matchers and the 14 cases' TestResult
+    rows. A row is a NamedTuple, so its constructor counts as a record and
+    not as a call, and a check stores nothing but a failure's message.
     Commands and Responses are built by tuple.__new__ or shared as
     constants, so none is counted. The wire gate's 50 encodes and 50
     decodes call the C coder from the package's own _encode and _decode;
@@ -198,7 +200,7 @@ def test_one_five_suite_pass_makes_the_pinned_python_calls():
     once per value at any depth: 165 calls, for the 50 args tuples, the
     15 payloads and the 100 values inside them, none of them bytes."""
     _five_suite_pass()
-    assert _package_work(_five_suite_pass) == {"calls": 7270, "records": 33, "json_calls": 50}
+    assert _package_work(_five_suite_pass) == {"calls": 7256, "records": 32, "json_calls": 50}
 
 
 def _registers(moment: datetime.datetime) -> list[int]:
