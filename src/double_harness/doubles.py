@@ -141,7 +141,7 @@ class RtcDouble:
         self._i2c = i2c
         self._scheduler = scheduler
         self._tick_handle: EventHandle | None = None
-        i2c.add_device(self.addr, self.handle_i2c)
+        i2c.add_device(self.addr, self._handle_i2c)
         self.set_mode(mode)
 
     def set_mode(self, mode: str) -> None:
@@ -154,7 +154,7 @@ class RtcDouble:
         else:
             self._scheduler.cancel(self._tick_handle)
 
-    def handle_i2c(self, wbytes: bytes, nread: int) -> bytes:
+    def _handle_i2c(self, wbytes: bytes, nread: int) -> bytes:
         # First written byte is the register pointer; the rest are data.
         # Reads continue from the pointer and wrap past register 0x06.
         if wbytes:
@@ -343,9 +343,9 @@ class GpsDouble:
         self._burst = b""
         self._burst_lines = 0
         self._burst_end = 0  # the clock time from which the burst must be rebuilt
-        uart_end.subscribe_lines(self.on_uart_line)
+        uart_end.subscribe_lines(self._on_uart_line)
 
-    def on_uart_line(self, raw: bytes) -> None:
+    def _on_uart_line(self, raw: bytes) -> None:
         body = split_sentence(raw.decode("ascii", errors="replace"))
         if body is None:
             self.reject_count += 1

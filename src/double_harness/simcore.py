@@ -17,9 +17,6 @@ SimTime = int
 
 Action = Callable[[], None]
 
-# Most firings per train call, which bounds what one call allocates; runs loop.
-TRAIN_MAX = 4096
-
 # The clock's horizon: every sim time stays exact in any JSON reader.
 MAX_SIM_MS = 2**53 - 1
 
@@ -124,11 +121,11 @@ class Scheduler:
         of the action would, and returns n (0: none, fire plainly).
         Before such an event fires, the scheduler counts the k firings due
         from here: those <= `to` and strictly before the head of the heap,
-        the first always, at most TRAIN_MAX. When k >= 2 it calls the train,
-        adds n to the count fired and takes n fresh seqs (n - 1 if the train
-        cancelled the event), then re-arms or finishes as after one firing at
-        the last due time. Any other action, a
-        wrapper around such a method included, fires one call at a time.
+        the first always. When k >= 2 it offers the whole run: it calls the
+        train, adds n to the count fired and takes n fresh seqs (n - 1 if the
+        train cancelled the event), then re-arms or finishes as after one
+        firing at the last due time. Any other action, a wrapper around such
+        a method included, fires one call at a time.
         So each step of the loop is n firings, n = 1 for a plain call, and
         moves the count fired, the seq and the re-arm time once, by n.
 
@@ -163,7 +160,7 @@ class Scheduler:
                     else:  # k: the later firings that come before the heap's head and by `to`
                         last = heap[0][0] - 1 if heap else to
                         k = ((last if last < to else to) - due) // period
-                        n = train(due, period, k + 1 if k < TRAIN_MAX else TRAIN_MAX) if k > 0 else 0
+                        n = train(due, period, k + 1) if k > 0 else 0
                         if not n:  # no run: one plain firing
                             action()
                             n = 1

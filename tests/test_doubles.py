@@ -1171,3 +1171,27 @@ class TestBleCentralDouble:
         central.scan_connect("TempSensor", 10)
         central.close()
         assert air.notify("TempSensor", "temp", 9.0) == 0
+
+
+@pytest.mark.parametrize(
+    "obj, method, args",
+    [("rtc", "handle_i2c", ([0], 10_000_000)), ("gps", "on_uart_line", ([36],))],
+)
+def test_the_doubles_bus_callbacks_are_not_served_on_the_wire(rig, obj, method, args):
+    """The RTC double's I2C handler and the GPS double's line handler are
+    private, so the wire reaches each double only through its API. A CALL of
+    `handle_i2c`, even for ten million bytes, or of `on_uart_line` answers
+    NO_METHOD before any handler runs: the registers, the register pointer,
+    the reject count and the clock stay as they were."""
+    double = rig.session.double
+    assert send_command(double.endpoint, Command("NEW", "rtc", "Rtc", ())).ok
+    assert send_command(double.endpoint, Command("NEW", "gps", "Gps", ())).ok
+    rtc, gps = double.registry.objects["rtc"], double.registry.objects["gps"]
+
+    def state():
+        return bytes(rtc.regs), rtc._pointer, gps.reject_count, rig.scheduler.now
+
+    before = state()
+    resp = send_command(double.endpoint, Command("CALL", obj, method, args))
+    assert (resp.code, resp.message) == ("NO_METHOD", f"no method '{method}' on '{obj}'")
+    assert state() == before

@@ -30,7 +30,7 @@ from double_harness.dut import (
     RtcDriver,
     SpiMaster,
 )
-from double_harness.simcore import MAX_SIM_MS, TRAIN_MAX, ScheduleError, Scheduler
+from double_harness.simcore import MAX_SIM_MS, ScheduleError, Scheduler
 from double_harness.transport import Command, send_command
 
 
@@ -155,9 +155,9 @@ def test_an_isr_edge_before_the_last_edge_ends_the_blink_alike(spied):
     assert not blinker._isr_handle.pending and sched.next_due() is None
 
 
-def test_an_endless_isr_blink_is_written_in_bounded_trains(rig, monkeypatch):
-    """A 1 ms blink with no end, advanced 100,000 ms: one edge per ms, written
-    by a few train calls of at most TRAIN_MAX edges each."""
+@pytest.fixture
+def train_runs(monkeypatch):
+    """The n of every GpioLine.toggle_train call, in order."""
     runs = []
     toggle_train = GpioLine.toggle_train
 
@@ -166,20 +166,26 @@ def test_an_endless_isr_blink_is_written_in_bounded_trains(rig, monkeypatch):
         return toggle_train(line, first, period, n)
 
     monkeypatch.setattr(GpioLine, "toggle_train", spy)
+    return runs
+
+
+def test_an_endless_isr_blink_is_written_in_one_train(rig, train_runs):
+    """A 1 ms blink with no end, advanced 100,000 ms: one edge per ms, written
+    by one train call, since nothing else is due."""
     assert _send_dut(rig, "NEW", "b", "Blinker", 13, 1, 10**18).ok
     assert _send_dut(rig, "CALL", "b", "blink", "isr").ok
     assert rig.scheduler.advance_by(100_000) == 100_000
     assert list(rig.led_line.edges) == list(range(1, 100_001))
     assert rig.led_line.level == 0
-    assert max(runs) == TRAIN_MAX and sum(runs) == 100_000
-    assert len(runs) == -(-100_000 // TRAIN_MAX)
+    assert train_runs == [100_000]
 
 
-def test_a_million_edges_in_one_command_are_held_as_three_runs(rig):
+def test_a_million_edges_in_one_command_are_held_as_three_runs(rig, train_runs):
     """A 1 ms isr blink with no end, and a blocking blink on the same line
-    whose two toggles move the clock 1,000,000 ms inside one command. The
-    1,000,002 edges are kept as runs, so that command holds next to no
-    memory, where one int per edge would take about 39 MB."""
+    whose two toggles move the clock 1,000,000 ms inside one command. Each
+    clock move offers the isr blink its whole run of 500,000 edges in one
+    train call. The 1,000,002 edges are kept as runs, so that command holds
+    next to no memory, where one int per edge would take about 39 MB."""
     assert _send_dut(rig, "NEW", "a", "Blinker", 13, 1, 10**18).ok
     assert _send_dut(rig, "CALL", "a", "blink", "isr").ok
     assert _send_dut(rig, "NEW", "b", "Blinker", 13, 500_000, 1).ok
@@ -190,8 +196,9 @@ def test_a_million_edges_in_one_command_are_held_as_three_runs(rig):
     finally:
         tracemalloc.stop()
     assert resp.ok
+    assert train_runs == [500_000, 500_000]
     edges = rig.led_line.edges
-    assert (len(edges), edges[-1]) == (1_000_002, 1_000_000)
+    assert (len(edges), edges[-1], rig.scheduler.now) == (1_000_002, 1_000_000, 1_000_000)
     # the isr run to 500,000; b's edge there, which the isr edges then follow; b's last edge
     assert (edges.starts, edges.firsts, edges.periods) == ([0, 500_000, 1_000_001], [1, 500_000, 1_000_000], [1, 1, -1])
     assert held < 64 * 1024

@@ -5,11 +5,14 @@ import pytest
 from double_harness import suites
 from double_harness.harness import ERROR, PASS, Suite, TestCase, is_true, run_suite, summarize
 from double_harness.suites import (
+    DOUBLE_LED_PIN,
+    DUT_LED_PIN,
     SHIPPED_FAULTS,
     SUITE_ORDER,
     SUITES,
     build_virtual_rig,
 )
+from double_harness.transport import Command, send_command
 
 
 def run_one(name, fault=None):
@@ -179,3 +182,38 @@ class TestSuiteSequencing:
         assert [(r.name, r.verdict, r.outputs) for r in first] == [
             (r.name, r.verdict, r.outputs) for r in second
         ]
+
+
+# The public callables of each class the rig registers, by device: all that a
+# CALL can reach. Bus and scheduler callbacks stay private, so a new public
+# method is new wire API, and this pin names it.
+WIRE_API = {
+    "dut": {
+        "Blinker": ["blink", "close"],
+        "RtcDriver": ["get_datetime", "set_datetime"],
+        "GpsDriver": ["get_latitude", "get_parse_errors", "send_command"],
+        "SpiMaster": ["read", "write", "write_read"],
+        "BleTempSensor": ["close", "notify", "set_temperature", "start"],
+    },
+    "double": {
+        "Led": ["close", "get_avg_blink_ms", "start_acquisition"],
+        "Rtc": ["advance_seconds", "close", "load_registers", "read_registers", "set_mode"],
+        "Gps": ["close", "get_emit_count", "get_enabled", "get_reject_count", "get_update_period", "set_fix"],
+        "SpiSlave": ["close", "get_rx", "preload_tx"],
+        "BleCentral": ["await_notify", "close", "disconnect", "read", "scan_connect"],
+    },
+}
+
+
+def test_each_registered_class_offers_only_its_pinned_wire_api(rig):
+    """Each class made by NEW on a fresh rig, then every public callable of
+    the instance listed."""
+    args = {"Blinker": (DUT_LED_PIN, 10, 1), "Led": (DOUBLE_LED_PIN, 2)}
+    seen = {}
+    for link in (rig.session.dut, rig.session.double):
+        seen[link.label] = api = {}
+        for cls in link.registry.classes:
+            assert send_command(link.endpoint, Command("NEW", "x", cls, args.get(cls, ()))).ok
+            obj = link.registry.objects["x"]
+            api[cls] = sorted(name for name in dir(obj) if not name.startswith("_") and callable(getattr(obj, name)))
+    assert seen == WIRE_API
