@@ -254,7 +254,10 @@ class UartEnd:
         self._rx.clear()
 
     def subscribe_lines(self, listener: Callable[[bytes], None] | None) -> None:
-        """Deliver each complete received line to `listener` as it forms."""
+        """Deliver each complete received line to `listener` as it forms; the
+        end takes one listener, and None releases it."""
+        if listener is not None and self._line_listener is not None:
+            raise ValueError("UART line listener already occupied")
         self._line_listener = listener
         self._drain_lines()
 
@@ -294,6 +297,8 @@ class SpiBus:
         self._slave: SpiSlaveHandler | None = None
 
     def set_slave(self, handler: SpiSlaveHandler) -> None:
+        if self._slave is not None:
+            raise ValueError("SPI slave already occupied")
         self._slave = handler
 
     def clear_slave(self, handler: SpiSlaveHandler) -> None:
@@ -349,9 +354,6 @@ class BleAir:
 
     def stop_advertising(self, name: str) -> None:
         self._advertisers.pop(name, None)
-
-    def is_advertising(self, name: str) -> bool:
-        return name in self._advertisers
 
     def drop_peripheral(self, name: str) -> None:
         """Remove a peripheral entirely: advertisement and open connections."""

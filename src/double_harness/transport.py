@@ -45,9 +45,6 @@ def _is_ident(name: Any) -> bool:
     return type(name) is str and name.isascii() and name.isidentifier()
 
 
-# A well-formed CALL line, as parse_command's partitions would split it: the
-# args run to the end of the line, whatever they hold.
-_match_call = re.compile(r"CALL ([A-Za-z_][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*) (.*)", re.DOTALL).fullmatch
 # format_response's ERR line cleanup: each character outside printable ASCII becomes a space.
 _unprintable_to_space = re.compile(r"[^ -~]").sub
 
@@ -235,19 +232,18 @@ def format_command(cmd: Command) -> str:
 
 
 def parse_command(line: str) -> Command:
-    call = _match_call(line)
-    if call is not None:  # half of all traffic
-        name, method, args_text = call.groups()
-        args = () if args_text == "[]" else _parse_args(args_text)  # half of all CALLs: no decoder
-        return _new_record(Command, ("CALL", name, method, args))
     verb, _, rest = line.partition(" ")
-    if verb == "CALL":  # not well formed: say why
-        target, space, _ = rest.partition(" ")
+    if verb == "CALL":  # half of all traffic: test it first
+        target, space, args_text = rest.partition(" ")
         if not space:
             raise ProtocolError("CALL needs <name>.<method> <json-array>")
-        if "." not in target:
+        name, dot, method = target.partition(".")
+        if not dot:
             raise ProtocolError(f"CALL target {target!r} missing '.'")
-        raise ProtocolError(f"bad identifier in CALL {target!r}")
+        if not (_is_ident(name) and _is_ident(method)):
+            raise ProtocolError(f"bad identifier in CALL {target!r}")
+        args = () if args_text == "[]" else _parse_args(args_text)  # half of all CALLs: no decoder
+        return _new_record(Command, ("CALL", name, method, args))
     if verb in ("PING", "RESET"):
         if rest:
             raise ProtocolError(f"{verb} takes no arguments")
@@ -558,7 +554,7 @@ class ObjectRegistry:
                 obj = self.objects.get(name)
                 if obj is None:
                     return err("NO_OBJECT", f"unknown object '{name}'")
-                if method_name.startswith("_"):
+                if method_name.startswith("_") or method_name == "close":  # only DEL, NEW and RESET close
                     return err("NO_METHOD", f"'{method_name}' is not callable remotely")
                 method = getattr(obj, method_name, None)
                 if not callable(method):

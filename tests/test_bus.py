@@ -389,6 +389,18 @@ class TestUartLink:
         link.b.subscribe_lines(None)
         assert link.b.recv_line(0) == b"one\n"
 
+    def test_a_second_listener_is_refused_until_none_releases_the_first(self, sched):
+        link = UartLink(sched)
+        first, second = [], []
+        link.b.subscribe_lines(first.append)
+        with pytest.raises(ValueError, match="UART line listener already occupied"):
+            link.b.subscribe_lines(second.append)
+        link.a.send(b"one\n")
+        link.b.subscribe_lines(None)
+        link.b.subscribe_lines(second.append)
+        link.a.send(b"two\n")
+        assert (first, second) == ([b"one\n"], [b"two\n"])
+
     def test_subscriber_gets_complete_lines_only(self, sched):
         link = UartLink(sched)
         lines = []
@@ -453,6 +465,23 @@ class TestSpiBus:
         assert bus.transfer(b"\x00") == b"\xff"
         bus.clear_slave(slave.handle)
         assert bus.transfer(b"\x00") == b"\x00"
+
+    def test_a_second_slave_is_refused_until_clear_slave_releases_the_first(self):
+        def first(mosi):
+            return b"\x01" * len(mosi)
+
+        def second(mosi):
+            return b"\x02" * len(mosi)
+
+        bus = SpiBus()
+        bus.set_slave(first)
+        with pytest.raises(ValueError, match="SPI slave already occupied"):
+            bus.set_slave(second)
+        bus.assert_cs()
+        assert bus.transfer(b"\x00") == b"\x01"
+        bus.clear_slave(first)
+        bus.set_slave(second)
+        assert bus.transfer(b"\x00") == b"\x02"
 
     @pytest.mark.parametrize("miso", [b"\x01", b"\x01\x02\x03"])
     def test_a_slave_reply_of_another_length_is_a_bus_error(self, miso):

@@ -136,6 +136,115 @@ def test_deleted_blinker_armed_twice_leaves_no_timer(rig):
     ] == []
 
 
+def _send(rig, device, verb, obj=None, method=None, *args):
+    return send_command(getattr(rig.session, device).endpoint, Command(verb, obj, method, args))
+
+
+def _held_by(rig, obj):
+    """The media and scheduler callbacks that belong to obj."""
+    return [cb for cb in _media_callbacks(rig) if getattr(cb, "__self__", None) is obj]
+
+
+# On each device, a class whose NEW claims no slot: built over a hosted name,
+# it closes what held the name.
+CLAIMS_NOTHING = {"dut": ("SpiMaster", ()), "double": ("Led", (DOUBLE_LED_PIN, 2))}
+
+
+@pytest.mark.parametrize("closer", ["DEL", "NEW", "RESET"])
+@pytest.mark.parametrize("cls", sorted(HOSTING))
+def test_close_is_not_served_and_del_new_and_reset_close_once(rig, cls, closer, monkeypatch):
+    """A CALL of close answers NO_METHOD on every hosted class, the seven
+    that define close included, and runs nothing: the object keeps what it
+    holds. DEL, a NEW over its name or RESET then closes it, once."""
+    _wire(rig, HOSTING[cls])
+    device, _, name, _, _ = next(step for step in HOSTING[cls] if step[1] == "NEW" and step[3] == cls)
+    obj = getattr(rig.session, device).registry.objects[name]
+    closes = []
+    close = getattr(type(obj), "close", None)
+    if close is not None:
+        monkeypatch.setattr(type(obj), "close", lambda self: closes.append(self) or close(self))
+    held = _held_by(rig, obj)
+    resp = _send(rig, device, "CALL", name, "close")
+    assert (resp.code, resp.message) == ("NO_METHOD", "'close' is not callable remotely")
+    assert (closes, _held_by(rig, obj)) == ([], held)
+    if closer == "NEW":
+        other, args = CLAIMS_NOTHING[device]
+        assert _send(rig, device, "NEW", name, other, *args).ok
+    else:
+        assert _send(rig, device, closer, *([name] if closer == "DEL" else [])).ok
+    assert (closes, _held_by(rig, obj)) == ([obj] if close else [], [])
+
+
+def test_a_wire_close_cannot_free_the_rtc_address_for_a_second_rtc(rig):
+    """NEW rtc, CALL rtc.close, NEW rtc2, DEL rtc once left rtc2 hosted but
+    off the bus. The close is refused, so is rtc2, and the driver reads rtc."""
+    assert _send(rig, "double", "NEW", "rtc", "Rtc").ok
+    assert _send(rig, "double", "CALL", "rtc", "close").code == "NO_METHOD"
+    resp = _send(rig, "double", "NEW", "rtc2", "Rtc")
+    assert (resp.code, resp.message) == ("EXEC", "ValueError: address 0x68 already occupied")
+    assert _send(rig, "dut", "NEW", "drv", "RtcDriver").ok
+    assert _send(rig, "dut", "CALL", "drv", "get_datetime").ok
+
+
+def _gps_hears_the_driver(rig, gps):
+    """The driver's RATE reaches the GPS double named gps, and a fix arrives."""
+    assert _send(rig, "dut", "NEW", "drv", "GpsDriver").ok
+    assert _send(rig, "dut", "CALL", "drv", "send_command", "PDBL,RATE,1000").ok
+    assert _send(rig, "double", "CALL", gps, "get_update_period").payload == 1000
+    assert _send(rig, "dut", "CALL", "drv", "get_latitude", 3000).ok
+
+
+def test_a_second_gps_is_refused_and_the_first_keeps_the_uart(rig):
+    """NEW g1, NEW g2, DEL g1 once left both deaf: g2's listener replaced
+    g1's, and g1's close cleared it. The UART end takes one listener, and a
+    DEL frees it for the next."""
+    assert _send(rig, "double", "NEW", "g1", "Gps").ok
+    resp = _send(rig, "double", "NEW", "g2", "Gps")
+    assert (resp.code, resp.message) == ("EXEC", "ValueError: UART line listener already occupied")
+    assert _send(rig, "double", "DEL", "g2").code == "NO_OBJECT"
+    _gps_hears_the_driver(rig, "g1")
+    assert _send(rig, "double", "DEL", "g1").ok
+    assert _send(rig, "double", "NEW", "g2", "Gps").ok
+    assert _send(rig, "dut", "DEL", "drv").ok
+    _gps_hears_the_driver(rig, "g2")
+
+
+def test_a_second_spi_slave_is_refused_and_the_first_keeps_the_bus(rig):
+    """NEW s1, preload, NEW s2, DEL s2 once left no slave: the master read
+    zeros and s1 saw nothing. The bus takes one slave."""
+    assert _send(rig, "double", "NEW", "s1", "SpiSlave").ok
+    assert _send(rig, "double", "CALL", "s1", "preload_tx", [1, 2]).ok
+    resp = _send(rig, "double", "NEW", "s2", "SpiSlave")
+    assert (resp.code, resp.message) == ("EXEC", "ValueError: SPI slave already occupied")
+    assert _send(rig, "double", "DEL", "s2").code == "NO_OBJECT"
+    assert _send(rig, "dut", "NEW", "master", "SpiMaster").ok
+    assert _send(rig, "dut", "CALL", "master", "read", 2).payload == [1, 2]
+    assert _send(rig, "double", "CALL", "s1", "get_rx").payload == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "cls, message",
+    [
+        ("Gps", "UART line listener already occupied"),
+        ("Rtc", "address 0x68 already occupied"),
+        ("SpiSlave", "SPI slave already occupied"),
+    ],
+)
+def test_a_new_over_a_hosted_name_that_would_take_its_slot_keeps_the_old_object(rig, cls, message):
+    """execute builds before it closes, so a NEW whose build is refused
+    leaves the object under that name hosted and holding its slot. A second
+    NEW g Gps once answered OK and left g deaf."""
+    assert _send(rig, "double", "NEW", "x", cls).ok
+    old = rig.session.double.registry.objects["x"]
+    held = _held_by(rig, old)
+    resp = _send(rig, "double", "NEW", "x", cls)
+    assert (resp.code, resp.message) == ("EXEC", f"ValueError: {message}")
+    assert rig.session.double.registry.objects["x"] is old
+    assert _held_by(rig, old) == held != []
+    if cls == "Gps":
+        _gps_hears_the_driver(rig, "x")
+
+
 def _live_sensor(sched):
     """A BLE sensor whose one-shot bring-up event has fired."""
     sensor = BleTempSensor(BleAir(sched), sched)

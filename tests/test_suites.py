@@ -184,36 +184,43 @@ class TestSuiteSequencing:
         ]
 
 
-# The public callables of each class the rig registers, by device: all that a
-# CALL can reach. Bus and scheduler callbacks stay private, so a new public
-# method is new wire API, and this pin names it.
+# The methods execute dispatches on each class the rig registers, by device:
+# all that a CALL can reach. Bus and scheduler callbacks stay private and
+# `close` is not served, so a new public method is new wire API, and this pin
+# names it.
 WIRE_API = {
     "dut": {
-        "Blinker": ["blink", "close"],
+        "Blinker": ["blink"],
         "RtcDriver": ["get_datetime", "set_datetime"],
         "GpsDriver": ["get_latitude", "get_parse_errors", "send_command"],
         "SpiMaster": ["read", "write", "write_read"],
-        "BleTempSensor": ["close", "notify", "set_temperature", "start"],
+        "BleTempSensor": ["notify", "set_temperature", "start"],
     },
     "double": {
-        "Led": ["close", "get_avg_blink_ms", "start_acquisition"],
-        "Rtc": ["advance_seconds", "close", "load_registers", "read_registers", "set_mode"],
-        "Gps": ["close", "get_emit_count", "get_enabled", "get_reject_count", "get_update_period", "set_fix"],
-        "SpiSlave": ["close", "get_rx", "preload_tx"],
-        "BleCentral": ["await_notify", "close", "disconnect", "read", "scan_connect"],
+        "Led": ["get_avg_blink_ms", "start_acquisition"],
+        "Rtc": ["advance_seconds", "load_registers", "read_registers", "set_mode"],
+        "Gps": ["get_emit_count", "get_enabled", "get_reject_count", "get_update_period", "set_fix"],
+        "SpiSlave": ["get_rx", "preload_tx"],
+        "BleCentral": ["await_notify", "disconnect", "read", "scan_connect"],
     },
 }
 
 
 def test_each_registered_class_offers_only_its_pinned_wire_api(rig):
     """Each class made by NEW on a fresh rig, then every public callable of
-    the instance listed."""
+    the instance CALLed with more args than any of them takes: a method that
+    execute dispatches answers BAD_ARGS before its body runs, and one it
+    does not serve answers NO_METHOD."""
     args = {"Blinker": (DUT_LED_PIN, 10, 1), "Led": (DOUBLE_LED_PIN, 2)}
+    too_many = (0,) * 9
     seen = {}
     for link in (rig.session.dut, rig.session.double):
         seen[link.label] = api = {}
         for cls in link.registry.classes:
             assert send_command(link.endpoint, Command("NEW", "x", cls, args.get(cls, ()))).ok
             obj = link.registry.objects["x"]
-            api[cls] = sorted(name for name in dir(obj) if not name.startswith("_") and callable(getattr(obj, name)))
+            public = sorted(name for name in dir(obj) if not name.startswith("_") and callable(getattr(obj, name)))
+            codes = {name: send_command(link.endpoint, Command("CALL", "x", name, too_many)).code for name in public}
+            assert set(codes.values()) <= {"BAD_ARGS", "NO_METHOD"}, codes
+            api[cls] = [name for name in public if codes[name] == "BAD_ARGS"]
     assert seen == WIRE_API

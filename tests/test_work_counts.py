@@ -180,11 +180,13 @@ def _package_work(run):
 def test_one_five_suite_pass_makes_the_pinned_python_calls():
     """The first pass in a process also fills the GPS double's sentence
     templates, a per-process cache, so a warm-up pass runs first. Of the
-    calls, 3,536 are generator steps, 3,513 of them check_frame's, and 252
-    are _is_ident's. The records are rig and case bookkeeping: 2
-    DeviceLinks, a VirtualRig, 15 Matchers and the 14 cases' TestResult
-    rows. A row is a NamedTuple, so its constructor counts as a record and
-    not as a call, and a check stores nothing but a failure's message.
+    calls, 3,536 are generator steps, 3,513 of them check_frame's, and 326
+    are _is_ident's, 158 of them parse_command's: two names in each of the
+    37 CALL and 28 NEW lines and one in each of the 28 DEL lines. The
+    records are rig and case bookkeeping: 2 DeviceLinks, a VirtualRig, 15
+    Matchers and the 14 cases' TestResult rows. A row is a NamedTuple, so
+    its constructor counts as a record and not as a call, and a check
+    stores nothing but a failure's message.
     Commands and Responses are built by tuple.__new__ or shared as
     constants, so none is counted. The wire gate's 50 encodes and 50
     decodes call the C coder from the package's own _encode and _decode;
@@ -200,7 +202,7 @@ def test_one_five_suite_pass_makes_the_pinned_python_calls():
     once per value at any depth: 165 calls, for the 50 args tuples, the
     15 payloads and the 100 values inside them, none of them bytes."""
     _five_suite_pass()
-    assert _package_work(_five_suite_pass) == {"calls": 7256, "records": 32, "json_calls": 50}
+    assert _package_work(_five_suite_pass) == {"calls": 7330, "records": 32, "json_calls": 50}
 
 
 def _registers(moment: datetime.datetime) -> list[int]:
