@@ -334,19 +334,26 @@ class SpiBus:
 class BleAir:
     """Shared radio medium carrying the GATT verbs the rig needs.
 
-    Peripherals advertise by name; centrals scan (waiting in simulated
-    time), connect, read characteristics, and receive notifications.
-    Notifications reach exactly the centrals currently connected to the
-    notifying peripheral.
+    Peripherals advertise by name, one holder per name; centrals scan
+    (waiting in simulated time), connect, read characteristics, and
+    receive notifications. Notifications reach exactly the centrals
+    currently connected to the notifying peripheral.
     """
 
     def __init__(self, scheduler: Scheduler) -> None:
         self.scheduler = scheduler
+        self._peripherals: set[str] = set()  # names with a holder
         self._advertisers: dict[str, dict[str, Any]] = {}
         self._connections: set[tuple[str, str]] = set()
         self._inboxes: dict[str, deque] = {}
 
     # -- peripheral side
+
+    def attach_peripheral(self, name: str) -> None:
+        """Take `name` for one peripheral; a name that is taken is refused."""
+        if name in self._peripherals:
+            raise ValueError(f"BLE name {name!r} already occupied")
+        self._peripherals.add(name)
 
     def advertise(self, name: str, characteristics: dict[str, Any]) -> None:
         """Make `name` discoverable; `characteristics` is a live value store."""
@@ -356,7 +363,8 @@ class BleAir:
         self._advertisers.pop(name, None)
 
     def drop_peripheral(self, name: str) -> None:
-        """Remove a peripheral entirely: advertisement and open connections."""
+        """Remove a peripheral entirely: its name, advertisement and open connections."""
+        self._peripherals.discard(name)
         self.stop_advertising(name)
         self._connections = {(c, p) for (c, p) in self._connections if p != name}
 

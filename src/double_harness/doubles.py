@@ -12,12 +12,11 @@ remotely through the command channel.
 from __future__ import annotations
 
 import re
-import sys
 from functools import lru_cache
 from typing import Any
 
 from . import bus as _bus
-from .simcore import MAX_SIM_MS, EventHandle, Scheduler, ScheduleError
+from .simcore import MAX_SIM_MS, EventHandle, Scheduler
 
 
 class NotReadyError(Exception):
@@ -42,7 +41,7 @@ class LedDouble:
     The line's edge log already holds every edge with its time, so the
     double keeps no copy and hooks nothing into the line: an acquisition is
     the window of that log from start_acquisition() to the expected toggle
-    count or to close(), whichever ends first.
+    count.
     """
 
     def __init__(self, line: _bus.GpioLine, expected_toggles: int) -> None:
@@ -52,14 +51,13 @@ class LedDouble:
         self.line = line
         self.expected_toggles = expected_toggles
         self._first: int | None = None  # log index of the window's first edge
-        self._closed_at = sys.maxsize  # log length at the first close()
 
     def _window(self) -> tuple[int, int]:
         """Log index of the acquisition's first edge, and how many it captured."""
         first = self._first
         if first is None:
             return 0, 0
-        end = min(len(self.line.edges), first + self.expected_toggles, self._closed_at)
+        end = min(len(self.line.edges), first + self.expected_toggles)
         return first, max(0, end - first)
 
     @property
@@ -82,10 +80,6 @@ class LedDouble:
             raise NotReadyError(f"captured {n} of {self.expected_toggles} edges")
         edges = self.line.edges
         return (edges[first + n - 1] - edges[first]) / (n - 1)
-
-    def close(self) -> None:
-        # A closed LED sees no later edge, whatever is started after.
-        self._closed_at = min(self._closed_at, len(self.line.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +167,13 @@ class RtcDouble:
 
     def load_registers(self, values: list[int]) -> None:
         """Direct register image load, bypassing the bus (test injection)."""
+        if type(values) is not list:
+            raise ValueError(f"values must be a list of byte values, got {type(values).__name__}")
         if len(values) != RTC_NUM_REGS:
             raise ValueError(f"expected {RTC_NUM_REGS} bytes, got {len(values)}")
         for value in values:
-            if not 0 <= value <= 0xFF:
-                raise ValueError(f"byte out of range: {value}")
+            if type(value) is not int or not 0 <= value <= 0xFF:  # a bool is no byte
+                raise ValueError(f"byte out of range: {value!r}")
         self.regs = bytearray(values)
 
     def read_registers(self) -> list[int]:
@@ -341,7 +337,6 @@ class GpsDouble:
         self.emit_count = 0
         self._emit_handle: EventHandle | None = None
         self._burst = b""
-        self._burst_lines = 0
         self._burst_end = 0  # the clock time from which the burst must be rebuilt
         uart_end.subscribe_lines(self._on_uart_line)
 
@@ -409,11 +404,11 @@ class GpsDouble:
         if now >= self._burst_end:  # the clock never runs back, so the burst is this second's
             second = now // 1000
             lines = [_sentence(stype, self.fix, second % 86400) for stype in sorted(self.enabled)]
-            self._burst, self._burst_lines = b"".join(lines), len(lines)
+            self._burst = b"".join(lines)
             self._burst_end = (second + 1) * 1000
-        if self._burst_lines:
+        if self._burst:  # built since enabled last changed, so one line per enabled type
             self._uart.send(self._burst)
-            self.emit_count += self._burst_lines
+            self.emit_count += len(self.enabled)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +458,7 @@ class BleCentralDouble:
     def __init__(self, air: _bus.BleAir, central_id: str) -> None:
         self._air = air
         self.central_id = central_id
-        self.state = "idle"
-        self.peripheral: str | None = None
+        self.peripheral: str | None = None  # the one it connected to, until disconnect
         air.attach_central(central_id)
 
     def scan_connect(self, name: str, timeout_ms: int) -> bool:
@@ -472,15 +466,9 @@ class BleCentralDouble:
         the peripheral never starts advertising inside the window."""
         if type(timeout_ms) is not int:
             raise ValueError(f"timeout must be an int ms, got {timeout_ms!r}")
-        self.state = "scanning"
-        try:
-            self._air.scan(name, timeout_ms)
-        except (_bus.ScanTimeoutError, ScheduleError):  # a window past the clock's horizon
-            self.state = "idle"
-            raise
+        self._air.scan(name, timeout_ms)
         self._air.connect(self.central_id, name)
         self.peripheral = name
-        self.state = "connected"
         return True
 
     def read(self, char: str) -> Any:
@@ -501,13 +489,10 @@ class BleCentralDouble:
     def disconnect(self) -> None:
         self._air.disconnect(self.central_id, self.peripheral)
         self.peripheral = None
-        self.state = "idle"
 
     def close(self) -> None:
         self._air.detach_central(self.central_id)
-        self.peripheral = None
-        self.state = "idle"
 
     def _require_connected(self) -> None:
-        if self.state != "connected" or self.peripheral is None:
+        if self.peripheral is None:
             raise _bus.NotConnectedError("central is not connected")

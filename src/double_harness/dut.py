@@ -12,6 +12,8 @@ bring-up that takes SLOW_BRINGUP_MS.
 
 from __future__ import annotations
 
+import sys
+
 from . import bus as _bus
 from .simcore import EventHandle, Scheduler
 
@@ -379,6 +381,7 @@ class BleTempSensor:
         self.characteristics: dict[str, float | None] = {"temp": None}
         self.started = False
         self._adv_handle: EventHandle | None = None
+        air.attach_peripheral(self.name)  # last: a second sensor on the air is refused, holding nothing
 
     def start(self) -> None:
         if self.started:
@@ -387,6 +390,9 @@ class BleTempSensor:
         self.started = True  # only once the clock took the bring-up
 
     def set_temperature(self, celsius: float) -> None:
+        # type(), not float(): a bool or str is refused, and so are nan, inf and ints past float range
+        if type(celsius) not in (int, float) or not abs(celsius) <= sys.float_info.max:
+            raise ValueError(f"temperature must be a finite int or float, got {celsius!r}")
         self._require_started()
         self.characteristics["temp"] = float(celsius)
 
@@ -397,7 +403,6 @@ class BleTempSensor:
     def close(self) -> None:
         self._scheduler.cancel(self._adv_handle)
         self.air.drop_peripheral(self.name)
-        self.started = False
 
     def _go_live(self) -> None:
         self.air.advertise(self.name, self.characteristics)

@@ -842,13 +842,30 @@ class TestBleTempSensor:
         assert _advertising(air) == (window_ms == 6000)
 
     def test_explicit_delay_wins_over_the_fault_override(self, sched):
+        assert BleTempSensor(BleAir(sched), sched, fault="ble_init_delay_ms").init_delay_ms == 6000
         air = BleAir(sched)
-        assert BleTempSensor(air, sched, fault="ble_init_delay_ms").init_delay_ms == 6000
         sensor = BleTempSensor(air, sched, fault="ble_init_delay_ms", init_delay_ms=0)
         assert sensor.init_delay_ms == 0
         sensor.start()
         air.scan("TempSensor", 0)
         assert sched.now == 0
+
+    @pytest.mark.parametrize("celsius", [21, -40.5])
+    def test_set_temperature_takes_an_int_or_a_float_as_a_float(self, sched, celsius):
+        sensor = BleTempSensor(BleAir(sched), sched)
+        sensor.start()
+        sensor.set_temperature(celsius)
+        assert sensor.characteristics["temp"] == celsius and type(sensor.characteristics["temp"]) is float
+
+    @pytest.mark.parametrize("celsius", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+    def test_set_temperature_refuses_a_float_that_is_not_finite(self, sched, celsius):
+        """The wire cannot carry these; the wire's own values are checked below."""
+        sensor = BleTempSensor(BleAir(sched), sched)
+        sensor.start()
+        sensor.set_temperature(21.0)
+        with pytest.raises(ValueError, match="^temperature must be a finite int or float, got "):
+            sensor.set_temperature(celsius)
+        assert sensor.characteristics["temp"] == 21.0
 
     def test_operations_require_start(self, sched):
         sensor = BleTempSensor(BleAir(sched), sched)
@@ -881,6 +898,31 @@ class TestBleTempSensor:
         sensor.close()
         sched.advance_by(1000)
         assert not _advertising(air)
+
+
+@pytest.mark.parametrize(
+    "celsius", ["nan", "23.5", True, None, 10**400], ids=["nan", "str", "true", "null", "10**400"]
+)
+def test_a_wire_temperature_that_is_no_finite_number_is_refused_and_reads_stay_valid(rig, celsius):
+    """`"nan"` once answered OK, and every later read of the characteristic
+    then answered ERR EXEC ValueError: Out of range float values are not
+    JSON compliant; `"23.5"` loaded 23.5 and `true` read back as 1.0. Each
+    is refused now, as is an int past the float range, and the central
+    reads the last temperature set."""
+
+    def send(device, verb, obj, method, *args):
+        return send_command(getattr(rig.session, device).endpoint, Command(verb, obj, method, args))
+
+    assert send("dut", "NEW", "t", "BleTempSensor", 0).ok
+    assert send("dut", "CALL", "t", "start").ok
+    assert send("dut", "CALL", "t", "set_temperature", 21.5).ok
+    assert send("double", "NEW", "phone", "BleCentral").ok
+    assert send("double", "CALL", "phone", "scan_connect", "TempSensor", 100).ok
+    resp = send("dut", "CALL", "t", "set_temperature", celsius)
+    assert (resp.code, resp.message) == (
+        "EXEC", f"ValueError: temperature must be a finite int or float, got {celsius!r}"
+    )
+    assert send("double", "CALL", "phone", "read", "temp").payload == 21.5
 
 
 # ---------------------------------------------------------------------------

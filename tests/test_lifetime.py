@@ -1,5 +1,6 @@
-"""Object lifetime on the rig: RESET leaves nothing behind on the media, and a
-closed rig is freed by reference counting alone."""
+"""Object lifetime on the rig: every slot on a medium takes one holder, RESET
+leaves nothing behind on the media, and a closed rig is freed by reference
+counting alone."""
 
 import gc
 import weakref
@@ -98,6 +99,8 @@ def test_reset_leaves_no_media_reference_to_decommissioned_objects(rig, cls):
         if any(getattr(cb, "__self__", None) is obj for obj in hosted)
     ]
     assert holders == []
+    air = rig.air  # holds names, not callbacks: no peripheral name, advertisement, link or inbox
+    assert (air._peripherals, air._advertisers, air._connections, air._inboxes) == (set(), {}, set(), {})
 
 
 def test_deleted_spi_slave_no_longer_answers_on_the_bus(rig):
@@ -222,9 +225,37 @@ def test_a_second_spi_slave_is_refused_and_the_first_keeps_the_bus(rig):
     assert _send(rig, "double", "CALL", "s1", "get_rx").payload == [0, 0]
 
 
+def _sensor_is_read(rig, sensor, celsius):
+    """The BLE sensor named sensor starts, and a new central reads its temperature."""
+    assert _send(rig, "dut", "CALL", sensor, "start").ok
+    assert _send(rig, "dut", "CALL", sensor, "set_temperature", celsius).ok
+    assert _send(rig, "double", "NEW", "phone", "BleCentral").ok
+    assert _send(rig, "double", "CALL", "phone", "scan_connect", "TempSensor", 100).ok
+    assert _send(rig, "double", "CALL", "phone", "read", "temp").payload == celsius
+
+
+def test_a_second_ble_sensor_is_refused_and_the_first_keeps_its_name(rig):
+    """NEW t2 beside a started t once answered OK, and DEL t then dropped the
+    name both used, so a new central's scan timed out. The air takes one
+    holder per name: t2 is refused, t stays discoverable and readable, and
+    once t is deleted a new sensor takes the name."""
+    assert _send(rig, "dut", "NEW", "t", "BleTempSensor", 0).ok
+    assert _send(rig, "dut", "CALL", "t", "start").ok
+    resp = _send(rig, "dut", "NEW", "t2", "BleTempSensor", 0)
+    assert (resp.code, resp.message) == ("EXEC", "ValueError: BLE name 'TempSensor' already occupied")
+    assert _send(rig, "dut", "DEL", "t2").code == "NO_OBJECT"
+    _sensor_is_read(rig, "t", 21.5)
+    assert _send(rig, "dut", "DEL", "t").ok
+    resp = _send(rig, "double", "CALL", "phone", "read", "temp")  # the link went with t
+    assert (resp.code, resp.message) == ("EXEC", "NotConnectedError: 'central1' is not connected to 'TempSensor'")
+    assert _send(rig, "dut", "NEW", "t2", "BleTempSensor", 0).ok
+    _sensor_is_read(rig, "t2", 19.0)
+
+
 @pytest.mark.parametrize(
     "cls, message",
     [
+        ("BleTempSensor", "BLE name 'TempSensor' already occupied"),
         ("Gps", "UART line listener already occupied"),
         ("Rtc", "address 0x68 already occupied"),
         ("SpiSlave", "SPI slave already occupied"),
@@ -233,14 +264,21 @@ def test_a_second_spi_slave_is_refused_and_the_first_keeps_the_bus(rig):
 def test_a_new_over_a_hosted_name_that_would_take_its_slot_keeps_the_old_object(rig, cls, message):
     """execute builds before it closes, so a NEW whose build is refused
     leaves the object under that name hosted and holding its slot. A second
-    NEW g Gps once answered OK and left g deaf."""
-    assert _send(rig, "double", "NEW", "x", cls).ok
-    old = rig.session.double.registry.objects["x"]
+    NEW g Gps once answered OK and left g deaf. A BLE sensor's slot is a
+    name, not a callback, so it shows in that a central reads the old one."""
+    device = "dut" if cls == "BleTempSensor" else "double"
+    registry = getattr(rig.session, device).registry
+    assert _send(rig, device, "NEW", "x", cls).ok
+    old = registry.objects["x"]
     held = _held_by(rig, old)
-    resp = _send(rig, "double", "NEW", "x", cls)
+    resp = _send(rig, device, "NEW", "x", cls)
     assert (resp.code, resp.message) == ("EXEC", f"ValueError: {message}")
-    assert rig.session.double.registry.objects["x"] is old
-    assert _held_by(rig, old) == held != []
+    assert registry.objects["x"] is old
+    assert _held_by(rig, old) == held
+    if cls == "BleTempSensor":
+        _sensor_is_read(rig, "x", 20.0)
+    else:
+        assert held != []
     if cls == "Gps":
         _gps_hears_the_driver(rig, "x")
 
