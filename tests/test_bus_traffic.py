@@ -1,11 +1,13 @@
-"""SPI, I2C and UART traffic of the shipped suites, their LED edges and
-their transport log, pinned by digest.
+"""SPI, I2C, UART and BLE traffic of the shipped suites, their LED edges
+and their transport log, pinned by digest.
 
 The buses keep no record of what they carry, so this test records it: it
 wraps SpiBus.transfer and I2cBus.write_then_read, as the work-count tests
 wrap functions, and notes each call's sim time, the bytes in and the bytes
 out. It wraps UartEnd.send the same way, noting the sending end, the sim
-time and the bytes of each send. One run is the five suites on one rig,
+time and the bytes of each send. BLE air traffic is noted by meaning, not
+by each verb's arguments, so a change of arity leaves the pin where it
+was. One run is the five suites on one rig,
 clean or with one shipped fault armed. Each run is pinned by its number of
 calls, the clock at its end and one sha256 of its records, so a byte that
 moves, or a call that moves in time or order, moves the digest. The LED
@@ -24,14 +26,22 @@ from double_harness import bus, harness, suites
 @pytest.fixture
 def five_suite_run(monkeypatch):
     """run(fault) runs the five suites on a new rig and returns the rig, its
-    bus records and its UART stream. The records are ("spi", now, mosi, miso)
-    per SPI transfer and ("i2c", now, addr, written, read) per I2C
-    transaction; a call that raises leaves no record. The stream is (end,
-    now, data) per UartEnd.send, with end "a" for the GPS driver's and "b"
-    for the double's."""
-    records, stream = [], []
+    bus records, its UART stream and its BLE air events. The records are
+    ("spi", now, mosi, miso) per SPI transfer and ("i2c", now, addr, written,
+    read) per I2C transaction; a call that raises leaves no record. The
+    stream is (end, now, data) per UartEnd.send, with end "a" for the GPS
+    driver's and "b" for the double's. The air events are:
+    - ("scan", start, name, window, end, found) per scan, found or not
+    - ("connect", now, central, name), ("read", now, central, char, value)
+      and ("notify", now, name, value, count) per verb that answers
+    - ("drop", now, name) per drop_peripheral and ("detach", now, central)
+      per detach_central"""
+    records, stream, air_events = [], [], []
     current = []  # the rig being run
     transfer, write_then_read, send = bus.SpiBus.transfer, bus.I2cBus.write_then_read, bus.UartEnd.send
+    air = bus.BleAir
+    scan, connect, notify, read = air.scan, air.connect, air.notify, air.read
+    drop_peripheral, detach_central = air.drop_peripheral, air.detach_central
 
     def record(entry, call, *args):
         out = call(*args)
@@ -50,6 +60,45 @@ def five_suite_run(monkeypatch):
         stream.append(("a" if end is rig.uart.a else "b", rig.scheduler.now, bytes(data)))
         return send(end, data)
 
+    def ble_scan(air, name, window_ms):
+        start, found = air.scheduler.now, False
+        try:
+            scan(air, name, window_ms)
+            found = True
+        finally:
+            air_events.append(("scan", start, name, window_ms, air.scheduler.now, found))
+
+    def ble_connect(air, central_id, name):
+        connect(air, central_id, name)
+        air_events.append(("connect", air.scheduler.now, central_id, name))
+
+    def ble_notify(air, name, char, value):
+        count = notify(air, name, char, value)
+        air_events.append(("notify", air.scheduler.now, name, value, count))
+        return count
+
+    def ble_read(air, central_id, *rest):  # rest ends with the characteristic
+        value = read(air, central_id, *rest)
+        air_events.append(("read", air.scheduler.now, central_id, rest[-1], value))
+        return value
+
+    def ble_drop_peripheral(air, name):
+        air_events.append(("drop", air.scheduler.now, name))
+        drop_peripheral(air, name)
+
+    def ble_detach_central(air, central_id):
+        air_events.append(("detach", air.scheduler.now, central_id))
+        detach_central(air, central_id)
+
+    for verb, wrapper in (
+        ("scan", ble_scan),
+        ("connect", ble_connect),
+        ("notify", ble_notify),
+        ("read", ble_read),
+        ("drop_peripheral", ble_drop_peripheral),
+        ("detach_central", ble_detach_central),
+    ):
+        monkeypatch.setattr(air, verb, wrapper)
     monkeypatch.setattr(bus.SpiBus, "transfer", spi_transfer)
     monkeypatch.setattr(bus.I2cBus, "write_then_read", i2c_write_then_read)
     monkeypatch.setattr(bus.UartEnd, "send", uart_send)
@@ -57,6 +106,7 @@ def five_suite_run(monkeypatch):
     def run(fault):
         records.clear()
         stream.clear()
+        air_events.clear()
         rig = suites.build_virtual_rig(fault)
         current[:] = [rig]
         try:
@@ -64,7 +114,7 @@ def five_suite_run(monkeypatch):
                 harness.run_suite(suite, rig.session)
         finally:
             rig.close()
-        return rig, list(records), list(stream)
+        return rig, list(records), list(stream), list(air_events)
 
     return run
 
@@ -88,12 +138,12 @@ PINNED = {
 
 def test_the_pins_cover_the_clean_run_and_each_shipped_fault():
     runs = [None, *suites.SHIPPED_FAULTS]
-    assert list(PINNED) == list(LOG_PINNED) == list(EDGES_PINNED) == list(UART_PINNED) == runs
+    assert list(PINNED) == list(LOG_PINNED) == list(EDGES_PINNED) == list(UART_PINNED) == list(AIR_PINNED) == runs
 
 
 @pytest.mark.parametrize("fault", list(PINNED), ids=lambda fault: fault or "clean")
 def test_five_suites_leave_the_pinned_spi_and_i2c_traffic(five_suite_run, fault):
-    rig, records, _ = five_suite_run(fault)
+    rig, records, _, _ = five_suite_run(fault)
     assert (len(records), rig.scheduler.now, _sha256(records)) == PINNED[fault]
 
 
@@ -111,7 +161,7 @@ LOG_PINNED = {
 
 @pytest.mark.parametrize("fault", list(LOG_PINNED), ids=lambda fault: fault or "clean")
 def test_five_suites_leave_the_pinned_transport_log(five_suite_run, fault):
-    rig, _, _ = five_suite_run(fault)
+    rig, _, _, _ = five_suite_run(fault)
     lines = [entry[1:] for entry in rig.session.log.entries]  # all but the sequence number
     assert (len(lines), rig.scheduler.now, _sha256(lines)) == LOG_PINNED[fault]
 
@@ -119,7 +169,7 @@ def test_five_suites_leave_the_pinned_transport_log(five_suite_run, fault):
 def test_the_clean_records_read_as_the_suites_drive_the_buses(five_suite_run):
     """The RTC suite's five transactions, all at the RTC double's address,
     then the SPI suite's write, which clocks back zeros, and its read."""
-    _, records, _ = five_suite_run(None)
+    _, records, _, _ = five_suite_run(None)
     assert [record[0] for record in records] == ["i2c"] * 5 + ["spi"] * 2
     assert {record[2] for record in records[:5]} == {0x68}
     assert records[5][2:] == (bytes(suites.SPI_TX_DATA), bytes(len(suites.SPI_TX_DATA)))
@@ -143,7 +193,7 @@ EDGES_PINNED = {
 
 @pytest.mark.parametrize("fault", list(EDGES_PINNED), ids=lambda fault: fault or "clean")
 def test_five_suites_leave_the_pinned_led_edges(five_suite_run, fault):
-    rig, _, _ = five_suite_run(fault)
+    rig, _, _, _ = five_suite_run(fault)
     edges = list(rig.led_line.edges)
     assert (len(edges), rig.scheduler.now, _sha256(edges)) == EDGES_PINNED[fault]
 
@@ -164,5 +214,26 @@ UART_PINNED = {
 
 @pytest.mark.parametrize("fault", list(UART_PINNED), ids=lambda fault: fault or "clean")
 def test_five_suites_leave_the_pinned_uart_stream(five_suite_run, fault):
-    rig, _, stream = five_suite_run(fault)
+    rig, _, stream, _ = five_suite_run(fault)
     assert (len(stream), rig.scheduler.now, _sha256(stream)) == UART_PINNED[fault]
+
+
+# Per run: (air events, scheduler.now at its end, sha256 of the repr of the
+# list of events). Each BLE case scans, connects, does its verb, then drops
+# its sensor and detaches its central. ble_init_delay_ms moves the first
+# scan's end and everything after it by the slow bring-up; period_skew_ms and
+# omit_checksum move only when the BLE suite starts.
+AIR_PINNED = {
+    None: (14, 3_652_500, "9a9968960817d0a9512e6e6e400eda4c8defaed25f7ea35faea4912777db17c0"),
+    "period_skew_ms": (14, 3_652_508, "bb7aed8f43d038f4c2913ff66cfa19200cf57a138c8782d8c7d1f4c39d561aff"),
+    "swap_bcd_nibbles": (14, 3_652_500, "9a9968960817d0a9512e6e6e400eda4c8defaed25f7ea35faea4912777db17c0"),
+    "omit_checksum": (14, 3_654_500, "9960ec93ad78befb06881052ebe77ec02e44d9512b28f97a8a0a576f86e71f37"),
+    "drop_first_byte": (14, 3_652_500, "9a9968960817d0a9512e6e6e400eda4c8defaed25f7ea35faea4912777db17c0"),
+    "ble_init_delay_ms": (14, 3_658_500, "3906fd435a579f79dec478455679d8de595db0aa41dce7d925709d2d0aa23212"),
+}
+
+
+@pytest.mark.parametrize("fault", list(AIR_PINNED), ids=lambda fault: fault or "clean")
+def test_five_suites_leave_the_pinned_ble_air_traffic(five_suite_run, fault):
+    rig, _, _, events = five_suite_run(fault)
+    assert (len(events), rig.scheduler.now, _sha256(events)) == AIR_PINNED[fault]
