@@ -335,16 +335,15 @@ class BleAir:
     """Shared radio medium carrying the GATT verbs the rig needs.
 
     Peripherals advertise by name, one holder per name; centrals scan
-    (waiting in simulated time), connect, read characteristics, and
-    receive notifications. Notifications reach exactly the centrals
-    currently connected to the notifying peripheral.
+    (waiting in simulated time), connect, read characteristics, and receive
+    notifications. A central holds one link, and connecting replaces it.
+    Notifications reach exactly the centrals linked to the notifying peripheral.
     """
 
     def __init__(self, scheduler: Scheduler) -> None:
         self.scheduler = scheduler
-        self._peripherals: set[str] = set()  # names with a holder
-        self._advertisers: dict[str, dict[str, Any]] = {}
-        self._connections: set[tuple[str, str]] = set()
+        self._peripherals: dict[str, dict[str, Any] | None] = {}  # held name -> live store, or None if silent
+        self._links: dict[str, str] = {}  # central -> its one peripheral
         self._inboxes: dict[str, deque] = {}
 
     # -- peripheral side
@@ -353,24 +352,24 @@ class BleAir:
         """Take `name` for one peripheral; a name that is taken is refused."""
         if name in self._peripherals:
             raise ValueError(f"BLE name {name!r} already occupied")
-        self._peripherals.add(name)
+        self._peripherals[name] = None
 
     def advertise(self, name: str, characteristics: dict[str, Any]) -> None:
-        """Make `name` discoverable; `characteristics` is a live value store."""
-        self._advertisers[name] = characteristics
+        """Make `name` discoverable, holding it; `characteristics` is a live value store."""
+        self._peripherals[name] = characteristics
 
     def stop_advertising(self, name: str) -> None:
-        self._advertisers.pop(name, None)
+        if name in self._peripherals:
+            self._peripherals[name] = None
 
     def drop_peripheral(self, name: str) -> None:
-        """Remove a peripheral entirely: its name, advertisement and open connections."""
-        self._peripherals.discard(name)
-        self.stop_advertising(name)
-        self._connections = {(c, p) for (c, p) in self._connections if p != name}
+        """Remove a peripheral entirely: its name, advertisement and links."""
+        self._peripherals.pop(name, None)
+        self._links = {c: p for c, p in self._links.items() if p != name}
 
     def notify(self, name: str, char: str, value: Any) -> int:
-        """Push `value` to every central connected to `name`. Returns count."""
-        targets = sorted(c for (c, p) in self._connections if p == name)
+        """Push `value` to every central linked to `name`. Returns count."""
+        targets = [c for c, p in self._links.items() if p == name]
         for central_id in targets:
             self._inboxes[central_id].append(value)
         return len(targets)
@@ -382,7 +381,7 @@ class BleAir:
 
     def detach_central(self, central_id: str) -> None:
         self._inboxes.pop(central_id, None)
-        self._connections = {(c, p) for (c, p) in self._connections if c != central_id}
+        self._links.pop(central_id, None)
 
     def scan(self, name: str, window_ms: int) -> None:
         """Wait (in simulated time) until `name` advertises.
@@ -392,23 +391,28 @@ class BleAir:
         going live exactly at the deadline is still found.
         """
         deadline = self.scheduler.now + window_ms
-        if not self.scheduler.run_until(lambda: name in self._advertisers, deadline):
+        if not self.scheduler.run_until(lambda: self._peripherals.get(name) is not None, deadline):
             raise ScanTimeoutError(f"'{name}' not advertising within {window_ms} ms")
 
     def connect(self, central_id: str, name: str) -> None:
-        if name not in self._advertisers:
+        if self._peripherals.get(name) is None:
             raise NotConnectedError(f"'{name}' is not advertising")
         if central_id not in self._inboxes:
             raise NotConnectedError(f"unknown central '{central_id}'")
-        self._connections.add((central_id, name))
+        self._links[central_id] = name
 
-    def disconnect(self, central_id: str, name: str | None) -> None:
-        self._connections.discard((central_id, name))
+    def disconnect(self, central_id: str) -> None:
+        self._links.pop(central_id, None)
 
-    def read(self, central_id: str, name: str, char: str) -> Any:
-        if (central_id, name) not in self._connections:
-            raise NotConnectedError(f"'{central_id}' is not connected to '{name}'")
-        store = self._advertisers.get(name)
+    def link(self, central_id: str) -> str | None:
+        """The peripheral `central_id` is linked to, or None."""
+        return self._links.get(central_id)
+
+    def read(self, central_id: str, char: str) -> Any:
+        name = self._links.get(central_id)
+        if name is None:
+            raise NotConnectedError(f"'{central_id}' is not connected")
+        store = self._peripherals[name]
         if store is None or char not in store:
             raise BusError(f"no characteristic '{char}' on '{name}'")
         return store[char]

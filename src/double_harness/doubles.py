@@ -331,7 +331,6 @@ class GpsDouble:
         self._uart = uart_end
         self._scheduler = scheduler
         self.enabled: set[str] = {GGA}
-        self.update_period_ms: int | None = None
         self.fix = ("4807.038", "N", "01131.000", "E")
         self.reject_count = 0
         self.emit_count = 0
@@ -356,7 +355,6 @@ class GpsDouble:
             if period < 1 or self._scheduler.now + period > MAX_SIM_MS:  # the clock's horizon
                 self.reject_count += 1
                 return
-            self.update_period_ms = period
             self._arm_emitter(period)
         elif fields[1] == "SEL" and len(fields) == 4:
             stype, flag = fields[2], fields[3]
@@ -386,7 +384,7 @@ class GpsDouble:
         return self.emit_count
 
     def get_update_period(self) -> int | None:
-        return self.update_period_ms
+        return None if self._emit_handle is None else self._emit_handle.period
 
     def get_enabled(self) -> list[str]:
         return sorted(self.enabled)
@@ -431,6 +429,8 @@ class SpiSlaveDouble:
     def preload_tx(self, data: list[int]) -> None:
         if type(data) is not list:
             raise ValueError(f"data must be a list of byte values, got {type(data).__name__}")
+        if bool in set(map(type, data)):  # bytes() would take it as 0 or 1; the set is built in C
+            raise ValueError(f"byte out of range: {next(b for b in data if type(b) is bool)!r}")
         self.tx_fifo.extend(bytes(data))
 
     def get_rx(self) -> list[int]:
@@ -458,28 +458,27 @@ class BleCentralDouble:
     def __init__(self, air: _bus.BleAir, central_id: str) -> None:
         self._air = air
         self.central_id = central_id
-        self.peripheral: str | None = None  # the one it connected to, until disconnect
         air.attach_central(central_id)
 
     def scan_connect(self, name: str, timeout_ms: int) -> bool:
-        """Scan for `name` and connect; True on success, ScanTimeoutError if
-        the peripheral never starts advertising inside the window."""
+        """Scan for `name` and connect, replacing any link; True on success,
+        ScanTimeoutError if the peripheral never starts advertising inside the window."""
         if type(timeout_ms) is not int:
             raise ValueError(f"timeout must be an int ms, got {timeout_ms!r}")
         self._air.scan(name, timeout_ms)
         self._air.connect(self.central_id, name)
-        self.peripheral = name
         return True
 
     def read(self, char: str) -> Any:
-        self._require_connected()
-        return self._air.read(self.central_id, self.peripheral, char)
+        return self._air.read(self.central_id, char)
 
     def await_notify(self, timeout_ms: int) -> Any:
-        """Next notified value, waiting in simulated time up to the deadline."""
+        """Next notified value, waiting in simulated time up to the deadline.
+        A central with no link is refused at once."""
         if type(timeout_ms) is not int:
             raise ValueError(f"timeout must be an int ms, got {timeout_ms!r}")
-        self._require_connected()
+        if self._air.link(self.central_id) is None:
+            raise _bus.NotConnectedError(f"'{self.central_id}' is not connected")
         inbox = self._air.inbox(self.central_id)
         sched = self._air.scheduler
         if not sched.run_until(lambda: inbox, sched.now + timeout_ms):
@@ -487,12 +486,7 @@ class BleCentralDouble:
         return inbox.popleft()
 
     def disconnect(self) -> None:
-        self._air.disconnect(self.central_id, self.peripheral)
-        self.peripheral = None
+        self._air.disconnect(self.central_id)
 
     def close(self) -> None:
         self._air.detach_central(self.central_id)
-
-    def _require_connected(self) -> None:
-        if self.peripheral is None:
-            raise _bus.NotConnectedError("central is not connected")

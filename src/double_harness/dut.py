@@ -310,6 +310,8 @@ MAX_SPI_READ = 4096
 def _spi_bytes(data: list[int]) -> bytes:
     if type(data) is not list:
         raise ValueError(f"data must be a list of byte values, got {type(data).__name__}")
+    if bool in set(map(type, data)):  # bytes() would take it as 0 or 1; the set is built in C
+        raise ValueError(f"byte out of range: {next(b for b in data if type(b) is bool)!r}")
     return bytes(data)
 
 
@@ -379,15 +381,12 @@ class BleTempSensor:
                 raise ValueError(f"init delay must be an int ms, got {init_delay_ms!r}")
             self.init_delay_ms = init_delay_ms
         self.characteristics: dict[str, float | None] = {"temp": None}
-        self.started = False
-        self._adv_handle: EventHandle | None = None
+        self._adv_handle: EventHandle | None = None  # set once started
         air.attach_peripheral(self.name)  # last: a second sensor on the air is refused, holding nothing
 
     def start(self) -> None:
-        if self.started:
-            return
-        self._adv_handle = self._scheduler.schedule(self.init_delay_ms, self._go_live)
-        self.started = True  # only once the clock took the bring-up
+        if self._adv_handle is None:  # set only once the clock took the bring-up
+            self._adv_handle = self._scheduler.schedule(self.init_delay_ms, self._go_live)
 
     def set_temperature(self, celsius: float) -> None:
         # type(), not float(): a bool or str is refused, and so are nan, inf and ints past float range
@@ -408,5 +407,5 @@ class BleTempSensor:
         self.air.advertise(self.name, self.characteristics)
 
     def _require_started(self) -> None:
-        if not self.started:
+        if self._adv_handle is None:
             raise NotStartedError("call start() first")

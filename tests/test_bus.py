@@ -533,14 +533,14 @@ class TestBleAir:
         air.attach_central("phone")
         air.connect("phone", "TempSensor")
         chars["temp"] = 23.5
-        assert air.read("phone", "TempSensor", "temp") == 23.5
+        assert air.read("phone", "temp") == 23.5
 
     def test_read_requires_connection(self, sched):
         air = BleAir(sched)
         air.advertise("TempSensor", {"temp": 0.0})
         air.attach_central("phone")
-        with pytest.raises(NotConnectedError):
-            air.read("phone", "TempSensor", "temp")
+        with pytest.raises(NotConnectedError, match="'phone' is not connected"):
+            air.read("phone", "temp")
 
     def test_connect_needs_an_advertiser_and_a_known_central(self, sched):
         air = BleAir(sched)
@@ -558,24 +558,28 @@ class TestBleAir:
         for central in ("a", "b"):
             air.attach_central(central)
             air.connect(central, "TempSensor")
-        air.disconnect("a", "TempSensor")
-        air.disconnect("a", "TempSensor")  # no longer connected: ignored
+        air.disconnect("a")
+        air.disconnect("a")  # no longer connected: ignored
+        assert (air.link("a"), air.link("b")) == (None, "TempSensor")
         assert air.notify("TempSensor", "temp", 5.0) == 1
         assert (list(air.inbox("a")), list(air.inbox("b"))) == ([], [5.0])
         with pytest.raises(NotConnectedError):
-            air.read("a", "TempSensor", "temp")
+            air.read("a", "temp")
 
     def test_dropping_a_peripheral_keeps_the_other_connections(self, sched):
         air = BleAir(sched)
         air.advertise("TempSensor", {"temp": 20.0})
         air.advertise("Clock", {"time": 7})
-        air.attach_central("phone")
-        air.connect("phone", "TempSensor")
-        air.connect("phone", "Clock")
+        for central, name in (("phone", "TempSensor"), ("watch", "Clock")):
+            air.attach_central(central)
+            air.connect(central, name)
         air.drop_peripheral("TempSensor")
-        assert air.read("phone", "Clock", "time") == 7
+        assert (air.link("phone"), air.link("watch")) == (None, "Clock")
+        assert air.read("watch", "time") == 7
         with pytest.raises(NotConnectedError):
-            air.read("phone", "TempSensor", "temp")
+            air.read("phone", "temp")
+        with pytest.raises(NotConnectedError, match="'TempSensor' is not advertising"):
+            air.connect("phone", "TempSensor")
 
     def test_reading_a_characteristic_the_peripheral_lacks_is_a_bus_error(self, sched):
         air = BleAir(sched)
@@ -583,10 +587,10 @@ class TestBleAir:
         air.attach_central("phone")
         air.connect("phone", "TempSensor")
         with pytest.raises(BusError, match="no characteristic 'humidity'"):
-            air.read("phone", "TempSensor", "humidity")
+            air.read("phone", "humidity")
         air.stop_advertising("TempSensor")  # still connected, but the store is gone
         with pytest.raises(BusError, match="no characteristic 'temp'"):
-            air.read("phone", "TempSensor", "temp")
+            air.read("phone", "temp")
 
     def test_notify_reaches_exactly_the_connected_centrals(self, sched):
         air = BleAir(sched)

@@ -1065,20 +1065,21 @@ class TestBleCentralDouble:
         air.advertise("TempSensor", {"temp": 23.5})
         central = BleCentralDouble(air, "phone")
         assert central.scan_connect("TempSensor", 100) is True
-        assert central.peripheral == "TempSensor"
+        assert air.link("phone") == "TempSensor"
 
     def test_scan_timeout_when_peripheral_never_appears(self, sched):
         air = BleAir(sched)
         central = BleCentralDouble(air, "phone")
         with pytest.raises(ScanTimeoutError):
             central.scan_connect("TempSensor", 5000)
-        assert central.peripheral is None
+        assert air.link("phone") is None
 
     def test_a_scan_window_past_the_horizon_is_refused_and_leaves_it_idle(self, sched):
-        central = BleCentralDouble(BleAir(sched), "phone")
+        air = BleAir(sched)
+        central = BleCentralDouble(air, "phone")
         with pytest.raises(ScheduleError, match="past MAX_SIM_MS"):
             central.scan_connect("TempSensor", MAX_SIM_MS + 1)
-        assert central.peripheral is None and sched.now == 0
+        assert air.link("phone") is None and sched.now == 0
 
     def test_a_negative_scan_window_times_out_over_the_wire_with_the_clock_unmoved(self, rig):
         double = rig.session.double.endpoint
@@ -1130,26 +1131,43 @@ class TestBleCentralDouble:
         assert sensor.notify() == 1
         central.disconnect()
         assert sensor.notify() == 0
-        assert central.peripheral is None
+        assert air.link("phone") is None
         with pytest.raises(NotConnectedError):
             central.read("temp")
         central.disconnect()  # not connected: nothing to do
-        assert central.peripheral is None
+        assert air.link("phone") is None
 
     def test_a_failed_rescan_leaves_a_connected_central_its_link(self, sched):
-        """A scan that times out changes nothing: the central still names
-        the peripheral whose connection is on the air, reads it, and gets
-        its notifications."""
+        """A scan that times out changes nothing: the central keeps its link
+        on the air, reads it, and gets its notifications."""
         air = BleAir(sched)
         air.advertise("TempSensor", {"temp": 21.0})
         central = BleCentralDouble(air, "phone")
         central.scan_connect("TempSensor", 10)
         with pytest.raises(ScanTimeoutError):
             central.scan_connect("Clock", 100)
-        assert central.peripheral == "TempSensor"
+        assert air.link("phone") == "TempSensor"
         assert central.read("temp") == 21.0
         assert air.notify("TempSensor", "temp", 22.5) == 1
         assert central.await_notify(10) == 22.5
+
+    def test_a_rescan_to_another_name_replaces_the_link(self, sched):
+        """A central holds one link. Scan-connecting to B once kept the link
+        to A too, so A's notifications reached the central as if from B, and
+        disconnect() left the link to A on the air."""
+        air = BleAir(sched)
+        air.advertise("A", {"temp": 1.0})
+        air.advertise("B", {"temp": 2.0})
+        central = BleCentralDouble(air, "phone")
+        central.scan_connect("A", 10)
+        central.scan_connect("B", 10)
+        assert (air.notify("A", "temp", 1.5), air.notify("B", "temp", 2.5)) == (0, 1)
+        assert air.link("phone") == "B"
+        assert central.read("temp") == 2.0
+        assert central.await_notify(10) == 2.5
+        central.disconnect()
+        assert air.link("phone") is None
+        assert air.notify("A", "temp", 1.5) == 0
 
     def test_await_notify_times_out_quietly_connected(self, sched):
         air = BleAir(sched)

@@ -748,12 +748,26 @@ class TestSpiMaster:
         ("dut", "master", "read", True),
         ("dut", "master", "read", 200_000),
         ("dut", "master", "read", MAX_SPI_READ + 1),
+        ("dut", "master", "write", [True, 2]),
+        ("double", "slave", "preload_tx", [True, False]),
+        ("dut", "master", "write_read", [3, False]),
     ],
-    ids=["write-int", "preload-int", "write_read-int", "read-bool", "read-huge", "read-past-limit"],
+    ids=[
+        "write-int",
+        "preload-int",
+        "write_read-int",
+        "read-bool",
+        "read-huge",
+        "read-past-limit",
+        "write-bool-byte",
+        "preload-bool-byte",
+        "write_read-bool-byte",
+    ],
 )
 def test_spi_wire_arguments_out_of_shape_are_refused_before_a_byte_moves(rig, step, monkeypatch):
-    """bytes(n) of an int n is n zero bytes: an int where a byte list belongs,
-    or a read longer than any reply frame holds, must not clock anything."""
+    """bytes(n) of an int n is n zero bytes, and bytes() takes a bool as 0
+    or 1: an int where a byte list belongs, a bool in a byte list, or a read
+    longer than any reply frame holds, must not clock anything."""
     transfers = []
     transfer = SpiBus.transfer
 
@@ -776,6 +790,9 @@ def test_spi_wire_arguments_out_of_shape_are_refused_before_a_byte_moves(rig, st
     device, obj, method, arg = step
     resp = send(device, "CALL", obj, method, arg)
     assert resp.code == "EXEC" and resp.message.startswith("ValueError: "), resp
+    if type(arg) is list:
+        bad = next(b for b in arg if type(b) is bool)
+        assert resp.message == f"ValueError: byte out of range: {bad!r}"
     assert (len(transfers), bytes(slave.rx_log), bytes(slave.tx_fifo)) == before
 
 
@@ -808,7 +825,7 @@ class TestBleTempSensor:
         air.attach_central("phone")
         air.connect("phone", "TempSensor")
         sensor.set_temperature(23.5)
-        assert air.read("phone", "TempSensor", "temp") == 23.5
+        assert air.read("phone", "temp") == 23.5
 
     def test_notify_pushes_to_connected_centrals(self, sched):
         air = BleAir(sched)
@@ -889,7 +906,9 @@ class TestBleTempSensor:
         sensor = BleTempSensor(BleAir(sched), sched, init_delay_ms=delay)
         with pytest.raises(ScheduleError):
             sensor.start()
-        assert not sensor.started and sched.next_due() is None
+        assert sched.next_due() is None
+        with pytest.raises(NotStartedError):
+            sensor.notify()
 
     def test_close_cancels_pending_bringup(self, sched):
         air = BleAir(sched)

@@ -99,8 +99,8 @@ def test_reset_leaves_no_media_reference_to_decommissioned_objects(rig, cls):
         if any(getattr(cb, "__self__", None) is obj for obj in hosted)
     ]
     assert holders == []
-    air = rig.air  # holds names, not callbacks: no peripheral name, advertisement, link or inbox
-    assert (air._peripherals, air._advertisers, air._connections, air._inboxes) == (set(), {}, set(), {})
+    air = rig.air  # holds names, not callbacks: no peripheral name or advertisement, link or inbox
+    assert (air._peripherals, air._links, air._inboxes) == ({}, {}, {})
 
 
 def test_deleted_spi_slave_no_longer_answers_on_the_bus(rig):
@@ -247,9 +247,26 @@ def test_a_second_ble_sensor_is_refused_and_the_first_keeps_its_name(rig):
     _sensor_is_read(rig, "t", 21.5)
     assert _send(rig, "dut", "DEL", "t").ok
     resp = _send(rig, "double", "CALL", "phone", "read", "temp")  # the link went with t
-    assert (resp.code, resp.message) == ("EXEC", "NotConnectedError: 'central1' is not connected to 'TempSensor'")
+    assert (resp.code, resp.message) == ("EXEC", "NotConnectedError: 'central1' is not connected")
     assert _send(rig, "dut", "NEW", "t2", "BleTempSensor", 0).ok
     _sensor_is_read(rig, "t2", 19.0)
+
+
+def test_a_central_whose_sensor_was_deleted_refuses_read_and_await_notify_at_once(rig):
+    """DEL of the sensor drops the central's link on the air. read already
+    answered NotConnectedError, but await_notify once waited out its whole
+    window and answered NotifyTimeoutError: two answers about one link. Both
+    now ask the air and refuse at once, with the clock where it was."""
+    assert _send(rig, "dut", "NEW", "t", "BleTempSensor", 0).ok
+    assert _send(rig, "dut", "CALL", "t", "start").ok
+    assert _send(rig, "double", "NEW", "c", "BleCentral").ok
+    assert _send(rig, "double", "CALL", "c", "scan_connect", "TempSensor", 100).ok
+    assert _send(rig, "dut", "DEL", "t").ok
+    before = rig.scheduler.now
+    for method, args in (("read", ["temp"]), ("await_notify", [1000])):
+        resp = _send(rig, "double", "CALL", "c", method, *args)
+        assert (resp.code, resp.message.partition(":")[0]) == ("EXEC", "NotConnectedError"), method
+        assert rig.scheduler.now == before, method
 
 
 @pytest.mark.parametrize(
