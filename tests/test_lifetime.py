@@ -263,8 +263,8 @@ def test_a_central_whose_sensor_was_deleted_refuses_read_and_await_notify_at_onc
     assert _send(rig, "double", "CALL", "c", "scan_connect", "TempSensor", 100).ok
     assert _send(rig, "dut", "DEL", "t").ok
     before = rig.scheduler.now
-    for method, args in (("read", ["temp"]), ("await_notify", [1000])):
-        resp = _send(rig, "double", "CALL", "c", method, *args)
+    for method, arg in (("read", "temp"), ("await_notify", 1000)):
+        resp = _send(rig, "double", "CALL", "c", method, arg)
         assert (resp.code, resp.message.partition(":")[0]) == ("EXEC", "NotConnectedError"), method
         assert rig.scheduler.now == before, method
 
